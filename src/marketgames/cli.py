@@ -22,11 +22,6 @@ from .instance_lab import (ExperimentConfig, PoARecord, format_value,
                            load_instance, records_to_csv, run_experiment,
                            write_report)
 
-REPRODUCE_IDS = ("example-3.1", "theorem-3.3", "lb-construction",
-                 "tp-nonexistence", "tp-leontief-poa", "example-lin",
-                 "example-leo")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="marketgames")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -73,8 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("reproduce", help="rebuild a named construction")
-    p.add_argument("id", choices=REPRODUCE_IDS)
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("id", choices=tuple(REPRODUCE))
+    p.add_argument("--n", type=int, default=None,
+                   help="size (default 8 for lb-construction, else 5)")
     p.add_argument("--delta", type=float, default=1e-4)
     p.add_argument("--a", type=float, default=0.5)
     p.add_argument("--eps", type=float, default=0.3)
@@ -214,110 +210,132 @@ def _cmd_poa(args) -> int:
     return 0 if not rec.failure else 1
 
 
+def _record(instance_id, mechanism, delta, nsw_opt, nsw_eq, eps_br):
+    """A PoA row for a worked example: no market certificate, no timing."""
+    return PoARecord(instance_id, mechanism, delta, nsw_opt, nsw_eq,
+                     poa_ratio(nsw_opt, nsw_eq), eps_br, float("nan"), True, 0.0)
+
+
+def _reproduce_example_3_1(args):
+    instance = instance_lab.gen_example_3_1()
+    truthful = fisher_game.fisher_outcome(instance, instance.matrix, args.tol)
+    misreport = instance.matrix.copy()
+    misreport[1, 1] = 1e-3
+    deviated = fisher_game.fisher_outcome(instance, misreport, args.tol)
+    gain = deviated.true_utilities[1] - truthful.true_utilities[1]
+    report = {
+        "truthful_utilities": truthful.true_utilities,
+        "truthful_prices": truthful.equilibrium.prices,
+        "misreport_agent2_utility": deviated.true_utilities[1],
+        "misreport_gain_agent2": gain,
+    }
+    return report, [_record("example-3.1", "fisher", 0.0, truthful.nsw,
+                            deviated.nsw, gain)]
+
+
+def _reproduce_theorem_3_3(args):
+    n = 5 if args.n is None else args.n
+    config = ExperimentConfig(source="identity-leontief", mechanism="fisher",
+                              n=n, tol=args.tol, certify_trials=50,
+                              seed=args.seed)
+    records = run_experiment(config)
+    rec = records[0]
+    return {"n": n, "nsw_opt": rec.nsw_opt, "nsw_eq": rec.nsw_eq,
+            "ratio": rec.ratio, "eps_br": rec.eps_br,
+            "proportional": rec.proportional}, records
+
+
+def _reproduce_lb_construction(args):
+    n = 8 if args.n is None else args.n  # the smallest n the construction takes
+    tol = args.tol
+    instance, reports, spends = fisher_game.lb_construction(n)
+    stats = fisher_game.lb_profile_stats(n)
+    opt = eq_solvers.solve_linear_eg(instance, tol)
+    nsw_opt = nsw(opt.utilities, instance.budgets)
+    tp = trading_post.verify_tp_ne(instance, spends, 0.0, tol)
+    report = {"n": n, "k": stats["k"], "delta": stats["delta"],
+              "u_first": stats["u_first"], "u_mid": stats["u_mid"],
+              "nsw_profile": stats["nsw"], "nsw_opt": nsw_opt,
+              "ratio": poa_ratio(nsw_opt, stats["nsw"]), "tp_max_gain": tp.max_gain}
+    eps_br = tp.max_gain
+    if n <= 30:
+        fal = fisher_game.fisher_ne_falsify(instance, reports, trials=16,
+                                            seed=args.seed, tol=tol,
+                                            init_spending=spends)
+        report["fisher_max_gain"] = fal.max_gain
+        eps_br = max(eps_br, fal.max_gain)
+    return report, [_record(f"lb-construction-n{n}", "fisher", 0.0, nsw_opt,
+                            stats["nsw"], eps_br)]
+
+
+def _reproduce_tp_nonexistence(args):
+    instance = instance_lab.gen_tp_nonexistence()
+    free = trading_post.br_dynamics(instance, 0.0, max_rounds=2000, tol=1e-12)
+    feed = trading_post.br_dynamics(instance, 1e-3, max_rounds=2000, tol=1e-9)
+    report = {
+        "delta0_converged": free.converged,
+        "delta0_rounds": free.rounds,
+        "delta0_b22": free.bids[1, 1],
+        "delta0_note": free.note,
+        "delta_fee": 1e-3,
+        "fee_converged": feed.converged,
+        "fee_max_gain": feed.max_gain,
+        "fee_utilities": feed.utilities,
+    }
+    return report, [_record("tp-nonexistence", "trading_post", 1e-3, float("nan"),
+                            nsw(feed.utilities, instance.budgets), feed.max_gain)]
+
+
+def _reproduce_tp_leontief_poa(args):
+    n = 5 if args.n is None else args.n
+    config = ExperimentConfig(source="identity-leontief",
+                              mechanism="trading_post", n=n,
+                              delta=args.delta, tol=args.tol, seed=args.seed)
+    records = run_experiment(config)
+    rec = records[0]
+    return {"n": n, "delta": args.delta, "ratio": rec.ratio,
+            "eps_br": rec.eps_br, "eps_market": rec.eps_market,
+            "proportional": rec.proportional, "failure": rec.failure}, records
+
+
+def _reproduce_example_lin(args):
+    instance, bids = instance_lab.gen_example_lin_family(args.eps)
+    rep = trading_post.verify_tp_ne(instance, bids, 0.0, args.tol)
+    opt = eq_solvers.solve_linear_eg(instance, args.tol)
+    report = {"eps": args.eps, "gains": rep.gains,
+              "max_gain": rep.max_gain, "utilities": rep.utilities}
+    return report, [_record(f"example-lin-eps{args.eps}", "trading_post", 0.0,
+                            nsw(opt.utilities, instance.budgets),
+                            nsw(rep.utilities, instance.budgets), rep.max_gain)]
+
+
+def _reproduce_example_leo(args):
+    instance, bids = instance_lab.gen_example_leo_family(args.a)
+    rep = trading_post.verify_tp_ne(instance, bids, 0.0, args.tol)
+    report = {"a": args.a, "gains": rep.gains,
+              "max_gain": rep.max_gain, "utilities": rep.utilities}
+    return report, [_record(f"example-leo-a{args.a}", "trading_post", 0.0, 1.0,
+                            nsw(rep.utilities, instance.budgets), rep.max_gain)]
+
+
+#: The named worked examples: id -> (args) -> (report, PoA records).
+REPRODUCE = {
+    "example-3.1": _reproduce_example_3_1,
+    "theorem-3.3": _reproduce_theorem_3_3,
+    "lb-construction": _reproduce_lb_construction,
+    "tp-nonexistence": _reproduce_tp_nonexistence,
+    "tp-leontief-poa": _reproduce_tp_leontief_poa,
+    "example-lin": _reproduce_example_lin,
+    "example-leo": _reproduce_example_leo,
+}
+
+
 def _cmd_reproduce(args) -> int:
     out = args.out or f"marketgames-{args.id}"
-    report: dict = {"id": args.id}
-    records: list[PoARecord] = []
-    tol = args.tol
-
-    if args.id == "example-3.1":
-        instance = instance_lab.gen_example_3_1()
-        truthful = fisher_game.fisher_outcome(instance, instance.matrix, tol)
-        misreport = instance.matrix.copy()
-        misreport[1, 1] = 1e-3
-        deviated = fisher_game.fisher_outcome(instance, misreport, tol)
-        gain = deviated.true_utilities[1] - truthful.true_utilities[1]
-        report.update({
-            "truthful_utilities": truthful.true_utilities,
-            "truthful_prices": truthful.equilibrium.prices,
-            "misreport_agent2_utility": deviated.true_utilities[1],
-            "misreport_gain_agent2": gain,
-        })
-        records.append(PoARecord("example-3.1", "fisher", 0.0, truthful.nsw,
-                                 deviated.nsw, poa_ratio(truthful.nsw, deviated.nsw),
-                                 gain, float("nan"), True, 0.0))
-    elif args.id == "theorem-3.3":
-        config = ExperimentConfig(source="identity-leontief", mechanism="fisher",
-                                  n=args.n, tol=tol, certify_trials=50,
-                                  seed=args.seed)
-        records = run_experiment(config)
-        rec = records[0]
-        report.update({"n": args.n, "nsw_opt": rec.nsw_opt, "nsw_eq": rec.nsw_eq,
-                       "ratio": rec.ratio, "eps_br": rec.eps_br,
-                       "proportional": rec.proportional})
-    elif args.id == "lb-construction":
-        n = args.n
-        instance, reports, spends = fisher_game.lb_construction(n)
-        stats = fisher_game.lb_profile_stats(n)
-        opt = eq_solvers.solve_linear_eg(instance, tol)
-        nsw_opt = nsw(opt.utilities, instance.budgets)
-        ratio = poa_ratio(nsw_opt, stats["nsw"])
-        tp = trading_post.verify_tp_ne(instance, spends, 0.0, tol)
-        report.update({"n": n, "k": stats["k"], "delta": stats["delta"],
-                       "u_first": stats["u_first"], "u_mid": stats["u_mid"],
-                       "nsw_profile": stats["nsw"], "nsw_opt": nsw_opt,
-                       "ratio": ratio, "tp_max_gain": tp.max_gain})
-        eps_br = tp.max_gain
-        if n <= 30:
-            fal = fisher_game.fisher_ne_falsify(instance, reports, trials=16,
-                                                seed=args.seed, tol=tol,
-                                                init_spending=spends)
-            report["fisher_max_gain"] = fal.max_gain
-            eps_br = max(eps_br, fal.max_gain)
-        records.append(PoARecord(f"lb-construction-n{n}", "fisher", 0.0, nsw_opt,
-                                 stats["nsw"], ratio, eps_br, float("nan"),
-                                 True, 0.0))
-    elif args.id == "tp-nonexistence":
-        instance = instance_lab.gen_tp_nonexistence()
-        free = trading_post.br_dynamics(instance, 0.0, max_rounds=2000, tol=1e-12)
-        feed = trading_post.br_dynamics(instance, 1e-3, max_rounds=2000, tol=1e-9)
-        report.update({
-            "delta0_converged": free.converged,
-            "delta0_rounds": free.rounds,
-            "delta0_b22": free.bids[1, 1],
-            "delta0_note": free.note,
-            "delta_fee": 1e-3,
-            "fee_converged": feed.converged,
-            "fee_max_gain": feed.max_gain,
-            "fee_utilities": feed.utilities,
-        })
-        records.append(PoARecord("tp-nonexistence", "trading_post", 1e-3,
-                                 float("nan"), nsw(feed.utilities, instance.budgets),
-                                 float("nan"), feed.max_gain, float("nan"),
-                                 True, 0.0))
-    elif args.id == "tp-leontief-poa":
-        config = ExperimentConfig(source="identity-leontief",
-                                  mechanism="trading_post", n=args.n,
-                                  delta=args.delta, tol=tol, seed=args.seed)
-        records = run_experiment(config)
-        rec = records[0]
-        report.update({"n": args.n, "delta": args.delta, "ratio": rec.ratio,
-                       "eps_br": rec.eps_br, "eps_market": rec.eps_market,
-                       "proportional": rec.proportional, "failure": rec.failure})
-    elif args.id == "example-lin":
-        instance, bids = instance_lab.gen_example_lin_family(args.eps)
-        rep = trading_post.verify_tp_ne(instance, bids, 0.0, tol)
-        opt = eq_solvers.solve_linear_eg(instance, tol)
-        nsw_opt = nsw(opt.utilities, instance.budgets)
-        nsw_eq = nsw(rep.utilities, instance.budgets)
-        report.update({"eps": args.eps, "gains": rep.gains,
-                       "max_gain": rep.max_gain, "utilities": rep.utilities})
-        records.append(PoARecord(f"example-lin-eps{args.eps}", "trading_post",
-                                 0.0, nsw_opt, nsw_eq, poa_ratio(nsw_opt, nsw_eq),
-                                 rep.max_gain, float("nan"), True, 0.0))
-    elif args.id == "example-leo":
-        instance, bids = instance_lab.gen_example_leo_family(args.a)
-        rep = trading_post.verify_tp_ne(instance, bids, 0.0, tol)
-        report.update({"a": args.a, "gains": rep.gains,
-                       "max_gain": rep.max_gain, "utilities": rep.utilities})
-        nsw_eq = nsw(rep.utilities, instance.budgets)
-        records.append(PoARecord(f"example-leo-a{args.a}", "trading_post", 0.0,
-                                 1.0, nsw_eq, poa_ratio(1.0, nsw_eq),
-                                 rep.max_gain, float("nan"), True, 0.0))
-
+    body, records = REPRODUCE[args.id](args)
+    report = {"id": args.id, **body}
     write_report(out + ".txt", report)
-    if records:
-        records_to_csv(records, out + ".csv")
+    records_to_csv(records, out + ".csv")
     for key, val in report.items():
         print(f"{key} = {format_value(val)}")
     return 0

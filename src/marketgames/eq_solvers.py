@@ -18,7 +18,7 @@ from scipy.optimize import linprog
 
 from .core import (CES, DEFAULT_TOL, LEONTIEF, LINEAR, Instance,
                    ValuationProfile, eval_valuation_matrix, _readonly)
-from ._simplex import project_simplex
+from ._simplex import project_capped_simplex, project_simplex
 
 #: Prices below this fraction of the total budget are reported as zero.
 ZERO_PRICE_FRACTION = 1e-9
@@ -157,6 +157,15 @@ def _drop_undemanded(v: np.ndarray):
     kept = np.nonzero(demanded)[0]
     dropped = tuple(int(j) for j in np.nonzero(~demanded)[0])
     return kept, dropped
+
+
+def _embed(instance: Instance, kept, x, p):
+    """Put the kept goods' allocation and prices back into n x m arrays."""
+    x_full = np.zeros((x.shape[0], instance.m))
+    x_full[:, kept] = x
+    p_full = np.zeros(instance.m)
+    p_full[kept] = p
+    return x_full, p_full
 
 
 def _linear_duality_gap(v, budgets, prices, utilities):
@@ -310,10 +319,7 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
 
     def consider(x_cand, p_cand, iters, via_gap):
         nonlocal best
-        x_full = np.zeros((n, instance.m))
-        x_full[:, kept] = x_cand
-        p_full = np.zeros(instance.m)
-        p_full[kept] = p_cand
+        x_full, p_full = _embed(instance, kept, x_cand, p_cand)
         rep = verify_kkt_linear(instance, x_full, p_full, tol)
         score = rep.residuals.worst
         ok = via_gap or rep.passed
@@ -321,6 +327,16 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
             best = (score, x_full, p_full, iters, ok, rep.residuals)
         elif ok and not best[4]:
             best = (best[0], best[1], best[2], best[3], True, best[5])
+
+    def polish(prices, iters):
+        # tightest tie tolerance first; stop at the first verified candidate
+        for theta in (1e-9, 1e-6, 1e-4, 1e-3):
+            if best is not None and best[4]:
+                break
+            polished = _linear_structure_polish(v, budgets, prices, theta)
+            if polished is not None:
+                consider(polished[0], polished[1], iters, False)
+        return best is not None and best[4]
 
     gap = math.inf
     it = 0
@@ -333,24 +349,12 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
         gap = _linear_duality_gap(v, budgets, p, u)
         if gap <= tol:
             break
-        if it in polish_at:
-            for theta in (1e-9, 1e-6, 1e-4, 1e-3):
-                polished = _linear_structure_polish(v, budgets, p, theta)
-                if polished is not None:
-                    consider(polished[0], polished[1], it, False)
-                    if best is not None and best[4]:
-                        break
-            if best is not None and best[4]:
-                break
+        if it in polish_at and polish(p, it):
+            break
         b = budgets[:, None] * v * x / u[:, None]
 
     consider(x, p, it, gap <= tol)
-    for theta in (1e-9, 1e-6, 1e-4, 1e-3):
-        if best[4]:
-            break
-        polished = _linear_structure_polish(v, budgets, p, theta)
-        if polished is not None:
-            consider(polished[0], polished[1], it, False)
+    polish(p, it)
 
     _, x_full, p_full, iters, converged, residuals = best
     utilities = instance.utilities(x_full)
@@ -382,7 +386,7 @@ def solve_leontief_dual(instance: Instance, tol: float = DEFAULT_TOL,
     v = instance.matrix[:, kept]
     budgets = instance.budgets
     total = instance.total_budget
-    n, m = v.shape
+    m = v.shape[1]
 
     p = np.full(m, total / m)
     fval = _leontief_dual_value(v, budgets, p)
@@ -446,10 +450,7 @@ def solve_leontief_dual(instance: Instance, tol: float = DEFAULT_TOL,
     zero = p <= ZERO_PRICE_FRACTION * total
     p_out = np.where(zero, 0.0, p)
 
-    x_full = np.zeros((n, instance.m))
-    x_full[:, kept] = x
-    p_full = np.zeros(instance.m)
-    p_full[kept] = p_out
+    x_full, p_full = _embed(instance, kept, x, p_out)
     report = verify_kkt_leontief(instance, x_full, p_full, tol)
     return MarketEquilibrium(_readonly(x_full), _readonly(p_full), _readonly(u),
                              report.residuals, it, converged or report.passed, dropped)
@@ -462,14 +463,8 @@ def solve_leontief_dual(instance: Instance, tol: float = DEFAULT_TOL,
 def _project_columns_capped(x, lower):
     out = np.empty_like(x)
     for j in range(x.shape[1]):
-        col = x[:, j]
         lb = lower[:, j]
-        shifted = col - lb
-        budget = 1.0 - lb.sum()
-        z = np.maximum(shifted, 0.0)
-        if z.sum() > budget:
-            z = project_simplex(shifted, budget)
-        out[:, j] = z + lb
+        out[:, j] = project_capped_simplex(x[:, j] - lb, 1.0 - lb.sum()) + lb
     return out
 
 
@@ -497,7 +492,6 @@ def solve_ces_eg(instance: Instance, tol: float = 1e-6,
     kept, dropped = _drop_undemanded(instance.matrix)
     v = instance.matrix[:, kept]
     budgets = instance.budgets
-    n, m = v.shape
 
     support = (v > 0)
     lower = np.where(support, 1e-12, 0.0)
@@ -545,10 +539,7 @@ def solve_ces_eg(instance: Instance, tol: float = 1e-6,
     price_cand = np.where(active, grad, 0.0)
     p = price_cand.max(axis=0)
 
-    x_full = np.zeros((n, instance.m))
-    x_full[:, kept] = x
-    p_full = np.zeros(instance.m)
-    p_full[kept] = p
+    x_full, p_full = _embed(instance, kept, x, p)
     budget_res, clearing, comp = _market_residuals(budgets, x_full, p_full, tol)
     residuals = Residuals(stationarity, comp, budget_res, clearing)
     return MarketEquilibrium(_readonly(x_full), _readonly(p_full), _readonly(u),
@@ -556,13 +547,17 @@ def solve_ces_eg(instance: Instance, tol: float = 1e-6,
 
 
 def solve_eg(instance: Instance, tol: float = DEFAULT_TOL,
-             max_iter: int | None = None, **kwargs) -> MarketEquilibrium:
+             max_iter: int | None = None, init_bids=None) -> MarketEquilibrium:
     """Dispatch to the solver matching the instance's valuation kind.
 
-    The CES path is first-order only, so its tolerance is floored at 1e-6.
+    This is the one Eisenberg-Gale solve path; the Fisher game solves its
+    reported markets through it too.  ``init_bids`` seeds the linear
+    solver's bids, which selects among tied linear equilibria; the other
+    kinds have a unique equilibrium and ignore it.  The CES path is
+    first-order only, so its tolerance is floored at 1e-6.
     """
     if instance.kind == LINEAR:
-        return solve_linear_eg(instance, tol, max_iter or 20000, **kwargs)
+        return solve_linear_eg(instance, tol, max_iter or 20000, init_bids)
     if instance.kind == LEONTIEF:
         return solve_leontief_dual(instance, tol, max_iter or 5000)
     return solve_ces_eg(instance, max(tol, 1e-6), max_iter or 20000)

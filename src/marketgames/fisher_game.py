@@ -16,8 +16,7 @@ import numpy as np
 
 from .core import (LEONTIEF, LINEAR, DEFAULT_TOL, Instance, ValuationProfile,
                    make_instance, nsw, _readonly)
-from .eq_solvers import (MarketEquilibrium, solve_ces_eg,
-                         solve_leontief_dual, solve_linear_eg)
+from .eq_solvers import MarketEquilibrium, solve_eg
 
 
 @dataclass(frozen=True)
@@ -55,21 +54,17 @@ def fisher_outcome(instance: Instance, reports, tol: float = DEFAULT_TOL,
 
     Goods nobody reports a value for are removed before solving (their price
     is zero and they stay unallocated); agents whose whole report is zero
-    receive nothing and are flagged.  ``init_spending`` seeds the linear
-    solver's bids, which fixes the selection among tied equilibria.
+    receive nothing and are flagged.  The reported market is solved by
+    ``solve_eg``; ``init_spending`` is its ``init_bids``, which selects among
+    tied linear equilibria.
     """
     r = _check_reports(instance, reports)
     live = (r > 0).any(axis=1)
     flagged = tuple(int(i) for i in np.nonzero(~live)[0])
     sub = Instance(int(live.sum()), instance.m, instance.budgets[live],
                    ValuationProfile(instance.kind, r[live], instance.valuations.rho))
-    if instance.kind == LINEAR:
-        init = None if init_spending is None else np.asarray(init_spending, float)[live]
-        eq = solve_linear_eg(sub, tol, max_iter or 20000, init_bids=init)
-    elif instance.kind == LEONTIEF:
-        eq = solve_leontief_dual(sub, tol, max_iter or 5000)
-    else:
-        eq = solve_ces_eg(sub, max(tol, 1e-8), max_iter or 20000)
+    init = None if init_spending is None else np.asarray(init_spending, float)[live]
+    eq = solve_eg(sub, tol, max_iter, init_bids=init)
 
     allocation = np.zeros((instance.n, instance.m))
     allocation[live] = eq.allocation

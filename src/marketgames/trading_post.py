@@ -70,8 +70,15 @@ def delta_for_eps(eps: float, m: int, safety: float = 0.5) -> float:
     return safety * min(eps / m ** 2, eps ** 2 / m, 1.0 / m)
 
 
-def tp_allocate(bids, delta: float = 0.0) -> np.ndarray:
-    """Proportional allocation of each good after voiding bids below delta.
+def effective_bids(bids, delta: float = 0.0) -> np.ndarray:
+    """The entrance-fee rule: bids below delta are voided (a fresh array)."""
+    b = np.asarray(bids, dtype=float)
+    return np.where(b >= delta, b, 0.0) if delta > 0 else b.copy()
+
+
+def ne_to_market(bids, delta: float = 0.0):
+    """Map a bid profile to (prices, allocation): prices are the per-good
+    sums of effective bids, the allocation is the proportional split.
 
     Goods with zero total effective bid stay unallocated (all-zero column).
     """
@@ -80,24 +87,17 @@ def tp_allocate(bids, delta: float = 0.0) -> np.ndarray:
         raise ValueError("bids must be non-negative")
     if delta < 0:
         raise ValueError("delta must be non-negative")
-    eff = np.where(b >= delta, b, 0.0) if delta > 0 else b
-    totals = eff.sum(axis=0)
+    eff = effective_bids(b, delta)
+    prices = eff.sum(axis=0)
     x = np.zeros_like(eff)
-    live = totals > 0
-    x[:, live] = eff[:, live] / totals[live]
-    return x
+    live = prices > 0
+    x[:, live] = eff[:, live] / prices[live]
+    return prices, x
 
 
-def effective_bids(bids, delta: float = 0.0) -> np.ndarray:
-    b = np.asarray(bids, dtype=float)
-    return np.where(b >= delta, b, 0.0) if delta > 0 else b.copy()
-
-
-def ne_to_market(bids, delta: float = 0.0):
-    """Map a bid profile to (prices, allocation): prices are the per-good
-    sums of effective bids, the allocation is the proportional split."""
-    eff = effective_bids(bids, delta)
-    return eff.sum(axis=0), tp_allocate(bids, delta)
+def tp_allocate(bids, delta: float = 0.0) -> np.ndarray:
+    """Proportional allocation of each good after voiding bids below delta."""
+    return ne_to_market(bids, delta)[1]
 
 
 def check_bid_profile(bids, budgets, tol: float = 1e-6) -> np.ndarray:
@@ -120,6 +120,26 @@ def _fractions(bids_row, opp):
     pos = bids_row > 0
     f[pos] = bids_row[pos] / (bids_row[pos] + opp[pos])
     return f
+
+
+def _br_inputs(values, budget, opp_spend, delta):
+    """Input checks shared by the best-response oracles.  Returns the values
+    and opposing spend as arrays, the demanded goods, and their split into
+    uncontested (monop) and contested (comp) goods."""
+    v = np.asarray(values, dtype=float)
+    d = np.asarray(opp_spend, dtype=float)
+    if v.shape != d.shape:
+        raise ValueError("values and opp_spend must have the same length")
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    demanded = v > 0
+    if not demanded.any():
+        raise ValueError("agent demands no goods")
+    monop = demanded & (d <= 0)
+    comp = demanded & (d > 0)
+    if delta == 0 and monop.any():
+        raise ValueError("supremum not attained: demanded good has no opposing spend")
+    return v, d, demanded, monop, comp
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +195,7 @@ def br_linear(values, budget: float, opp_spend, delta: float = 0.0,
     refines which goods are worth the entrance fee.  With delta = 0 a
     demanded good without opposing spend has no attainable optimum.
     """
-    v = np.asarray(values, dtype=float)
-    d = np.asarray(opp_spend, dtype=float)
-    if v.shape != d.shape:
-        raise ValueError("values and opp_spend must have the same length")
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    demanded = v > 0
-    if not demanded.any():
-        raise ValueError("agent demands no goods")
-    monop = demanded & (d <= 0)
-    comp = demanded & (d > 0)
-    if delta == 0 and monop.any():
-        raise ValueError("supremum not attained: demanded good has no opposing spend")
+    v, d, demanded, monop, comp = _br_inputs(values, budget, opp_spend, delta)
 
     iters = 0
     if delta == 0:
@@ -270,22 +278,10 @@ def br_leontief(values, budget: float, opp_spend, delta: float = 0.0,
     max(delta, t v_j D_j / (1 - t v_j)) fit the budget, found by bisection.
     Goods the agent does not demand get bid zero, never the floor.
     """
-    v = np.asarray(values, dtype=float)
-    d = np.asarray(opp_spend, dtype=float)
-    if v.shape != d.shape:
-        raise ValueError("values and opp_spend must have the same length")
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    demanded = v > 0
-    if not demanded.any():
-        raise ValueError("agent demands no goods")
+    v, d, demanded, monop, comp = _br_inputs(values, budget, opp_spend, delta)
     nd = int(demanded.sum())
     if delta > 0 and budget < delta * nd * (1 - 1e-12):
         raise ValueError("infeasible floors: budget below delta times demanded goods")
-    monop = demanded & (d <= 0)
-    comp = demanded & (d > 0)
-    if delta == 0 and monop.any():
-        raise ValueError("supremum not attained: demanded good has no opposing spend")
 
     bids = np.zeros_like(v)
     bids[monop] = delta
@@ -399,15 +395,7 @@ def br_concave_numeric(profile: ValuationProfile, agent: int, budget: float,
     gradient mapping), so independent restarts land on the same bids; agrees
     with the analytic oracles on linear/Leontief inputs.
     """
-    v = profile.matrix[agent]
-    d = np.asarray(opp_spend, dtype=float)
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    demanded = v > 0
-    if not demanded.any():
-        raise ValueError("agent demands no goods")
-    if delta == 0 and (d[demanded] <= 0).any():
-        raise ValueError("supremum not attained: demanded good has no opposing spend")
+    v, d, demanded, _, _ = _br_inputs(profile.matrix[agent], budget, opp_spend, delta)
     lb = np.where(demanded, delta, 0.0)
     if lb.sum() > budget * (1 + 1e-12):
         raise ValueError("infeasible floors: budget below delta times demanded goods")
@@ -420,7 +408,7 @@ def br_concave_numeric(profile: ValuationProfile, agent: int, budget: float,
     rho = profile.rho
 
     def payoff_and_grad(b):
-        f = _fractions(np.where(b >= delta, b, 0.0) if delta > 0 else b, d)
+        f = _fractions(effective_bids(b, delta), d)
         if profile.kind == LINEAR:
             util = float(v @ f)
             dudf = v.astype(float)

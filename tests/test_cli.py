@@ -117,6 +117,10 @@ def test_reproduce_remaining_ids(tmp_path, capsys, monkeypatch):
     assert main(["reproduce", "example-lin", "--eps", "0.5", "--out", "lin"]) == 0
     assert main(["reproduce", "lb-construction", "--n", "8", "--out", "lb"]) == 0
     assert "k = 3" in (tmp_path / "lb.txt").read_text()
+    # without --n the construction runs at its smallest size, n = 8
+    assert main(["reproduce", "lb-construction", "--out", "lb-default"]) == 0
+    assert "n = 8" in (tmp_path / "lb-default.txt").read_text()
+    assert main(["reproduce", "lb-construction", "--n", "5", "--out", "lb5"]) == 2
 
 
 def test_exit_codes_for_bad_input(tmp_path, capsys):

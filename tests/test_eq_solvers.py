@@ -265,3 +265,8 @@ def test_solver_kind_checks():
         mg.verify_kkt_linear(leo, np.eye(2), np.ones(2))
     with pytest.raises(ValueError):
         mg.verify_kkt_leontief(lin, np.eye(2), np.ones(2))
+    # solve_eg takes init_bids by name, so a misspelt keyword is an error
+    # for every kind rather than silently dropped
+    for inst in (leo, mg.gen_random(2, 2, "ces", rho=0.5, seed=0)):
+        with pytest.raises(TypeError):
+            mg.solve_eg(inst, init_bidz=1)

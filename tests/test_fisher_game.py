@@ -128,6 +128,18 @@ def test_truthful_outcome_maximizes_nsw():
         assert out.nsw <= truthful.nsw + 1e-7
 
 
+def test_truthful_ces_outcome_is_the_eg_solve():
+    # the Fisher game solves through solve_eg: truthful reports give the
+    # same allocation and the same converged flag as the optimum itself
+    inst = mg.gen_random(4, 3, "ces", rho=0.5, seed=0)
+    opt = mg.solve_eg(inst)
+    out = mg.fisher_outcome(inst, inst.matrix)
+    assert opt.converged
+    assert out.equilibrium.converged == opt.converged
+    assert out.equilibrium.iterations == opt.iterations
+    assert np.array_equal(out.equilibrium.allocation, opt.allocation)
+
+
 def test_certified_linear_equilibria_lose_at_most_factor_two():
     # every report profile the falsifier certifies (gain <= 1e-4) stays
     # within the constant welfare bound for substitutes
