@@ -52,8 +52,8 @@ class ValuationProfile:
         mat = _readonly(self.matrix)
         if mat.ndim != 2:
             raise ValueError("valuation matrix must be 2-dimensional")
-        if (mat < 0).any():
-            raise ValueError("valuation entries must be non-negative")
+        if not ((mat >= 0) & np.isfinite(mat)).all():
+            raise ValueError("valuation entries must be finite and non-negative")
         if not (mat > 0).any(axis=1).all():
             raise ValueError("every agent needs at least one positively valued good")
         object.__setattr__(self, "matrix", mat)
@@ -91,8 +91,8 @@ class Instance:
         b = _readonly(self.budgets)
         if b.shape != (self.n,):
             raise ValueError("budgets must be a length-n vector")
-        if (b <= 0).any():
-            raise ValueError("budgets must be strictly positive")
+        if not ((b > 0) & np.isfinite(b)).all():
+            raise ValueError("budgets must be finite and strictly positive")
         object.__setattr__(self, "budgets", b)
         if self.valuations.matrix.shape != (self.n, self.m):
             raise ValueError("valuation matrix shape must be n x m")

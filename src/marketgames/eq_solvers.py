@@ -293,7 +293,7 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
     response only approaches degenerate (tied bang-per-buck) equilibria at a
     sublinear rate, a structure polish periodically tries to extract the
     exact equilibrium from the current prices; whichever candidate verifies
-    better is returned.
+    better is returned, converged only if verify_kkt_linear passes it.
     """
     if instance.kind != LINEAR:
         raise ValueError("solve_linear_eg requires linear valuations")
@@ -317,16 +317,13 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
     polish_at = {200, 1000, 5000, 20000}
     best = None  # (score, x, p, iterations, converged)
 
-    def consider(x_cand, p_cand, iters, via_gap):
+    def consider(x_cand, p_cand, iters):
         nonlocal best
         x_full, p_full = _embed(instance, kept, x_cand, p_cand)
         rep = verify_kkt_linear(instance, x_full, p_full, tol)
         score = rep.residuals.worst
-        ok = via_gap or rep.passed
         if best is None or score < best[0]:
-            best = (score, x_full, p_full, iters, ok, rep.residuals)
-        elif ok and not best[4]:
-            best = (best[0], best[1], best[2], best[3], True, best[5])
+            best = (score, x_full, p_full, iters, rep.passed, rep.residuals)
 
     def polish(prices, iters):
         # tightest tie tolerance first; stop at the first verified candidate
@@ -335,7 +332,7 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
                 break
             polished = _linear_structure_polish(v, budgets, prices, theta)
             if polished is not None:
-                consider(polished[0], polished[1], iters, False)
+                consider(polished[0], polished[1], iters)
         return best is not None and best[4]
 
     gap = math.inf
@@ -353,7 +350,7 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
             break
         b = budgets[:, None] * v * x / u[:, None]
 
-    consider(x, p, it, gap <= tol)
+    consider(x, p, it)
     polish(p, it)
 
     _, x_full, p_full, iters, converged, residuals = best

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .core import (LEONTIEF, LINEAR, DEFAULT_TOL, Instance,
                    ValuationProfile, eval_valuation_matrix, _ces_eval, _readonly)
@@ -143,48 +144,30 @@ def _br_inputs(values, budget, opp_spend, delta):
 
 
 # ---------------------------------------------------------------------------
-# Linear best response (water-filling)
+# Linear best response (water-filling by one sort)
 
 
 def _waterfill(values, opp, budget, floor):
     """Exhaust budget over a fixed support: b_j = max(floor, sqrt(v_j D_j/lam) - D_j).
 
-    The spending total is monotone decreasing in lam, so lam is bisected and
-    then recomputed exactly for the identified active set.  Requires
-    floor * len(values) <= budget and opp > 0 everywhere.
+    With s_j = sqrt(v_j D_j) and r = sqrt(lam), good j sits above the floor
+    iff r < s_j / (D_j + floor), so the goods above the floor are a prefix in
+    that order.  Each prefix fixes r by budget exhaustion through one
+    cumulative sum; every prefix's r is at most the true one (the floors only
+    add spending) and the true active prefix attains it, so r is their
+    maximum.  Requires floor * len(values) <= budget and opp > 0 everywhere.
     """
     s = np.sqrt(values * opp)
-    lam_hi = float((values / opp).max()) * 1.0000001
-    lam_lo = min((s.sum() / (budget + opp.sum())) ** 2, lam_hi * 0.5)
-
-    def total(lam):
-        return np.maximum(s / math.sqrt(lam) - opp, floor).sum()
-
-    iters = 0
-    for _ in range(120):
-        iters += 1
-        lam_mid = 0.5 * (lam_lo + lam_hi)
-        if total(lam_mid) > budget:
-            lam_lo = lam_mid
-        else:
-            lam_hi = lam_mid
-        if lam_hi - lam_lo <= 1e-16 * lam_hi:
-            break
-    root = math.sqrt(0.5 * (lam_lo + lam_hi))
-    active = s / root - opp > floor
-    if active.any():
-        spendable = budget - floor * float((~active).sum())
-        root = s[active].sum() / (spendable + opp[active].sum())
-        bids = np.maximum(s / root - opp, floor)
-        bids[~active] = floor
-    else:
-        bids = np.full_like(values, max(floor, budget / values.size))
+    order = np.argsort(-s / (opp + floor))
+    k = np.arange(1, values.size + 1)
+    roots = np.cumsum(s[order]) / (budget - floor * (values.size - k)
+                                   + np.cumsum(opp[order]))
+    bids = np.maximum(s / roots.max() - opp, floor)
     bids[np.argmax(bids)] += budget - bids.sum()
-    return bids, iters
+    return bids
 
 
-def br_linear(values, budget: float, opp_spend, delta: float = 0.0,
-              tol: float = 1e-12) -> BRResult:
+def br_linear(values, budget: float, opp_spend, delta: float = 0.0) -> BRResult:
     """Unique best response of a linear bidder via water-filling.
 
     The payoff sum_j v_j b_j/(b_j + D_j) is strictly concave when every
@@ -194,16 +177,18 @@ def br_linear(values, budget: float, opp_spend, delta: float = 0.0,
     floors are enforced on the active set, and a deterministic toggle search
     refines which goods are worth the entrance fee.  With delta = 0 a
     demanded good without opposing spend has no attainable optimum.
+    ``iterations`` counts the water-fill solves (1 at delta = 0).
     """
     v, d, demanded, monop, comp = _br_inputs(values, budget, opp_spend, delta)
 
-    iters = 0
     if delta == 0:
-        wb, iters = _waterfill(v[comp], d[comp], budget, 0.0)
+        wb = _waterfill(v[comp], d[comp], budget, 0.0)
         bids = np.zeros_like(v)
         bids[comp] = wb
         utility = float(v[comp] @ _fractions(wb, d[comp]))
-        return BRResult(_readonly(bids), utility, iters, "waterfill")
+        return BRResult(_readonly(bids), utility, 1, "waterfill")
+
+    iters = 0
 
     def config(claims, support):
         nonlocal iters
@@ -214,8 +199,8 @@ def br_linear(values, budget: float, opp_spend, delta: float = 0.0,
         bids[claims] = delta
         rest = budget - delta * float(claims.sum())
         if support.any():
-            wb, it = _waterfill(v[support], d[support], rest, delta)
-            iters += it
+            wb = _waterfill(v[support], d[support], rest, delta)
+            iters += 1
             bids[support] = wb
             util = float(v[support] @ _fractions(wb, d[support]))
         else:
@@ -227,9 +212,9 @@ def br_linear(values, budget: float, opp_spend, delta: float = 0.0,
     claims = monop.copy()
     support = comp.copy()
     if comp.any():
-        wb, it = _waterfill(v[comp], d[comp], max(budget - delta * float(claims.sum()),
-                                                  budget * 1e-12), 0.0)
-        iters += it
+        wb = _waterfill(v[comp], d[comp], max(budget - delta * float(claims.sum()),
+                                              budget * 1e-12), 0.0)
+        iters += 1
         support[comp] = wb > delta * 0.5
     best = config(claims, support)
     if best is None:
@@ -266,7 +251,7 @@ def br_linear(values, budget: float, opp_spend, delta: float = 0.0,
 
 
 # ---------------------------------------------------------------------------
-# Leontief best response (bisection on the common consumption ratio)
+# Leontief best response (a bracketed root for the common consumption ratio)
 
 
 def br_leontief(values, budget: float, opp_spend, delta: float = 0.0,
@@ -274,9 +259,11 @@ def br_leontief(values, budget: float, opp_spend, delta: float = 0.0,
     """Unique best response of a Leontief bidder.
 
     Non-floored demanded goods are bought at a common consumption ratio
-    t = fraction_j / v_j; t is the largest value whose bids
-    max(delta, t v_j D_j / (1 - t v_j)) fit the budget, found by bisection.
-    Goods the agent does not demand get bid zero, never the floor.
+    t = fraction_j / v_j; spending sum_j max(delta, t v_j D_j / (1 - t v_j))
+    increases in t, and t is its root at the budget, found by Brent's method
+    on [0, min 1/v_j) to relative tolerance ``tol`` (``iterations`` counts its
+    function evaluations).  Goods the agent does not demand get bid zero,
+    never the floor.
     """
     v, d, demanded, monop, comp = _br_inputs(values, budget, opp_spend, delta)
     nd = int(demanded.sum())
@@ -289,7 +276,7 @@ def br_leontief(values, budget: float, opp_spend, delta: float = 0.0,
         bids[demanded] += (budget - bids.sum()) / nd
         fr = _fractions(bids, d)
         utility = float((fr[demanded] / v[demanded]).min())
-        return BRResult(_readonly(bids), utility, 0, "bisect")
+        return BRResult(_readonly(bids), utility, 0, "brent")
 
     vc, dc = v[comp], d[comp]
     base = delta * float(monop.sum())
@@ -299,26 +286,28 @@ def br_leontief(values, budget: float, opp_spend, delta: float = 0.0,
             raw = t * vc * dc / np.maximum(1.0 - t * vc, 1e-300)
         return np.maximum(raw, delta)
 
-    t_lo, t_hi = 0.0, float((1.0 / vc).min()) * (1.0 - 1e-14)
-    iters = 0
-    for _ in range(200):
-        iters += 1
-        t_mid = 0.5 * (t_lo + t_hi)
-        if base + comp_bids(t_mid).sum() > budget:
-            t_hi = t_mid
+    def excess(t):
+        return base + comp_bids(t).sum() - budget
+
+    # t stays 0 when the floors alone exhaust the budget
+    t, iters, converged = 0.0, 0, True
+    t_hi = float((1.0 / vc).min()) * (1.0 - 1e-14)
+    if excess(0.0) < 0:
+        if excess(t_hi) <= 0:
+            t = t_hi
         else:
-            t_lo = t_mid
-        if t_hi - t_lo <= tol * max(t_hi, 1e-30):
-            break
-    cb = comp_bids(t_lo)
+            t, root = brentq(excess, 0.0, t_hi, xtol=1e-300, rtol=tol,
+                             full_output=True, disp=False)
+            iters, converged = root.function_calls, root.converged
+    cb = comp_bids(t)
     bids[comp] = cb
-    resid = budget - bids.sum()
-    if resid > 0:
+    if t > 0:
+        # the root is bracketed, so the residual may have either sign
         free = np.nonzero(comp)[0][int(np.argmax(cb - delta))]
-        bids[free] += resid
+        bids[free] += budget - bids.sum()
     fr = _fractions(bids, d)
     utility = float((fr[demanded] / v[demanded]).min())
-    return BRResult(_readonly(bids), utility, iters, "bisect")
+    return BRResult(_readonly(bids), utility, iters, "brent", converged)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +318,7 @@ def _leveling_leontief(v, budget, d, lb, tol, init, max_iter):
     """Max-min leveling for the Leontief payoff: repeatedly move mass from
     the richest transferable good onto the good pinning the minimum
     consumption ratio, equalizing the pair by scalar bisection.  Kept
-    independent of the analytic global bisection so the two can
+    independent of br_leontief's root for the common ratio so the two can
     cross-validate."""
     demanded = v > 0
     surplus = budget - lb.sum()

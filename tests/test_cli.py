@@ -128,6 +128,10 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"n\": 1}")
     assert main(["solve-eg", str(bad)]) == 2
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"n": 2, "m": 2, "budgets": [1.0, 1.0], "kind": "linear", '
+                   '"matrix": [[NaN, 1.0], [1.0, 1.0]]}')
+    assert main(["solve-eg", str(nan)]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2

@@ -174,6 +174,12 @@ def test_instance_validation():
         mg.make_instance("linear", [[1.0, 1.0]], rho=0.5)
     with pytest.raises(ValueError):
         mg.ValuationProfile("quasilinear", [[1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        mg.make_instance("linear", [[np.nan, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        mg.make_instance("linear", [[np.inf, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        mg.make_instance("linear", [[1.0, 1.0], [1.0, 1.0]], budgets=[np.inf, 1.0])
 
 
 def test_perfect_competition_predicate():

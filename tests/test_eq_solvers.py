@@ -73,11 +73,15 @@ def test_solver_market_invariants():
     for seed in range(4):
         inst = mg.gen_random(4, 3, "linear", seed=seed)
         eq = mg.solve_linear_eg(inst, 1e-8)
+        assert eq.converged
+        assert mg.verify_kkt_linear(inst, eq.allocation, eq.prices, 1e-8).passed
         assert abs(eq.prices.sum() - inst.total_budget) <= 1e-7
         sold = eq.allocation.sum(axis=0)
         assert (sold[eq.prices > 1e-7] >= 1 - 1e-7).all()
         inst = mg.gen_random(4, 3, "leontief", seed=seed)
         eq = mg.solve_leontief_dual(inst, 1e-8)
+        assert eq.converged
+        assert mg.verify_kkt_leontief(inst, eq.allocation, eq.prices, 1e-8).passed
         assert abs(eq.prices.sum() - inst.total_budget) <= 1e-7
         sold = eq.allocation.sum(axis=0)
         assert (np.abs(sold[eq.prices > 1e-7] - 1) <= 1e-7).all()

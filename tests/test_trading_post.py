@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import marketgames as mg
 from marketgames.instance_lab import gen_positive_leontief
@@ -82,6 +84,60 @@ def test_br_leontief_single_demanded_good():
 def test_br_leontief_floor_feasibility():
     with pytest.raises(ValueError):
         mg.br_leontief(np.array([1.0, 1.0]), 0.05, np.array([1.0, 1.0]), delta=0.2)
+
+
+@st.composite
+def br_inputs(draw):
+    m = draw(st.integers(1, 6))
+    v = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 2.0)),
+                      min_size=m, max_size=m).filter(any))
+    d = draw(st.lists(st.floats(0.05, 3.0), min_size=m, max_size=m))
+    budget = draw(st.floats(0.1, 5.0))
+    delta = draw(st.sampled_from([0.0, 1e-4, 1e-2]))
+    return np.array(v), np.array(d), budget, delta
+
+
+def _equal(xs):
+    return np.ptp(xs) <= 1e-9 * xs.max()
+
+
+@given(br_inputs())
+@settings(max_examples=200, deadline=None)
+def test_br_linear_meets_optimality_conditions(inputs):
+    # KKT of max sum_j v_j b_j / (b_j + D_j) on the budget simplex: goods bid
+    # above their floor share the marginal v_j D_j / (b_j + D_j)^2 = lambda,
+    # and no good left at its floor (0, or delta on the chosen support) has a
+    # larger one
+    v, d, budget, delta = inputs
+    b = mg.br_linear(v, budget, d, delta).bids
+    assert b.sum() == pytest.approx(budget, rel=1e-12)
+    assert (b[v == 0] == 0).all()
+    marginal = v * d / (b + d) ** 2
+    above = b > delta * (1 + 1e-9)
+    assert above.any()
+    lam = marginal[above]
+    assert _equal(lam)
+    if delta == 0:
+        assert (v[~above] / d[~above] <= lam.max() * (1 + 1e-9)).all()
+    else:
+        assert (b[~above & (b > 0)] >= delta * (1 - 1e-12)).all()
+        assert (marginal[~above & (b > 0)] <= lam.max() * (1 + 1e-9)).all()
+
+
+@given(br_inputs())
+@settings(max_examples=200, deadline=None)
+def test_br_leontief_meets_optimality_conditions(inputs):
+    # every demanded good not held at the floor is bought at one common
+    # consumption ratio, floored goods at a ratio no lower, and the budget is spent
+    v, d, budget, delta = inputs
+    b = mg.br_leontief(v, budget, d, delta).bids
+    assert b.sum() == pytest.approx(budget, rel=1e-12)
+    demanded = v > 0
+    assert (b[~demanded] == 0).all()
+    ratio = b[demanded] / (b[demanded] + d[demanded]) / v[demanded]
+    free = b[demanded] > delta * (1 + 1e-9)
+    assert _equal(ratio[free])
+    assert (ratio[~free] >= ratio[free].min() * (1 - 1e-9)).all()
 
 
 def test_br_concave_numeric_ces_symmetric():
