@@ -22,8 +22,9 @@ from .instance_lab import (ExperimentConfig, PoARecord, gen_example_3_1,
                            gen_identity_leontief, gen_random,
                            gen_tp_nonexistence, load_instance, run_experiment,
                            save_instance)
-from .trading_post import (BRResult, NEReport, br_concave_numeric, br_dynamics,
-                           br_grid_oracle, br_leontief, br_linear, delta_for_eps,
-                           ne_to_market, safe_strategy, tp_allocate, verify_tp_ne)
+from .trading_post import (BRResult, NEReport, br_ces, br_concave_numeric,
+                           br_dynamics, br_grid_oracle, br_leontief, br_linear,
+                           delta_for_eps, ne_to_market, safe_strategy, tp_allocate,
+                           verify_tp_ne)
 
 __version__ = "0.1.0"

@@ -179,7 +179,7 @@ def br_linear(values, budget: float, opp_spend, delta: float = 0.0) -> BRResult:
     demanded good without opposing spend has no attainable optimum.
     ``iterations`` counts the water-fill solves (1 at delta = 0).
     """
-    v, d, demanded, monop, comp = _br_inputs(values, budget, opp_spend, delta)
+    v, d, _, monop, comp = _br_inputs(values, budget, opp_spend, delta)
 
     if delta == 0:
         wb = _waterfill(v[comp], d[comp], budget, 0.0)
@@ -190,35 +190,64 @@ def br_linear(values, budget: float, opp_spend, delta: float = 0.0) -> BRResult:
 
     iters = 0
 
-    def config(claims, support):
+    def fill(mask, rest):
         nonlocal iters
-        k_floors = float(claims.sum() + support.sum())
-        if not (claims.any() or support.any()) or delta * k_floors > budget * (1 + 1e-12):
-            return None
-        bids = np.zeros_like(v)
-        bids[claims] = delta
-        rest = budget - delta * float(claims.sum())
-        if support.any():
-            wb = _waterfill(v[support], d[support], rest, delta)
-            iters += 1
-            bids[support] = wb
-            util = float(v[support] @ _fractions(wb, d[support]))
-        else:
-            bids[claims] += rest / float(claims.sum())
-            util = 0.0
-        util += float(v[claims].sum())
-        return bids, util
+        iters += 1
+        return _waterfill(v[mask], d[mask], rest, delta)
 
-    claims = monop.copy()
     support = comp.copy()
     if comp.any():
-        wb = _waterfill(v[comp], d[comp], max(budget - delta * float(claims.sum()),
+        wb = _waterfill(v[comp], d[comp], max(budget - delta * float(monop.sum()),
                                               budget * 1e-12), 0.0)
         iters += 1
         support[comp] = wb > delta * 0.5
+    bids, utility = _fee_search(v, budget, delta, monop, comp, support, fill,
+                                lambda b: float(v @ _fractions(b, d)))
+    return BRResult(_readonly(bids), utility, iters, "waterfill")
+
+
+# ---------------------------------------------------------------------------
+# Entrance-fee support search (shared by the linear and CES best responses)
+
+
+def _fee_config(budget, delta, claims, support, fill):
+    """Bids that claim the goods in ``claims`` at the fee and spend the rest
+    on ``support`` through ``fill(mask, rest)`` (the claims share it when the
+    support is empty); None when the fees are unaffordable."""
+    k_floors = float(claims.sum() + support.sum())
+    if not (claims.any() or support.any()) or delta * k_floors > budget * (1 + 1e-12):
+        return None
+    bids = np.zeros(claims.size)
+    bids[claims] = delta
+    rest = budget - delta * float(claims.sum())
+    if support.any():
+        bids[support] = fill(support, rest)
+    else:
+        bids[claims] += rest / float(claims.sum())
+    return bids
+
+
+def _fee_search(v, budget, delta, monop, comp, support, fill, payoff):
+    """Which goods are worth the entrance fee delta > 0, by a deterministic
+    toggle search.
+
+    Monopolized goods are claimed at the fee and the contested goods in
+    ``support`` are bought through ``fill``; single-good toggles of both sets
+    are kept while ``payoff(bids)`` improves.  When the fees of ``support``
+    are unaffordable the search starts from every contested good, and failing
+    that from the best-value goods the budget covers.  Returns (bids, utility).
+    """
+    demanded = monop | comp
+
+    def config(claims, support):
+        bids = _fee_config(budget, delta, claims, support, fill)
+        return None if bids is None else (bids, payoff(bids))
+
+    claims = monop.copy()
     best = config(claims, support)
     if best is None:
-        best = config(claims, comp.copy())
+        support = comp.copy()
+        best = config(claims, support)
     if best is None:
         # fees unaffordable for the full demand set: keep the best-value goods
         claims = np.zeros_like(monop)
@@ -246,8 +275,7 @@ def br_linear(values, budget: float, opp_spend, delta: float = 0.0) -> BRResult:
                 improved = True
         if not improved:
             break
-    bids, utility = best
-    return BRResult(_readonly(bids), utility, iters, "waterfill")
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +336,134 @@ def br_leontief(values, budget: float, opp_spend, delta: float = 0.0,
     fr = _fractions(bids, d)
     utility = float((fr[demanded] / v[demanded]).min())
     return BRResult(_readonly(bids), utility, iters, "brent", converged)
+
+
+# ---------------------------------------------------------------------------
+# CES best response (damped equality-constrained Newton)
+
+#: Newton steps allowed per support solve of br_ces.
+CES_MAX_STEPS = 100
+
+
+def _ces_newton(v, d, rho, total):
+    """Maximize sum_j v_j f_j^rho / rho, f_j = b_j / (b_j + d_j), over
+    {b > 0, sum b = total}; requires v > 0 and d > 0.
+
+    The objective is separable and strictly concave for rho < 1, and every
+    marginal is unbounded at b_j = 0, so the optimum is interior.  Each step
+    solves the KKT system of the quadratic model: with the diagonal Hessian
+    -g_j/r_j the step is r_j (1 - lam/g_j), where lam = sum r / sum(r/g)
+    keeps the budget.  The step is cut to stay inside the positive orthant
+    and backtracked to the Armijo condition.  Everything is relative to
+    S = sum_j v_j f_j^rho and computed in logs: the marginals g from each
+    good's share of S, and a step's gain from the exact change of log f_j,
+    so neither extreme rho nor d overflows and tiny gains are not rounded
+    away.  The start b_j ~ (v_j d_j^-rho)^(1/(1-rho)) is the optimum when
+    every f_j is small, and exact at rho = -1.  Returns (bids, steps,
+    converged); it stops when no bid moves by more than 1e-9 of itself.
+    """
+    if v.size == 1:
+        return np.array([total]), 0, True
+    log_v, log_d = np.log(v), np.log(d)
+    w = (log_v - rho * log_d) / (1.0 - rho)
+    # a step grows a small bid by a bounded factor but may shrink it 100-fold,
+    # so no bid starts far below the largest
+    b = np.exp(np.maximum(w - w.max(), -30.0))
+    b *= total / b.sum()
+
+    def log_marginals(b):
+        log_f = -np.log1p(d / b)
+        terms = log_v + rho * log_f
+        peak = terms.max()
+        log_share = terms - peak - math.log(float(np.exp(terms - peak).sum()))
+        return log_share, log_share + log_d + log_f - 2.0 * np.log(b)
+
+    converged = False
+    for step in range(1, CES_MAX_STEPS + 1):
+        log_share, log_g = log_marginals(b)
+        g = np.exp(np.clip(log_g, -700.0, 700.0))  # neither 0 nor inf
+        r = b * (b + d) / ((1.0 - rho) * d + 2.0 * b)
+        lam = float(r.sum() / (r / g).sum())
+        dx = r * (1.0 - lam / g)
+        if float(np.abs(dx / b).max()) <= 1e-9:
+            # quadratic convergence: this last step is at rounding level
+            b = b + dx
+            converged = True
+            break
+        decrease = float(g @ dx)
+        shrink = dx < 0
+        alpha = min(1.0, 0.99 * float((b[shrink] / -dx[shrink]).min())) \
+            if shrink.any() else 1.0
+        # below this gain the rounding of the budget, worth lam per unit,
+        # hides any ascent, so the step is taken without the test
+        if decrease > 1e-14 * lam * total:
+            share = np.exp(log_share)
+            for _ in range(60):
+                step_log_f = np.log1p(alpha * dx / b) - np.log1p(alpha * dx / (b + d))
+                gain = float(share @ np.expm1(rho * step_log_f)) / rho
+                if gain >= 1e-4 * alpha * decrease:
+                    break
+                alpha *= 0.5
+            else:
+                break  # no ascent left to find
+        b = b + alpha * dx
+    b[np.argmax(b)] += total - b.sum()
+    return b, step, converged
+
+
+def br_ces(values, budget: float, opp_spend, rho: float,
+           delta: float = 0.0) -> BRResult:
+    """Unique best response of a CES bidder, u = (sum_j v_j f_j^rho)^(1/rho).
+
+    Maximizes sign(rho) sum_j v_j f_j^rho over the budget simplex by damped
+    Newton (_ces_newton).  Every demanded contested good gets a positive bid,
+    since its marginal is unbounded at zero.  For delta > 0 monopolized goods
+    are claimed at the fee, and goods whose optimum on the remaining budget
+    falls below the fee are held at it, pass by pass, until every other good
+    clears it.  Only for 0 < rho < 1, where losing a good zeroes its term
+    rather than the utility, may goods be dropped; which ones is settled by
+    the toggle search br_linear uses.  rho = 1 is linear and returns
+    br_linear's answer.  ``iterations`` counts Newton steps, and
+    ``converged`` is False if a solve hit its step cap or found no ascent.
+    """
+    if not (rho <= 1.0 and rho != 0.0):
+        raise ValueError("rho must be nonzero and at most 1")
+    if rho == 1.0:
+        return br_linear(values, budget, opp_spend, delta)
+    v, d, _, monop, comp = _br_inputs(values, budget, opp_spend, delta)
+    steps, converged = 0, True
+
+    def fill(mask, rest):
+        nonlocal steps, converged
+        idx = np.nonzero(mask)[0]
+        free = np.ones(idx.size, dtype=bool)
+        while True:
+            # the goods floored so far stay floored at the optimum: freeing
+            # budget from them only raises the common marginal
+            b, k, ok = _ces_newton(v[idx[free]], d[idx[free]], rho,
+                                   rest - delta * float((~free).sum()))
+            steps += k
+            converged &= ok
+            low = b < delta
+            if not low.any() or low.all():
+                break
+            free[np.nonzero(free)[0][low]] = False
+        out = np.full(idx.size, delta, dtype=float)
+        out[free] = b
+        return out
+
+    def payoff(bids):
+        return float(_ces_eval(v[None, :], _fractions(bids, d)[None, :], rho)[0])
+
+    if delta > 0 and rho > 0:
+        bids, utility = _fee_search(v, budget, delta, monop, comp, comp.copy(),
+                                    fill, payoff)
+    else:
+        bids = _fee_config(budget, delta, monop, comp, fill)
+        if bids is None:
+            raise ValueError("infeasible floors: budget below delta times demanded goods")
+        utility = payoff(bids)
+    return BRResult(_readonly(bids), utility, steps, "newton", converged)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +537,9 @@ def br_concave_numeric(profile: ValuationProfile, agent: int, budget: float,
     Linear and CES payoffs are smooth in own bids and solved by projected
     gradient ascent with backtracking; the Leontief min is handled by the
     leveling scheme.  Stops on an init-independent criterion (the unit-step
-    gradient mapping), so independent restarts land on the same bids; agrees
-    with the analytic oracles on linear/Leontief inputs.
+    gradient mapping), so independent restarts land on the same bids.  A
+    reference for the tests: it agrees with br_linear, br_leontief and
+    br_ces, which the dynamics and the verifier use.
     """
     v, d, demanded, _, _ = _br_inputs(profile.matrix[agent], budget, opp_spend, delta)
     lb = np.where(demanded, delta, 0.0)
@@ -396,19 +553,25 @@ def br_concave_numeric(profile: ValuationProfile, agent: int, budget: float,
 
     rho = profile.rho
 
+    # for 0 < rho < 1 the marginal is unbounded at f = 0; it is taken at
+    # this bid instead, so that the iterate can leave that face
+    f_tiny = _fractions(np.full_like(d, 1e-12 * budget), d)
+
     def payoff_and_grad(b):
+        """The utility and the gradient of its log, which does not scale
+        with the utility, so neither does the stopping rule."""
         f = _fractions(effective_bids(b, delta), d)
         if profile.kind == LINEAR:
             util = float(v @ f)
-            dudf = v.astype(float)
+            dudf = v / (util if util > 0 else 1.0)
         else:
             x = np.zeros_like(profile.matrix)
             x[agent] = f
             util = float(eval_valuation_matrix(profile, x)[agent])
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                dudf = np.where((v > 0) & (f > 0),
-                                util ** (1.0 - rho) * v
-                                * np.where(f > 0, f, 1.0) ** (rho - 1.0), 0.0)
+                # d log u / d f_j = v_j f_j^(rho-1) / sum_k v_k f_k^rho
+                dudf = np.where(v > 0, v * np.where(f > 0, f, f_tiny) ** (rho - 1.0), 0.0)
+                dudf /= np.where(v > 0, v * f ** rho, 0.0).sum()
             dudf = np.nan_to_num(np.clip(dudf, 0.0, 1e100), nan=0.0, posinf=1e100)
         with np.errstate(divide="ignore", invalid="ignore"):
             dfdb = np.where(demanded & (b + d > 0), d / (b + d) ** 2, 0.0)
@@ -445,7 +608,7 @@ def br_concave_numeric(profile: ValuationProfile, agent: int, budget: float,
             for _ in range(60):
                 cand = proj(b + eta * grad)
                 uc, gc = payoff_and_grad(cand)
-                if uc >= util + 1e-4 * float(grad @ (cand - b)):
+                if uc >= util * (1.0 + 1e-4 * float(grad @ (cand - b))):
                     step = float(np.abs(cand - b).max())
                     b, util, grad = cand, uc, gc
                     eta = min(eta * 1.4, 1e9)
@@ -540,14 +703,14 @@ def br_grid_oracle(profile: ValuationProfile, agent: int, budget: float,
 # Dynamics and equilibrium verification
 
 
-def _best_response(instance: Instance, agent: int, opp, delta, tol) -> BRResult:
+def _best_response(instance: Instance, agent: int, opp, delta) -> BRResult:
     values = instance.matrix[agent]
     budget = float(instance.budgets[agent])
     if instance.kind == LINEAR:
         return br_linear(values, budget, opp, delta)
     if instance.kind == LEONTIEF:
         return br_leontief(values, budget, opp, delta)
-    return br_concave_numeric(instance.valuations, agent, budget, opp, delta, tol)
+    return br_ces(values, budget, opp, instance.valuations.rho, delta)
 
 
 def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
@@ -594,7 +757,7 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
             eff = effective_bids(b, delta)
             opp = eff.sum(axis=0) - eff[i]
             try:
-                b[i] = _best_response(instance, i, opp, delta, min(tol, 1e-10)).bids
+                b[i] = _best_response(instance, i, opp, delta).bids
             except ValueError as exc:
                 failed = f"best response broke down for agent {i}: {exc}"
                 break
@@ -654,11 +817,11 @@ def verify_tp_ne(instance: Instance, bids, delta: float = 0.0,
     for i in range(instance.n):
         opp = eff.sum(axis=0) - eff[i]
         try:
-            br = _best_response(instance, i, opp, delta, min(tol, 1e-10))
+            br = _best_response(instance, i, opp, delta)
         except ValueError:
             if delta > 0:
                 raise
-            br = _best_response(instance, i, opp, 1e-12, min(tol, 1e-10))
+            br = _best_response(instance, i, opp, 1e-12)
             note = "some best responses are unattained suprema (delta=0 monopoly)"
         gains[i] = br.utility - utilities[i]
     prices = eff.sum(axis=0)

@@ -138,6 +138,14 @@ def test_criterion_06_best_response_oracle_equivalence():
         n_leo = mg.br_concave_numeric(leo_prof, 0, budget, d, delta, tol=1e-10)
         ok &= abs(n_lin.utility - a_lin.utility) <= 1e-6
         ok &= abs(n_leo.utility - a_leo.utility) <= 1e-6
+        if m == 2 or case % 8 == 3:  # the 3-good CES grid is slow
+            rho = (0.5, 0.9, -1.0, -3.0, -10.0)[case % 5]
+            ces_prof = mg.ValuationProfile("ces", v[None, :], rho)
+            a_ces = mg.br_ces(v, budget, d, rho, delta)
+            g_ces = mg.br_grid_oracle(ces_prof, 0, budget, d, delta, grid_step=1e-3)
+            n_ces = mg.br_concave_numeric(ces_prof, 0, budget, d, delta, tol=1e-10)
+            ok &= a_ces.utility >= g_ces.utility - 5e-3
+            ok &= abs(n_ces.utility - a_ces.utility) <= 1e-6
     _report(6, "analytic, numeric, and grid best responses agree", ok)
 
 
@@ -157,6 +165,7 @@ def test_criterion_07_best_response_uniqueness_evidence():
     # the analytic oracles are deterministic closed procedures
     ok &= (mg.br_linear(v, 1.0, d).bids == mg.br_linear(v, 1.0, d).bids).all()
     ok &= (mg.br_leontief(v, 1.0, d).bids == mg.br_leontief(v, 1.0, d).bids).all()
+    ok &= (mg.br_ces(v, 1.0, d, -2.0).bids == mg.br_ces(v, 1.0, d, -2.0).bids).all()
     _report(7, "best responses are unique across restarts (pure equilibria)", ok)
 
 

@@ -140,6 +140,31 @@ def test_br_leontief_meets_optimality_conditions(inputs):
     assert (ratio[~free] >= ratio[free].min() * (1 - 1e-9)).all()
 
 
+@given(br_inputs(), st.sampled_from([0.5, 0.9, -1.0, -3.0, -10.0]))
+@settings(max_examples=200, deadline=None)
+def test_br_ces_meets_optimality_conditions(inputs, rho):
+    # KKT of max sign(rho) sum_j v_j f_j^rho on the budget simplex: goods bid
+    # above their floor share the marginal, no floored good has a larger one,
+    # and a demanded good is dropped only when 0 < rho < 1 and delta > 0
+    v, d, budget, delta = inputs
+    r = mg.br_ces(v, budget, d, rho, delta)
+    b = r.bids
+    assert r.converged
+    assert b.sum() == pytest.approx(budget, rel=1e-12)
+    assert (b[v == 0] == 0).all()
+    dropped = (v > 0) & (b == 0)
+    assert not dropped.any() or (delta > 0 and 0 < rho < 1)
+    bid = b > 0
+    f = b[bid] / (b[bid] + d[bid])
+    marginal = abs(rho) * v[bid] * f ** (rho - 1) * d[bid] / (b[bid] + d[bid]) ** 2
+    above = b[bid] > delta * (1 + 1e-9)
+    assert above.any()
+    lam = marginal[above]
+    assert _equal(lam)
+    assert (b[bid][~above] >= delta * (1 - 1e-12)).all()
+    assert (marginal[~above] <= lam.max() * (1 + 1e-9)).all()
+
+
 def test_br_concave_numeric_ces_symmetric():
     prof = mg.ValuationProfile("ces", [[1.0, 1.0]], rho=0.5)
     r = mg.br_concave_numeric(prof, 0, 1.0, np.array([1.0, 1.0]), tol=1e-10)
@@ -148,7 +173,7 @@ def test_br_concave_numeric_ces_symmetric():
 
 def test_br_concave_numeric_matches_analytic():
     rng = np.random.default_rng(11)
-    for _ in range(10):
+    for k in range(10):
         v = rng.uniform(0.1, 1.0, size=3)
         d = rng.uniform(0.2, 2.0, size=3)
         lin = mg.ValuationProfile("linear", v[None, :])
@@ -159,16 +184,33 @@ def test_br_concave_numeric_matches_analytic():
         a = mg.br_leontief(v, 1.0, d)
         n = mg.br_concave_numeric(leo, 0, 1.0, d, tol=1e-10)
         assert abs(a.utility - n.utility) <= 1e-6
+        rho = (0.5, 0.9, -1.0, -3.0, -10.0)[k % 5]
+        ces = mg.ValuationProfile("ces", v[None, :], rho)
+        a = mg.br_ces(v, 1.0, d, rho)
+        n = mg.br_concave_numeric(ces, 0, 1.0, d, tol=1e-10)
+        assert abs(a.utility - n.utility) <= 1e-6
 
 
 def test_br_concave_numeric_ces_vs_grid():
     rng = np.random.default_rng(5)
-    v = rng.uniform(0.2, 1.0, size=3)
-    d = rng.uniform(0.3, 1.5, size=3)
-    prof = mg.ValuationProfile("ces", v[None, :], rho=-2.0)
-    numeric = mg.br_concave_numeric(prof, 0, 1.0, d, tol=1e-10)
-    grid = mg.br_grid_oracle(prof, 0, 1.0, d, grid_step=1e-3)
-    assert abs(numeric.utility - grid.utility) <= 1e-3
+    cases = [
+        (-2.0, rng.uniform(0.2, 1.0, size=3), rng.uniform(0.3, 1.5, size=3), 1.0),
+        # a bid at zero, where the marginal is unbounded for 0 < rho < 1
+        (0.9, [0.839, 0.968, 0.901], [0.487, 1.441, 0.764], 0.441),
+        # a utility near 1e-9, and with it the gradient
+        (0.1, [0.105, 0.061], [0.707, 15.313], 1.411),
+    ]
+    for rho, v, d, budget in cases:
+        v, d = np.asarray(v), np.asarray(d)
+        prof = mg.ValuationProfile("ces", v[None, :], rho=rho)
+        numeric = mg.br_concave_numeric(prof, 0, budget, d, tol=1e-10)
+        grid = mg.br_grid_oracle(prof, 0, budget, d, grid_step=1e-3)
+        assert abs(numeric.utility - grid.utility) <= 1e-3
+        # the grid is feasible, so an optimum is at least as good
+        assert numeric.converged
+        assert numeric.utility >= grid.utility * (1 - 1e-9)
+        exact = mg.br_ces(v, budget, d, rho)
+        assert exact.utility == pytest.approx(numeric.utility, rel=1e-9)
 
 
 def test_br_grid_oracle_shape_rules():
