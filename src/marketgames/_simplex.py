@@ -18,14 +18,6 @@ def project_simplex(y: np.ndarray, total: float) -> np.ndarray:
     return np.maximum(y - theta, 0.0)
 
 
-def project_capped_simplex(y: np.ndarray, cap: float = 1.0) -> np.ndarray:
-    """Project y onto {x >= 0, sum(x) <= cap}."""
-    z = np.maximum(y, 0.0)
-    if z.sum() <= cap:
-        return z
-    return project_simplex(y, cap)
-
-
 def project_simplex_lb(y: np.ndarray, total: float, lb: np.ndarray) -> np.ndarray:
     """Project y onto {x >= lb, sum(x) = total}; requires sum(lb) <= total."""
     slack = total - float(lb.sum())

@@ -109,7 +109,7 @@ def _cmd_solve_eg(args) -> int:
         "converged": eq.converged,
         "dropped_goods": list(eq.dropped_goods),
     }, args.out)
-    return 0
+    return 0 if eq.converged else 1
 
 
 def _cmd_tp_dynamics(args) -> int:

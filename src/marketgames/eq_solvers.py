@@ -5,6 +5,10 @@ KKT residual checks for linear and Leontief outcomes, optimal-bundle
 utilities at given prices, approximate-equilibrium certification, and the
 Leontief primal/dual gap.  Solver iterations are plumbing; the verifiers
 are the ground truth and are kept independent of the solver paths.
+
+Linear and CES markets are solved on the price-space Eisenberg-Gale dual
+min_p sum_j p_j - sum_i B_i log e_i(p), e_i the unit-expenditure function,
+by Newton steps that each solve one m x m system by Cholesky.
 """
 
 from __future__ import annotations
@@ -14,17 +18,26 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
+from scipy.sparse.linalg import spsolve
 
 from .core import (CES, DEFAULT_TOL, LEONTIEF, LINEAR, Instance,
                    ValuationProfile, eval_valuation_matrix, _readonly)
-from ._simplex import project_capped_simplex, project_simplex
+from ._simplex import project_simplex
 
 #: Prices below this fraction of the total budget are reported as zero.
 ZERO_PRICE_FRACTION = 1e-9
 
 #: Floor keeping log(phi) defined inside the Leontief dual iteration.
 PRICE_FLOOR = 1e-12
+
+#: Default cap on the Newton steps of the linear and CES solvers.
+MAX_NEWTON_STEPS = 100
+
+#: Duality gap, over the total budget, below which the linear polish runs.
+POLISH_GAP = 1e-2
 
 
 @dataclass(frozen=True)
@@ -54,6 +67,9 @@ class KKTReport:
 
 @dataclass(frozen=True)
 class MarketEquilibrium:
+    """A solved equilibrium; ``iterations`` counts Newton steps for the
+    linear and CES solvers and dual iterations for the Leontief solver."""
+
     allocation: np.ndarray
     prices: np.ndarray
     utilities: np.ndarray
@@ -149,7 +165,7 @@ def verify_kkt_leontief(instance: Instance, allocation, prices,
 
 
 # ---------------------------------------------------------------------------
-# Linear solver: proportional response plus an exact tie-structure polish
+# Linear solver: interior point on the price-space dual, then an exact polish
 
 
 def _drop_undemanded(v: np.ndarray):
@@ -168,195 +184,203 @@ def _embed(instance: Instance, kept, x, p):
     return x_full, p_full
 
 
-def _linear_duality_gap(v, budgets, prices, utilities):
-    # Dual of the linear EG program at prices p: sum_j p_j + sum_i B_i
-    # (log(B_i * alpha_i) - 1) with alpha_i the best bang per buck.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = np.where(v > 0, v / prices, 0.0).max(axis=1)
-    dual = prices.sum() + float(np.dot(budgets, np.log(budgets * alpha) - 1.0))
-    primal = float(np.dot(budgets, np.log(utilities)))
-    return dual - primal
+def _newton_factor(d, w, c):
+    """Cholesky factor of the m x m Newton matrix diag(d) + W^T diag(c) W."""
+    return cho_factor(np.diag(d) + (w.T * c) @ w, check_finite=False)
 
 
-def _linear_structure_polish(v, budgets, prices, theta):
+def _linear_ipm(v, budgets, max_iter):
+    """Interior iterates of the linear EG dual, one per Newton step.
+
+    With e_i(p) = min_j p_j / v_ij the dual is min sum_j p_j - sum_i B_i log
+    beta_i subject to s_ij = p_j - beta_i v_ij >= 0 on the edges v_ij > 0,
+    whose multipliers x_ij are the allocation.  Mehrotra's predictor-
+    corrector drives x_ij s_ij to zero; the agents are eliminated, so a step
+    is one m x m Cholesky factorization.  Yields (prices, allocation, theta),
+    theta a bang-per-buck tolerance between the edges the iterate treats as
+    tight (s_ij / p_j below x_ij) and the rest, or None while that split is
+    unclean or the gap sum x_ij s_ij / sum B_i exceeds POLISH_GAP.
+    """
+    total = float(budgets.sum())
+    b = budgets / total
+    v = v / v.max(axis=1, keepdims=True)
+    edge = v > 0
+    n_edges = int(edge.sum())
+    p = b @ (v / v.sum(axis=1, keepdims=True))
+    beta = 0.5 * (p / np.where(edge, v, 1e-300)).min(axis=1)
+    x = edge / edge.sum(axis=0)
+    # off the edges x = 0 and s = p > 0, so the arrays stay dense
+    s = p - beta[:, None] * v
+    for _ in range(max_iter):
+        u = (v * x).sum(axis=1)
+        r_p, r_d = 1.0 - x.sum(axis=0), u - b / beta
+        xs = x * s
+        gap = float(xs.sum())
+        if not gap > 1e-15:  # at rounding level, or broken down (nan)
+            return
+        mu = gap / n_edges
+        d = x / s
+        w = d * v
+        # beta_i u_i = B_i linearized in both factors, like x_ij s_ij = mu
+        h = u / beta + (w * v).sum(axis=1)
+        try:
+            fac = _newton_factor(d.sum(axis=0), w, -1.0 / h)
+        except np.linalg.LinAlgError:
+            return
+
+        def direction(r_c):
+            t = r_c / s
+            a = -r_d - (v * t).sum(axis=1)
+            dp = cho_solve(fac, w.T @ (a / h) - r_p + t.sum(axis=0), check_finite=False)
+            db = (a + w @ dp) / h
+            ds = dp - v * db[:, None]
+            return dp, db, ds, t - d * ds
+
+        def max_step(db, ds, dx):
+            # largest step keeping beta, s (hence p) and x positive
+            shrink = max(float((-db / beta).max()), float((-ds / s).max()),
+                         float((-dx / np.where(edge, x, 1.0)).max()))
+            return 1.0 / shrink if shrink > 0 else math.inf
+
+        dp, db, ds, dx = direction(-xs)
+        a_aff = min(1.0, max_step(db, ds, dx))
+        sigma = (float(((x + a_aff * dx) * (s + a_aff * ds)).sum()) / gap) ** 3
+        dp, db, ds, dx = direction(np.where(edge, sigma * mu - xs - dx * ds, 0.0))
+        alpha = min(1.0, 0.995 * max_step(db, ds, dx))
+        if alpha < 1e-12:
+            return
+        p, beta, x = p + alpha * dp, beta + alpha * db, x + alpha * dx
+        s = p - beta[:, None] * v
+
+        rel = s / p
+        tight = rel < x
+        theta = None
+        if (x * s).sum() <= POLISH_GAP and tight.any(0).all() and tight.any(1).all():
+            hi = float(rel[tight].max())
+            lo = float(rel[edge & ~tight].min(initial=1.0))
+            if hi < lo:
+                theta = math.sqrt(max(hi, 1e-300) * lo)
+        yield p * total, x, theta
+
+
+def _linear_structure_polish(v, budgets, prices, theta, init, tried):
     """Try to read off the exact equilibrium from the near-converged prices.
 
-    Builds the maximum-bang-per-buck graph at relative tolerance theta and
-    propagates exact log-prices over a spanning forest grown tightest edge
-    first (tie strength is exact in the valuation data even when the input
-    prices are only roughly converged).  Non-tree edges that disagree with
-    the propagated prices are spurious inclusions and simply dropped; a
-    feasibility LP then looks for a supporting spending plan.  Returns
-    (allocation, prices) or None; the caller verifies the candidate, so a
-    wrong guess is never accepted.
+    Propagates exact log-prices (ties are exact in the valuation data) over
+    a minimum spanning forest of the bang-per-buck graph at relative
+    tolerance theta; edges that disagree with them are dropped.  An LP then
+    finds spending on the kept edges, the one closest in L1 to ``init``
+    unless it is None (this selects among tied equilibria).  Returns
+    (allocation, prices) or None; the caller verifies it.  ``tried`` holds
+    the edge sets already given to the LP, which are not solved twice.
     """
     n, m = v.shape
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bpb = np.where(v > 0, v / prices, 0.0)
-    alpha = bpb.max(axis=1)
-    if (alpha <= 0).any() or not np.isfinite(alpha).all():
-        return None
-    edges = (v > 0) & (bpb >= alpha[:, None] * (1.0 - theta))
+    bpb = v / prices  # interior prices are positive
+    slack = 1.0 - bpb / bpb.max(axis=1, keepdims=True)
+    edges = (v > 0) & (slack <= theta)
     if not edges.any(axis=0).all():
         return None
-    looseness = np.where(edges, alpha[:, None] - bpb, np.inf)
 
-    log_v = np.where(edges, np.log(np.where(v > 0, v, 1.0)), 0.0)
-    logp = np.full(m, np.nan)
-    loga = np.full(n, np.nan)
-    comp_of_good = np.full(m, -1, dtype=int)
-    comp_of_agent = np.full(n, -1, dtype=int)
-    agent_adj = [np.nonzero(edges[i])[0] for i in range(n)]
-    agent_adj = [adj[np.argsort(looseness[i, adj], kind="stable")]
-                 for i, adj in enumerate(agent_adj)]
-    good_adj = [np.nonzero(edges[:, j])[0] for j in range(m)]
-    good_adj = [adj[np.argsort(looseness[adj, j], kind="stable")]
-                for j, adj in enumerate(good_adj)]
-    ncomp = 0
-    for seed in range(m):
-        if comp_of_good[seed] >= 0:
-            continue
-        comp = ncomp
-        ncomp += 1
-        logp[seed] = 0.0
-        comp_of_good[seed] = comp
-        frontier_goods = [seed]
-        while frontier_goods:
-            next_goods = []
-            for j in frontier_goods:
-                for i in good_adj[j]:
-                    if comp_of_agent[i] < 0:
-                        comp_of_agent[i] = comp
-                        loga[i] = log_v[i, j] - logp[j]
-                        for jj in agent_adj[i]:
-                            if comp_of_good[jj] < 0:
-                                comp_of_good[jj] = comp
-                                logp[jj] = log_v[i, jj] - loga[i]
-                                next_goods.append(jj)
-            frontier_goods = next_goods
-    if (comp_of_agent < 0).any():
-        return None
+    # agents are nodes 0..n-1 and goods n..n+m-1 (tree entries keep that
+    # orientation); each of the k tree edges fixes log a_i + log p_j =
+    # log v_ij, and one node per component is pinned at 0
     ii, jj = np.nonzero(edges)
+    graph = sparse.coo_matrix((1.0 + slack[ii, jj], (ii, n + jj)), shape=(n + m,) * 2)
+    ti, tj = minimum_spanning_tree(graph).nonzero()
+    ncomp, label = connected_components(graph, directed=False)
+    roots = np.unique(label, return_index=True)[1]
+    k = ti.size
+    rows = np.r_[np.arange(k), np.arange(k), k + np.arange(ncomp)]
+    system = sparse.csc_matrix((np.ones(rows.size), (rows, np.r_[ti, tj, roots])))
+    log_v = np.log(np.where(edges, v, 1.0))
+    logs = spsolve(system, np.r_[log_v[ti, tj - n], np.zeros(ncomp)])
+    loga, logp = logs[:n], logs[n:]
     consistent = np.abs(log_v[ii, jj] - loga[ii] - logp[jj]) <= 1e-8
     ii, jj = ii[consistent], jj[consistent]
-    live_good = np.zeros(m, dtype=bool)
-    live_good[jj] = True
-    live_agent = np.zeros(n, dtype=bool)
-    live_agent[ii] = True
-    if not (live_good.all() and live_agent.all()):
-        return None
 
+    comp = label[n:]
     p_hat = np.exp(logp)
-    for c in range(ncomp):
-        goods_c = comp_of_good == c
-        agents_c = comp_of_agent == c
-        p_hat[goods_c] *= budgets[agents_c].sum() / p_hat[goods_c].sum()
+    p_hat *= (np.bincount(label[:n], budgets) / np.bincount(comp, p_hat))[comp]
 
-    # Feasibility LP: spending on the kept edges with row sums B_i, column
-    # sums p_j.  One clearing constraint per component is redundant and
-    # dropped.
+    # every agent spends on its kept edges, so they must be its best buys
+    bpb_hat = np.where(v > 0, v / p_hat, 0.0)
+    if (bpb_hat[ii, jj] < bpb_hat.max(axis=1)[ii] * (1.0 - 1e-6)).any():
+        return None
+    key = (ii.tobytes(), jj.tobytes())
+    if key in tried:
+        return None
+    tried.add(key)
+
+    # row sums B_i, column sums p_j, each row divided by its right-hand side
+    # (so the LP's feasibility tolerance is relative); the redundant row per
+    # component dropped is the dearest good's, least hurt by its rounding
     nnz = ii.size
-    rows = list(ii)
-    cols = list(range(nnz))
     keep_good = np.ones(m, dtype=bool)
     for c in range(ncomp):
-        keep_good[np.nonzero(comp_of_good == c)[0][-1]] = False
-    good_row = {}
-    r = n
-    for j in range(m):
-        if keep_good[j]:
-            good_row[j] = r
-            r += 1
-    for e in range(nnz):
-        j = int(jj[e])
-        if keep_good[j]:
-            rows.append(good_row[j])
-            cols.append(e)
-    a_eq = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)),
-                             shape=(r, nnz)).tocsr()
-    b_eq = np.concatenate([budgets, p_hat[keep_good]])
-    res = linprog(np.zeros(nnz), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        goods_c = np.nonzero(comp == c)[0]
+        keep_good[goods_c[np.argmax(p_hat[goods_c])]] = False
+    cleared = keep_good[jj]
+    r = n + int(keep_good.sum())
+    rows = np.r_[ii, n + np.cumsum(keep_good)[jj[cleared]] - 1]
+    cols = np.r_[np.arange(nnz), np.nonzero(cleared)[0]]
+    scale = np.r_[1.0 / budgets[ii], 1.0 / p_hat[jj[cleared]]]
+    a_eq = sparse.coo_matrix((scale, (rows, cols)), shape=(r, nnz)).tocsr()
+    cost, a_ub, b_ub = np.zeros(nnz), None, None
+    if init is not None:
+        # min sum_e t_e with t_e >= |spend_e - init_e|
+        eye = sparse.identity(nnz, format="csr")
+        a_eq = sparse.hstack([a_eq, sparse.csr_matrix((r, nnz))])
+        a_ub = sparse.vstack([sparse.hstack([eye, -eye]), sparse.hstack([-eye, -eye])])
+        b_ub = np.r_[init[ii, jj], -init[ii, jj]]
+        cost = np.r_[cost, np.ones(nnz)]
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(r),
+                  bounds=(0, None), method="highs")
     if not res.success:
         return None
     spend = np.zeros((n, m))
-    spend[ii, jj] = np.maximum(res.x, 0.0)
-    x = spend / p_hat
-    return x, p_hat
+    spend[ii, jj] = np.maximum(res.x[:nnz], 0.0)
+    return spend / p_hat, p_hat
 
 
 def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
-                    max_iter: int = 20000, init_bids=None) -> MarketEquilibrium:
-    """Linear Eisenberg-Gale equilibrium via proportional response.
+                    max_iter: int = MAX_NEWTON_STEPS,
+                    init_bids=None) -> MarketEquilibrium:
+    """Linear Eisenberg-Gale equilibrium by an interior point on the price dual.
 
-    Bids update as b_ij <- B_i v_ij x_ij / u_i; prices are column sums.
-    Progress is certified by the EG duality gap.  Because proportional
-    response only approaches degenerate (tied bang-per-buck) equilibria at a
-    sublinear rate, a structure polish periodically tries to extract the
-    exact equilibrium from the current prices; whichever candidate verifies
-    better is returned, converged only if verify_kkt_linear passes it.
+    The iterates of at most ``max_iter`` Newton steps (``iterations``) go to
+    ``_linear_structure_polish``; the first candidate ``verify_kkt_linear``
+    passes is returned, else the last iterate, converged if that passes.
+    ``init_bids`` is a spending matrix: of tied equilibria, the one closest
+    to it in L1 is returned.
     """
     if instance.kind != LINEAR:
         raise ValueError("solve_linear_eg requires linear valuations")
     kept, dropped = _drop_undemanded(instance.matrix)
     v = instance.matrix[:, kept]
     budgets = instance.budgets
-    n, m = v.shape
-
+    init = None
     if init_bids is not None:
-        b = np.array(np.asarray(init_bids, dtype=float)[:, kept])
-        if (b < 0).any() or b.shape != (n, m):
+        init = np.asarray(init_bids, dtype=float)
+        if init.shape != (instance.n, instance.m) or not (init >= 0).all():
             raise ValueError("init_bids must be a non-negative n x m matrix")
-        b = np.where(v > 0, np.maximum(b, 0.0), 0.0)
-        bad = b.sum(axis=1) <= 0
-        b[bad] = (v[bad] > 0).astype(float)
-        b *= (budgets / b.sum(axis=1))[:, None]
-    else:
-        support = (v > 0).astype(float)
-        b = budgets[:, None] * support / support.sum(axis=1)[:, None]
+        init = init[:, kept]
 
-    polish_at = {200, 1000, 5000, 20000}
-    best = None  # (score, x, p, iterations, converged)
-
-    def consider(x_cand, p_cand, iters):
-        nonlocal best
-        x_full, p_full = _embed(instance, kept, x_cand, p_cand)
-        rep = verify_kkt_linear(instance, x_full, p_full, tol)
-        score = rep.residuals.worst
-        if best is None or score < best[0]:
-            best = (score, x_full, p_full, iters, rep.passed, rep.residuals)
-
-    def polish(prices, iters):
-        # tightest tie tolerance first; stop at the first verified candidate
-        for theta in (1e-9, 1e-6, 1e-4, 1e-3):
-            if best is not None and best[4]:
+    it, x, p, tried = 0, np.zeros(v.shape), np.zeros(v.shape[1]), set()
+    for it, (p, x, theta) in enumerate(_linear_ipm(v, budgets, max_iter), 1):
+        if theta is None:
+            continue
+        polished = _linear_structure_polish(v, budgets, p, theta, init, tried)
+        if polished is not None:
+            x_full, p_full = _embed(instance, kept, *polished)
+            report = verify_kkt_linear(instance, x_full, p_full, tol)
+            if report.passed:
                 break
-            polished = _linear_structure_polish(v, budgets, prices, theta)
-            if polished is not None:
-                consider(polished[0], polished[1], iters)
-        return best is not None and best[4]
-
-    gap = math.inf
-    it = 0
-    p = b.sum(axis=0)
-    x = np.zeros_like(b)
-    for it in range(1, max_iter + 1):
-        p = b.sum(axis=0)
-        x = b / p
-        u = (v * x).sum(axis=1)
-        gap = _linear_duality_gap(v, budgets, p, u)
-        if gap <= tol:
-            break
-        if it in polish_at and polish(p, it):
-            break
-        b = budgets[:, None] * v * x / u[:, None]
-
-    consider(x, p, it)
-    polish(p, it)
-
-    _, x_full, p_full, iters, converged, residuals = best
+    else:
+        x_full, p_full = _embed(instance, kept, x, p)
+        report = verify_kkt_linear(instance, x_full, p_full, tol)
     utilities = instance.utilities(x_full)
     return MarketEquilibrium(_readonly(x_full), _readonly(p_full), _readonly(utilities),
-                             residuals, iters, converged, dropped)
+                             report.residuals, it, report.passed, dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -454,93 +478,76 @@ def solve_leontief_dual(instance: Instance, tol: float = DEFAULT_TOL,
 
 
 # ---------------------------------------------------------------------------
-# CES solver: projected gradient over the per-good capped simplices
+# CES solver: damped Newton on the price-space dual
 
 
-def _project_columns_capped(x, lower):
-    out = np.empty_like(x)
-    for j in range(x.shape[1]):
-        lb = lower[:, j]
-        out[:, j] = project_capped_simplex(x[:, j] - lb, 1.0 - lb.sum()) + lb
-    return out
+def solve_ces_eg(instance: Instance, tol: float = DEFAULT_TOL,
+                 max_iter: int = MAX_NEWTON_STEPS) -> MarketEquilibrium:
+    """CES Eisenberg-Gale equilibrium by damped Newton on the price dual.
 
-
-def _ces_gradient(v, budgets, x, u, rho):
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        grad = np.where(v > 0,
-                        budgets[:, None] * u[:, None] ** (-rho) * v
-                        * np.where(x > 0, x, 1.0) ** (rho - 1.0),
-                        0.0)
-    return np.nan_to_num(np.clip(grad, 0.0, 1e100), nan=0.0, posinf=1e100)
-
-
-def solve_ces_eg(instance: Instance, tol: float = 1e-6,
-                 max_iter: int = 20000) -> MarketEquilibrium:
-    """CES Eisenberg-Gale optimum by projected gradient ascent.
-
-    Maximizes sum_i B_i log u_i(x_i) over per-good allocations summing to at
-    most one unit, with Armijo backtracking.  Prices are read off the
-    stationary point as the largest active marginal value of money
-    B_i (du_i/dx_ij) / u_i; documented as approximate on faces.
+    e_i(p) = (sum_j v_ij^sigma p_j^(1-sigma))^(1/(1-sigma)), sigma = 1/(1-rho)
+    is smooth for rho < 1; agent i spends the share q_ij ~ v_ij^sigma
+    p_j^(1-sigma) of B_i on good j, its exact demand, so the dual gradient
+    is the excess supply.  Steps are in relative prices, where the Hessian
+    diag(sigma s) + (1 - sigma) sum_i B_i q_i q_i^T (s_j the spending on
+    good j) is at least diag(s), which stands in should Cholesky fail.
+    Converged: goods clear to tol within ``max_iter`` Newton steps
+    (``iterations``).  At rho = 1 CES is linear: ``solve_linear_eg``.
     """
     if instance.kind != CES:
         raise ValueError("solve_ces_eg requires CES valuations")
     rho = instance.valuations.rho
+    if rho == 1.0:
+        linear = Instance(instance.n, instance.m, instance.budgets,
+                          ValuationProfile(LINEAR, instance.matrix))
+        return solve_linear_eg(linear, tol, max_iter)
     kept, dropped = _drop_undemanded(instance.matrix)
     v = instance.matrix[:, kept]
-    budgets = instance.budgets
+    total = instance.total_budget
+    b = instance.budgets / total
+    sigma = 1.0 / (1.0 - rho)
+    with np.errstate(divide="ignore"):
+        log_w = sigma * np.log(v)
 
-    support = (v > 0)
-    lower = np.where(support, 1e-12, 0.0)
-    x = support.astype(float) / support.sum(axis=0)[None, :]
-    x = _project_columns_capped(x, lower)
-    profile = ValuationProfile(CES, v, rho)
+    def shares(p):
+        a = log_w + (1.0 - sigma) * np.log(p)
+        top = a.max(axis=1, keepdims=True)
+        e = np.exp(a - top)
+        z = e.sum(axis=1, keepdims=True)
+        log_e = (top[:, 0] + np.log(z[:, 0])) / (1.0 - sigma)
+        return e / z, float(p.sum() - b @ log_e)
 
-    def objective(xc):
-        u = eval_valuation_matrix(profile, xc)
-        if (u <= 0).any():
-            return -math.inf, u
-        return float(np.dot(budgets, np.log(u))), u
-
-    fval, u = objective(x)
-    eta = 0.1
-    it = 0
-    stall = 0
-    for it in range(1, max_iter + 1):
-        grad = _ces_gradient(v, budgets, x, u, rho)
-        moved = False
-        halvings = 0
-        for _ in range(60):
-            cand = _project_columns_capped(x + eta * grad, lower)
-            fc, uc = objective(cand)
-            if math.isfinite(fc) and fc >= fval + 1e-4 * float((grad * (cand - x)).sum()):
-                gain = fc - fval
-                x, fval, u = cand, fc, uc
-                moved = True
+    p = b @ (v / v.sum(axis=1, keepdims=True))
+    q, f = shares(p)
+    for it in range(max_iter + 1):
+        spend = b @ q
+        g = 1.0 - spend / p
+        if np.abs(g).max() <= tol or it == max_iter:
+            break
+        try:
+            fac = _newton_factor(sigma * spend, q, (1.0 - sigma) * b)
+            dz = -cho_solve(fac, p * g, check_finite=False)
+        except np.linalg.LinAlgError:
+            dz = -p * g / np.maximum(spend, 1e-300)
+        decrement = float(-g @ (p * dz))
+        t = min(1.0, 0.99 / max(float(-dz.min()), 1e-300))
+        while True:
+            cand = p * (1.0 + t * dz)
+            q_new, f_new = shares(cand)
+            # below 1e-12 the decrease is lost in the rounding of f
+            if f_new <= f - 0.25 * t * decrement or decrement <= 1e-12 or t < 1e-12:
                 break
-            eta *= 0.5
-            halvings += 1
-        if not moved:
+            t *= 0.5
+        if t < 1e-12:
             break
-        if halvings == 0:
-            eta = min(eta * 1.3, 1e6)
-        stall = stall + 1 if gain <= 1e-6 * tol * max(1.0, abs(fval)) else 0
-        if stall >= 80:
-            break
-
-    grad = _ces_gradient(v, budgets, x, u, rho)
-    mapped = _project_columns_capped(x + grad, lower)
-    stationarity = float(np.abs(mapped - x).max())
-
-    active = x > 1e-6
-    price_cand = np.where(active, grad, 0.0)
-    p = price_cand.max(axis=0)
-
-    x_full, p_full = _embed(instance, kept, x, p)
-    budget_res, clearing, comp = _market_residuals(budgets, x_full, p_full, tol)
-    residuals = Residuals(stationarity, comp, budget_res, clearing)
-    return MarketEquilibrium(_readonly(x_full), _readonly(p_full), _readonly(u),
-                             residuals, it, stationarity <= tol, dropped)
+        p, q, f = cand, q_new, f_new
+    x_full, p_full = _embed(instance, kept, b[:, None] * q / p, p * total)
+    budget, clearing, comp = _market_residuals(instance.budgets, x_full, p_full, tol)
+    # stationarity is exact: each bundle is the agent's CES demand at p
+    return MarketEquilibrium(_readonly(x_full), _readonly(p_full),
+                             _readonly(instance.utilities(x_full)),
+                             Residuals(0.0, comp, budget, clearing), it,
+                             bool(np.abs(g).max() <= tol), dropped)
 
 
 def solve_eg(instance: Instance, tol: float = DEFAULT_TOL,
@@ -548,16 +555,16 @@ def solve_eg(instance: Instance, tol: float = DEFAULT_TOL,
     """Dispatch to the solver matching the instance's valuation kind.
 
     This is the one Eisenberg-Gale solve path; the Fisher game solves its
-    reported markets through it too.  ``init_bids`` seeds the linear
-    solver's bids, which selects among tied linear equilibria; the other
-    kinds have a unique equilibrium and ignore it.  The CES path is
-    first-order only, so its tolerance is floored at 1e-6.
+    reported markets through it too.  ``max_iter`` caps the Newton steps of
+    the linear and CES solvers (default ``MAX_NEWTON_STEPS``) and the
+    Leontief dual's iterations (default 5000).  ``init_bids`` selects among
+    tied linear equilibria; the other kinds have unique ones and ignore it.
     """
     if instance.kind == LINEAR:
-        return solve_linear_eg(instance, tol, max_iter or 20000, init_bids)
+        return solve_linear_eg(instance, tol, max_iter or MAX_NEWTON_STEPS, init_bids)
     if instance.kind == LEONTIEF:
         return solve_leontief_dual(instance, tol, max_iter or 5000)
-    return solve_ces_eg(instance, max(tol, 1e-6), max_iter or 20000)
+    return solve_ces_eg(instance, tol, max_iter or MAX_NEWTON_STEPS)
 
 
 # ---------------------------------------------------------------------------

@@ -281,9 +281,11 @@ def _run_single(config: ExperimentConfig, instance_id: str, instance: Instance,
         slack = np.minimum(config.delta * (instance.m - 1) / instance.budgets, 1.0)
 
     prop = proportionality_check(instance, allocation, slack, tol=1e-7)
+    failure = ("" if opt.converged else
+               f"optimum did not converge (worst residual {opt.residuals.worst:.3g})")
     return PoARecord(instance_id, config.mechanism, config.delta, nsw_opt, nsw_eq,
                      poa_ratio(nsw_opt, nsw_eq), eps_br, eps_market,
-                     prop.all_pass, time.perf_counter() - t0)
+                     prop.all_pass, time.perf_counter() - t0, failure)
 
 
 def records_to_csv(records, path) -> None:

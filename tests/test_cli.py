@@ -26,6 +26,9 @@ def test_solve_eg_report(ex31_file, tmp_path, capsys):
     text = out.read_text()
     assert "utilities = 1 0.5" in text
     assert "converged = true" in text
+    # one Newton step does not converge, and the exit code says so
+    assert main(["solve-eg", ex31_file, "--max-iter", "1", "--out", str(out)]) == 1
+    assert "converged = false" in out.read_text()
 
 
 def test_verify_tp_ne_pass_and_fail(leo_pair_file, tmp_path, capsys):

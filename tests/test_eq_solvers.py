@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import marketgames as mg
 from marketgames.instance_lab import gen_positive_leontief
@@ -87,16 +89,65 @@ def test_solver_market_invariants():
         assert (np.abs(sold[eq.prices > 1e-7] - 1) <= 1e-7).all()
 
 
+def test_linear_init_bids_selects_tied_equilibrium():
+    # identical agents tie on both goods: the given spending is returned
+    twins = mg.make_instance("linear", [[1.0, 1.0], [1.0, 1.0]])
+    for init in ([[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.5, 0.5]]):
+        eq = mg.solve_linear_eg(twins, init_bids=init)
+        assert eq.converged
+        assert np.abs(eq.allocation * eq.prices - init).max() <= 1e-12
+    _, reports, spends = mg.lb_construction(14)
+    eq = mg.solve_linear_eg(mg.make_instance("linear", reports), init_bids=spends)
+    assert eq.converged
+    assert np.abs(eq.allocation * eq.prices - spends).max() <= 1e-12
+
+
 def test_ces_rho_one_matches_linear_solver():
     inst = mg.make_instance("ces", [[1.0, 0.0], [0.5, 0.5]], rho=1.0)
     eq = mg.solve_ces_eg(inst, tol=1e-7)
-    assert eq.utilities == pytest.approx([1.0, 0.5], abs=1e-4)
+    assert eq.utilities == pytest.approx([1.0, 0.5], abs=1e-8)
     for seed in (3, 8):
         ces = mg.gen_random(3, 3, "ces", rho=1.0, seed=seed)
         lin = mg.make_instance("linear", ces.matrix, ces.budgets)
         u_ces = mg.solve_ces_eg(ces, tol=1e-7).utilities
         u_lin = mg.solve_linear_eg(lin, 1e-9).utilities
-        assert np.abs(u_ces - u_lin).max() <= 1e-4
+        assert np.abs(u_ces - u_lin).max() <= 1e-8
+
+
+@st.composite
+def eg_markets(draw):
+    """Linear (rho = 1) and CES markets with n, m <= 6."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rho = draw(st.sampled_from([1.0, 0.5, -1.0, -3.0]))
+    entry = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+    v = np.array(draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                               min_size=n, max_size=n)))
+    for i in np.nonzero(~(v > 0).any(axis=1))[0]:
+        v[i, draw(st.integers(0, m - 1))] = 1.0
+    budgets = draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
+    if rho == 1.0:
+        return mg.make_instance("linear", v, budgets)
+    return mg.make_instance("ces", v, budgets, rho=rho)
+
+
+@given(eg_markets())
+@settings(max_examples=150, deadline=None)
+def test_converged_solves_pass_their_verifier(inst):
+    eq = mg.solve_eg(inst)
+    assert eq.converged
+    if inst.kind == "linear":
+        assert mg.verify_kkt_linear(inst, eq.allocation, eq.prices).passed
+    else:
+        assert mg.verify_eps_market_eq(inst, eq.allocation, eq.prices, eps=1e-6).passed
+
+
+@given(eg_markets(), st.floats(1e-2, 1e2))
+@settings(max_examples=100, deadline=None)
+def test_budget_scaling_scales_prices(inst, c):
+    eq = mg.solve_eg(inst)
+    scaled = mg.solve_eg(mg.Instance(inst.n, inst.m, c * inst.budgets, inst.valuations))
+    assert np.abs(scaled.prices / c - eq.prices).max() <= 1e-8
+    assert np.abs(scaled.utilities - eq.utilities).max() <= 1e-8
 
 
 def test_ces_symmetric_split():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import sympy
 
 import marketgames as mg
+from marketgames import instance_lab
 from marketgames.instance_lab import (ExperimentConfig, format_value,
                                       gen_positive_leontief, run_experiment,
                                       write_report)
@@ -141,6 +143,19 @@ def test_run_experiment_random_linear_batch(tmp_path):
     header = out.read_text().splitlines()[0]
     assert header == ("instance_id,mechanism,delta,nsw_opt,nsw_eq,ratio,"
                       "eps_br,eps_market,proportional,seconds,failure")
+
+
+def test_run_experiment_flags_unconverged_optimum(monkeypatch):
+    def unconverged(instance, tol):
+        return dataclasses.replace(mg.solve_eg(instance, tol), converged=False)
+
+    config = ExperimentConfig(source="identity-leontief", mechanism="trading_post",
+                              n=3, delta=1e-4)
+    plain = run_experiment(config)[0]
+    monkeypatch.setattr(instance_lab, "solve_eg", unconverged)
+    rec = run_experiment(config)[0]
+    assert rec.failure.startswith("optimum did not converge (worst residual ")
+    assert (rec.nsw_opt, rec.ratio) == (plain.nsw_opt, plain.ratio)  # numbers kept
 
 
 def test_run_experiment_leontief_tp_needs_delta():
