@@ -195,11 +195,13 @@ def _linear_ipm(v, budgets, max_iter):
     With e_i(p) = min_j p_j / v_ij the dual is min sum_j p_j - sum_i B_i log
     beta_i subject to s_ij = p_j - beta_i v_ij >= 0 on the edges v_ij > 0,
     whose multipliers x_ij are the allocation.  Mehrotra's predictor-
-    corrector drives x_ij s_ij to zero; the agents are eliminated, so a step
-    is one m x m Cholesky factorization.  Yields (prices, allocation, theta),
-    theta a bang-per-buck tolerance between the edges the iterate treats as
-    tight (s_ij / p_j below x_ij) and the rest, or None while that split is
-    unclean or the gap sum x_ij s_ij / sum B_i exceeds POLISH_GAP.
+    corrector drives x_ij s_ij to zero, each step cutting the duality gap
+    ``merit`` (else a backtracked plain Newton step is taken); the agents are
+    eliminated, so a direction is one m x m Cholesky factorization.  Yields
+    (prices, allocation, theta), theta a bang-per-buck tolerance between
+    the edges the iterate treats as tight (s_ij / p_j below x_ij) and the
+    rest, or None while that split is unclean or the gap sum x_ij s_ij /
+    sum B_i exceeds POLISH_GAP.
     """
     total = float(budgets.sum())
     b = budgets / total
@@ -211,6 +213,13 @@ def _linear_ipm(v, budgets, max_iter):
     x = edge / edge.sum(axis=0)
     # off the edges x = 0 and s = p > 0, so the arrays stay dense
     s = p - beta[:, None] * v
+
+    def merit(p, beta, x):
+        # sum x_ij s_ij + sum_i B_i (t_i - 1 - log t_i), t_i = beta_i u_i / B_i:
+        # the EG duality gap while the goods clear, zero only at the optimum
+        t = beta * (v * x).sum(axis=1) / b
+        return float((x * (p - beta[:, None] * v)).sum() + b @ (t - 1.0 - np.log(t)))
+
     for _ in range(max_iter):
         u = (v * x).sum(axis=1)
         r_p, r_d = 1.0 - x.sum(axis=0), u - b / beta
@@ -245,11 +254,30 @@ def _linear_ipm(v, budgets, max_iter):
         dp, db, ds, dx = direction(-xs)
         a_aff = min(1.0, max_step(db, ds, dx))
         sigma = (float(((x + a_aff * dx) * (s + a_aff * ds)).sum()) / gap) ** 3
-        dp, db, ds, dx = direction(np.where(edge, sigma * mu - xs - dx * ds, 0.0))
-        alpha = min(1.0, 0.995 * max_step(db, ds, dx))
-        if alpha < 1e-12:
+        centre = np.where(edge, sigma * mu - xs, 0.0)
+        # the merit falls at this rate along the Newton direction to centre;
+        # Mehrotra's corrector need not descend (it can cycle), so its step
+        # must cut the merit by 1e-4 of this, else the plain step backtracks
+        merit0 = merit(p, beta, x)
+        slope = -(1.0 - sigma) * gap - float(((beta * u - b) ** 2 / (beta * u)).sum())
+        corrected = centre - np.where(edge, dx * ds, 0.0)
+        step = None
+        for r_c, backtrack in ((corrected, False), (centre, True)):
+            dp, db, ds, dx = direction(r_c)
+            alpha = min(1.0, 0.995 * max_step(db, ds, dx))
+            while alpha >= 1e-12:
+                trial = p + alpha * dp, beta + alpha * db, x + alpha * dx
+                if merit(*trial) <= merit0 + 1e-4 * alpha * slope:
+                    step = trial
+                    break
+                if not backtrack:
+                    break
+                alpha *= 0.5
+            if step is not None:
+                break
+        if step is None:
             return
-        p, beta, x = p + alpha * dp, beta + alpha * db, x + alpha * dx
+        p, beta, x = step
         s = p - beta[:, None] * v
 
         rel = s / p

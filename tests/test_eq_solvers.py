@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import marketgames as mg
@@ -131,6 +131,9 @@ def eg_markets(draw):
 
 
 @given(eg_markets())
+# agent 1 splits its budget at the equilibrium; Mehrotra steps alone cycle here
+@example(mg.make_instance("linear", [[1.0, 0.0], [1.0625, 1.75], [0.0, 1.0], [0.0, 1.0],
+                                     [1.0, 0.0], [0.25, 1.0]], [4.0, 1.0, 3.0, 5.0, 2.5, 3.0]))
 @settings(max_examples=150, deadline=None)
 def test_converged_solves_pass_their_verifier(inst):
     eq = mg.solve_eg(inst)
