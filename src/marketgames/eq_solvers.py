@@ -24,8 +24,7 @@ from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from scipy.sparse.linalg import spsolve
 
 from .core import (CES, DEFAULT_TOL, LEONTIEF, LINEAR, Instance,
-                   ValuationProfile, eval_valuation_matrix, _readonly)
-from ._simplex import project_simplex
+                   ValuationProfile, _readonly)
 
 #: Prices below this fraction of the total budget are reported as zero.
 ZERO_PRICE_FRACTION = 1e-9
@@ -291,16 +290,19 @@ def _linear_ipm(v, budgets, max_iter):
         yield p * total, x, theta
 
 
-def _linear_structure_polish(v, budgets, prices, theta, init, tried):
-    """Try to read off the exact equilibrium from the near-converged prices.
+def _linear_structure_polish(v, budgets, prices, x, theta, init, tried):
+    """Try to read off the exact equilibrium from the near-converged iterate.
 
     Propagates exact log-prices (ties are exact in the valuation data) over
     a minimum spanning forest of the bang-per-buck graph at relative
-    tolerance theta; edges that disagree with them are dropped.  An LP then
-    finds spending on the kept edges, the one closest in L1 to ``init``
-    unless it is None (this selects among tied equilibria).  Returns
-    (allocation, prices) or None; the caller verifies it.  ``tried`` holds
-    the edge sets already given to the LP, which are not solved twice.
+    tolerance theta; edges that disagree with them are dropped.  The
+    spending on the kept edges is the least-squares correction of the
+    iterate's own spending x_ij p_j onto the budget and clearing equations.
+    An LP finds it instead when that correction has a negative entry, or
+    when ``init`` is given: then the spending closest in L1 to ``init`` is
+    returned (this selects among tied equilibria).  Returns (allocation,
+    prices) or None; the caller verifies it.  ``tried`` holds the edge sets
+    already solved, which are not solved twice.
     """
     n, m = v.shape
     bpb = v / prices  # interior prices are positive
@@ -353,6 +355,16 @@ def _linear_structure_polish(v, budgets, prices, theta, init, tried):
     cols = np.r_[np.arange(nnz), np.nonzero(cleared)[0]]
     scale = np.r_[1.0 / budgets[ii], 1.0 / p_hat[jj[cleared]]]
     a_eq = sparse.coo_matrix((scale, (rows, cols)), shape=(r, nnz)).tocsr()
+    spend = np.zeros((n, m))
+    if init is None:
+        # s = s0 + A^T y with A A^T y = 1 - A s0; A A^T is the kept graph's
+        # signless Laplacian, scaled, nonsingular with those rows dropped
+        s0 = x[ii, jj] * prices[jj]
+        y = spsolve(a_eq @ a_eq.T, 1.0 - a_eq @ s0)
+        s = s0 + a_eq.T @ y
+        if (s >= 0).all():
+            spend[ii, jj] = s
+            return spend / p_hat, p_hat
     cost, a_ub, b_ub = np.zeros(nnz), None, None
     if init is not None:
         # min sum_e t_e with t_e >= |spend_e - init_e|
@@ -365,7 +377,6 @@ def _linear_structure_polish(v, budgets, prices, theta, init, tried):
                   bounds=(0, None), method="highs")
     if not res.success:
         return None
-    spend = np.zeros((n, m))
     spend[ii, jj] = np.maximum(res.x[:nnz], 0.0)
     return spend / p_hat, p_hat
 
@@ -379,7 +390,9 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
     ``_linear_structure_polish``; the first candidate ``verify_kkt_linear``
     passes is returned, else the last iterate, converged if that passes.
     ``init_bids`` is a spending matrix: of tied equilibria, the one closest
-    to it in L1 is returned.
+    to it in L1 is returned.  Without it, the tie is the least-squares
+    correction of the interior iterate's spending, or an LP vertex where that
+    correction has a negative entry.
     """
     if instance.kind != LINEAR:
         raise ValueError("solve_linear_eg requires linear valuations")
@@ -397,7 +410,7 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
     for it, (p, x, theta) in enumerate(_linear_ipm(v, budgets, max_iter), 1):
         if theta is None:
             continue
-        polished = _linear_structure_polish(v, budgets, p, theta, init, tried)
+        polished = _linear_structure_polish(v, budgets, p, x, theta, init, tried)
         if polished is not None:
             x_full, p_full = _embed(instance, kept, *polished)
             report = verify_kkt_linear(instance, x_full, p_full, tol)
@@ -606,17 +619,14 @@ def optimal_bundle_utility(profile: ValuationProfile, agent: int, budget: float,
     This is the unconstrained-supply demand value: the bundle may exceed one
     unit of a good, exactly as the approximate-equilibrium definition
     requires.  A demanded good priced at zero makes the value infinite
-    (reported as math.inf rather than raising).
+    (reported as math.inf rather than raising).  Every kind has a closed
+    form, so ``tol`` is not used.
     """
     p = np.asarray(prices, dtype=float)
     values = profile.matrix[agent]
     demanded = values > 0
     if budget <= 0:
         raise ValueError("budget must be positive")
-    if profile.kind == LINEAR:
-        if (p[demanded] <= 0).any():
-            return math.inf
-        return float(budget * (values[demanded] / p[demanded]).max())
     if profile.kind == LEONTIEF:
         phi = float(values @ p)
         if phi <= 0:
@@ -624,38 +634,17 @@ def optimal_bundle_utility(profile: ValuationProfile, agent: int, budget: float,
         return budget / phi
     if (p[demanded] <= 0).any():
         return math.inf
-    return _ces_optimal_bundle(values[demanded], budget, p[demanded],
-                               profile.rho, tol)
-
-
-def _ces_optimal_bundle(values, budget, prices, rho, tol):
-    # Closed-form CES demand as the starting point, then projected gradient
-    # on the spending simplex until the first-order residual is within tol.
-    logw = (np.log(values) - np.log(prices)) / (1.0 - rho) + np.log(prices)
-    w = np.exp(logw - logw.max())
-    spend = budget * w / w.sum()
-    kind_profile = ValuationProfile(CES, values[None, :], rho)
-
-    def util(s):
-        return float(eval_valuation_matrix(kind_profile, (s / prices)[None, :])[0])
-
-    u = util(spend)
-    eta = 0.1 * budget
-    for _ in range(200):
-        y = spend / prices
-        grad = (u ** (1.0 - rho) * values * np.maximum(y, 1e-300) ** (rho - 1.0)) / prices
-        cand = project_simplex(spend + eta * grad, budget)
-        if np.abs(cand - spend).max() <= tol * max(1.0, budget):
-            break
-        uc = util(cand)
-        if uc > u:
-            spend, u = cand, uc
-            eta *= 1.3
-        else:
-            eta *= 0.5
-            if eta < 1e-16 * budget:
-                break
-    return u
+    v, p = values[demanded], p[demanded]
+    if profile.kind == LINEAR or profile.rho == 1.0:
+        return float(budget * (v / p).max())
+    # B / e(p), e(p) = (sum_j v_j^sigma p_j^(1-sigma))^(1/(1-sigma)) the cost
+    # of one unit of CES utility, sigma = 1/(1-rho); in logs, so wide price
+    # ranges neither overflow nor underflow
+    sigma = 1.0 / (1.0 - profile.rho)
+    a = sigma * np.log(v) + (1.0 - sigma) * np.log(p)
+    top = float(a.max())
+    log_e = (top + math.log(float(np.exp(a - top).sum()))) / (1.0 - sigma)
+    return float(np.exp(math.log(budget) - log_e))
 
 
 def verify_eps_market_eq(instance: Instance, allocation, prices, eps: float,

@@ -724,7 +724,8 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
     geometrically toward zero (the signature of the no-equilibrium boundary
     escape); converged profiles are certified with verify_tp_ne.
     Non-convergence, including best-response breakdown when a bid hits zero
-    at delta = 0, is a reported outcome, not an error.
+    at delta = 0 and a best response that did not converge, is a reported
+    outcome, not an error.
     """
     n, m = instance.n, instance.m
     support = instance.matrix > 0
@@ -757,10 +758,14 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
             eff = effective_bids(b, delta)
             opp = eff.sum(axis=0) - eff[i]
             try:
-                b[i] = _best_response(instance, i, opp, delta).bids
+                br = _best_response(instance, i, opp, delta)
             except ValueError as exc:
                 failed = f"best response broke down for agent {i}: {exc}"
                 break
+            if not br.converged:
+                failed = f"best response did not converge for agent {i}"
+                break
+            b[i] = br.bids
         if failed:
             note = failed
             break
@@ -787,8 +792,9 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
             break
 
     if converged:
-        rep = verify_tp_ne(instance, b, delta, tol)
-        return NEReport(rep.bids, rep.gains, rep.max_gain, True, rep.prices,
+        # at tol = inf, converged means that every best response converged
+        rep = verify_tp_ne(instance, b, delta, math.inf)
+        return NEReport(rep.bids, rep.gains, rep.max_gain, rep.converged, rep.prices,
                         rep.allocation, rep.utilities, rounds, max_change,
                         rep.note, tuple(trajectory if record_trajectory else tail))
     prices, allocation = ne_to_market(b, delta)
@@ -804,16 +810,17 @@ def verify_tp_ne(instance: Instance, bids, delta: float = 0.0,
     """Certify a bid profile: per-agent best-response utility gains.
 
     The profile is an eps-Nash equilibrium for eps equal to the reported
-    max_gain; `converged` records whether max_gain <= tol.  When delta = 0
-    and an agent monopolizes a demanded good, the unattained supremum is
-    approximated through a vanishing entrance fee and noted.
+    max_gain; `converged` records whether max_gain <= tol and every best
+    response converged (a note names the agents whose did not).  When
+    delta = 0 and an agent monopolizes a demanded good, the unattained
+    supremum is approximated through a vanishing entrance fee and noted.
     """
     b = check_bid_profile(bids, instance.budgets)
     eff = effective_bids(b, delta)
     allocation = tp_allocate(b, delta)
     utilities = instance.utilities(allocation)
     gains = np.zeros(instance.n)
-    note = ""
+    suprema, inexact = False, []
     for i in range(instance.n):
         opp = eff.sum(axis=0) - eff[i]
         try:
@@ -822,13 +829,20 @@ def verify_tp_ne(instance: Instance, bids, delta: float = 0.0,
             if delta > 0:
                 raise
             br = _best_response(instance, i, opp, 1e-12)
-            note = "some best responses are unattained suprema (delta=0 monopoly)"
+            suprema = True
+        if not br.converged:
+            inexact.append(str(i))
         gains[i] = br.utility - utilities[i]
+    notes = []
+    if suprema:
+        notes.append("some best responses are unattained suprema (delta=0 monopoly)")
+    if inexact:
+        notes.append(f"best response did not converge for agent {', '.join(inexact)}")
     prices = eff.sum(axis=0)
     max_gain = float(gains.max())
-    return NEReport(_readonly(b), _readonly(gains), max_gain, max_gain <= tol,
-                    _readonly(prices), _readonly(allocation), _readonly(utilities),
-                    note=note)
+    return NEReport(_readonly(b), _readonly(gains), max_gain,
+                    max_gain <= tol and not inexact, _readonly(prices),
+                    _readonly(allocation), _readonly(utilities), note="; ".join(notes))
 
 
 def safe_strategy(budget: float, opp_spend, delta: float = 0.0) -> np.ndarray:

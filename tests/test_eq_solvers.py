@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import marketgames as mg
+from marketgames import eq_solvers
 from marketgames.instance_lab import gen_positive_leontief
 
 
@@ -102,6 +103,49 @@ def test_linear_init_bids_selects_tied_equilibrium():
     assert np.abs(eq.allocation * eq.prices - spends).max() <= 1e-12
 
 
+def test_linear_polish_spends_by_projection_without_lp(monkeypatch):
+    # the reported lower-bound market and report deviations of its
+    # misreporting agents: tie graphs with cycles, spending found by the
+    # projection alone
+    def no_lp(*args, **kwargs):
+        raise AssertionError("linprog called")
+
+    monkeypatch.setattr(eq_solvers, "linprog", no_lp)
+    inst, reports, _ = mg.lb_construction(14)
+    k = mg.lb_profile_stats(14)["k"]
+    markets = [reports]
+    for i in range(k, 14):
+        for j in np.nonzero(reports[i] > 0)[0]:
+            for scale in (0.25, 4.0):
+                dev = reports.copy()
+                dev[i, j] *= scale
+                markets.append(dev)
+    for r in markets:
+        market = mg.make_instance("linear", r)
+        eq = mg.solve_linear_eg(market)
+        assert eq.converged
+        assert mg.verify_kkt_linear(market, eq.allocation, eq.prices).passed
+
+
+def test_linear_polish_falls_back_to_lp(monkeypatch):
+    # found by a seeded search over small integer-valued markets: the
+    # projected spending has a negative entry, so the LP finds it
+    calls, real_lp = [], eq_solvers.linprog
+
+    def counting_lp(*args, **kwargs):
+        res = real_lp(*args, **kwargs)
+        calls.append(res.success)
+        return res
+
+    monkeypatch.setattr(eq_solvers, "linprog", counting_lp)
+    inst = mg.make_instance("linear", [[1.0, 2.0, 3.0, 2.0, 3.0], [2.0, 0.0, 2.0, 2.0, 2.0]],
+                            [2.0, 1.0])
+    eq = mg.solve_linear_eg(inst)
+    assert calls == [True]
+    assert eq.converged
+    assert mg.verify_kkt_linear(inst, eq.allocation, eq.prices).passed
+
+
 def test_ces_rho_one_matches_linear_solver():
     inst = mg.make_instance("ces", [[1.0, 0.0], [0.5, 0.5]], rho=1.0)
     eq = mg.solve_ces_eg(inst, tol=1e-7)
@@ -153,6 +197,20 @@ def test_budget_scaling_scales_prices(inst, c):
     assert np.abs(scaled.utilities - eq.utilities).max() <= 1e-8
 
 
+@given(eg_markets(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_poa_ratio_at_least_one_against_converged_optimum(inst, data):
+    # no feasible allocation has more NSW than a converged EG optimum
+    eq = mg.solve_eg(inst)
+    bids = np.array(data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=inst.m,
+                                                max_size=inst.m),
+                                       min_size=inst.n, max_size=inst.n)))
+    eq_nsw = mg.nsw(inst.utilities(mg.tp_allocate(bids)), inst.budgets)
+    if eq.converged:
+        opt_nsw = mg.nsw(eq.utilities, inst.budgets)
+        assert mg.poa_ratio(opt_nsw, eq_nsw) >= 1.0 - 1e-6
+
+
 def test_ces_symmetric_split():
     inst = mg.make_instance("ces", [[1.0, 1.0], [1.0, 1.0]], rho=-5.0)
     eq = mg.solve_ces_eg(inst, tol=1e-8)
@@ -177,18 +235,16 @@ def test_ces_solver_beats_grid_search():
         for b in range(k + 1 - a):
             cols.append((a / k, b / k, (k - a - b) / k))
     cols = np.array(cols)
-    best = -math.inf
-    for c0 in cols:
-        for c1 in cols:
-            x = np.empty((len(cols), 3, 3))
-            x[:, :, 0] = c0
-            x[:, :, 1] = c1
-            x[:, :, 2] = cols
-            u = np.stack([mg.eval_valuation_matrix(inst.valuations, xi) for xi in x])
-            good = (u > 0).all(axis=1)
-            if good.any():
-                vals = (np.log(u[good]) @ inst.budgets)
-                best = max(best, float(vals.max()))
+    # x[c0, c1, c2, i, j]: agent i's share of good j is cols[c_j][i]
+    g = len(cols)
+    x = np.empty((g, g, g, 3, 3))
+    x[..., 0] = cols[:, None, None, :]
+    x[..., 1] = cols[None, :, None, :]
+    x[..., 2] = cols[None, None, :, :]
+    tiled = mg.ValuationProfile("ces", np.tile(inst.matrix, (g ** 3, 1)), rho=0.5)
+    u = mg.eval_valuation_matrix(tiled, x.reshape(-1, 3)).reshape(-1, 3)
+    good = (u > 0).all(axis=1)
+    best = float((np.log(u[good]) @ inst.budgets).max())
     assert obj >= best - 1e-3
     assert abs(obj - best) <= 0.05  # grid resolution bound
 
@@ -245,6 +301,19 @@ def test_optimal_bundle_ces_matches_budget_line_grid():
         mg.ValuationProfile("ces", np.ones((len(s), 2)), rho=0.5), bundles).max()
     assert val == pytest.approx(float(grid), abs=1e-4)
     assert val == pytest.approx(2.0, abs=1e-8)  # closed form (2 * sqrt(.5))^2
+
+
+def test_verify_eps_ces_wide_price_range():
+    # prices span 1e-7 to 1e2 on one agent's goods; the optimal-bundle value
+    # is the closed form B / e(p), computed in logs
+    rng = np.random.default_rng(0)
+    inst = mg.make_instance("ces", 10.0 ** rng.uniform(-4, 4, size=(5, 24)),
+                            10.0 ** rng.uniform(-3, 3, size=5), rho=0.5)
+    eq = mg.solve_eg(inst)
+    assert eq.converged
+    rep = mg.verify_eps_market_eq(inst, eq.allocation, eq.prices, eps=1e-6)
+    assert rep.passed
+    assert rep.eps_required <= 1e-12
 
 
 def test_verify_eps_on_exact_equilibrium():

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import marketgames as mg
+from marketgames import trading_post
 from marketgames.instance_lab import gen_positive_leontief
 from marketgames.trading_post import check_bid_profile, effective_bids
 
@@ -23,6 +26,15 @@ def test_tp_allocate_sole_bidder_and_dead_goods():
     x = mg.tp_allocate([[0.0, 1.0], [0.0, 0.0]], 0.0)
     assert x[0] == pytest.approx([0.0, 1.0])
     assert x[:, 0] == pytest.approx([0.0, 0.0])
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.sampled_from([0.0, 1e-3, 0.1]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_tp_allocate_columns_sum_to_zero_or_one(n, m, delta, data):
+    bid = st.one_of(st.just(0.0), st.just(delta), st.floats(0.0, 1e3))
+    bids = data.draw(st.lists(st.lists(bid, min_size=m, max_size=m), min_size=n, max_size=n))
+    sums = mg.tp_allocate(bids, delta).sum(axis=0)
+    assert (np.minimum(np.abs(sums), np.abs(sums - 1.0)) <= 1e-12).all()
 
 
 def test_br_linear_symmetric():
@@ -286,6 +298,48 @@ def test_verify_tp_ne_uniform_bids_not_equilibrium():
     rep = mg.verify_tp_ne(inst, np.full((2, 2), 0.5), 0.0, 1e-8)
     assert rep.gains[0] > 0.1  # agent 1 should drop its wasted good-2 bid
     assert not rep.converged
+
+
+def _inexact_after(oracle, exact_calls):
+    """The oracle, reporting converged=False from call exact_calls + 1 on."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        res = oracle(*args, **kwargs)
+        return res if len(calls) <= exact_calls else replace(res, converged=False)
+
+    return wrapped
+
+
+def test_unconverged_best_response_fails_verification(monkeypatch):
+    inst, bids = mg.gen_example_leo_family(0.3)
+    monkeypatch.setattr(trading_post, "br_leontief",
+                        _inexact_after(trading_post.br_leontief, 1))
+    rep = mg.verify_tp_ne(inst, bids, 0.0, 1e-8)
+    assert abs(rep.max_gain) <= 1e-9
+    assert not rep.converged
+    agents = ", ".join(str(i) for i in range(1, inst.n))
+    assert rep.note == f"best response did not converge for agent {agents}"
+
+
+def test_unconverged_best_response_stops_dynamics(monkeypatch):
+    inst = mg.gen_random(3, 3, "leontief", seed=33)
+    exact = mg.br_dynamics(inst, 1e-4, max_rounds=2000, tol=1e-10)
+    assert exact.converged and exact.rounds > 2
+    real = trading_post.br_leontief
+    monkeypatch.setattr(trading_post, "br_leontief", _inexact_after(real, inst.n + 1))
+    rep = mg.br_dynamics(inst, 1e-4, max_rounds=2000, tol=1e-10)
+    assert not rep.converged
+    assert rep.rounds == 2
+    assert rep.note == "best response did not converge for agent 1"
+    # the dynamics converge, then the certificate's best responses do not
+    monkeypatch.setattr(trading_post, "br_leontief",
+                        _inexact_after(real, inst.n * exact.rounds))
+    rep = mg.br_dynamics(inst, 1e-4, max_rounds=2000, tol=1e-10)
+    assert rep.rounds == exact.rounds and rep.max_gain == exact.max_gain
+    assert not rep.converged
+    assert rep.note == "best response did not converge for agent 0, 1, 2"
 
 
 def test_ne_to_market_basics():
