@@ -14,10 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import eq_solvers, fisher_game, instance_lab, trading_post
-from .core import LEONTIEF, LINEAR, DEFAULT_TOL, nsw, poa_ratio
+from .core import LEONTIEF, LINEAR, DEFAULT_TOL, _json_field, nsw, poa_ratio
 from .instance_lab import (ExperimentConfig, PoARecord, format_value,
                            load_instance, records_to_csv, run_experiment,
                            write_report)
@@ -79,11 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_matrix(path, key):
-    doc = json.loads(Path(path).read_text())
-    if key not in doc:
-        raise ValueError(f"{path}: missing {key!r} field")
-    return np.array(doc[key], dtype=float)
+def _load_field(path, key, kind="matrix"):
+    """Field ``key`` of the JSON object in ``path`` as a float array."""
+    try:
+        return _json_field(json.loads(Path(path).read_text()), key, kind)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -118,7 +117,7 @@ def _cmd_tp_dynamics(args) -> int:
         print("warning: delta=0 Leontief trading post may have no pure "
               "equilibrium; dynamics can legitimately fail to converge",
               file=sys.stderr)
-    init = _load_matrix(args.init, "bids") if args.init else None
+    init = _load_field(args.init, "bids") if args.init else None
     report = trading_post.br_dynamics(instance, args.delta, init,
                                       args.max_rounds, args.tol,
                                       record_trajectory=bool(args.stream))
@@ -146,7 +145,7 @@ def _cmd_tp_dynamics(args) -> int:
 
 def _cmd_fisher_outcome(args) -> int:
     instance = load_instance(args.instance)
-    reports = _load_matrix(args.reports, "reports")
+    reports = _load_field(args.reports, "reports")
     outcome = fisher_game.fisher_outcome(instance, reports, args.tol)
     _emit({
         "true_utilities": outcome.true_utilities,
@@ -163,14 +162,13 @@ def _cmd_fisher_outcome(args) -> int:
 def _cmd_verify(args) -> int:
     instance = load_instance(args.instance)
     if args.kind == "tp-ne":
-        bids = _load_matrix(args.payload, "bids")
+        bids = _load_field(args.payload, "bids")
         rep = trading_post.verify_tp_ne(instance, bids, args.delta, args.tol)
         _emit({"max_gain": rep.max_gain, "gains": rep.gains,
                "passed": rep.converged, "note": rep.note}, args.out)
         return 0 if rep.converged else 1
-    doc = json.loads(Path(args.payload).read_text())
-    allocation = np.array(doc["allocation"], dtype=float)
-    prices = np.array(doc["prices"], dtype=float)
+    allocation = _load_field(args.payload, "allocation")
+    prices = _load_field(args.payload, "prices", "vector")
     if args.kind == "kkt":
         if instance.kind == LINEAR:
             rep = eq_solvers.verify_kkt_linear(instance, allocation, prices, args.tol)

@@ -136,11 +136,15 @@ class Instance:
         return doc
 
     @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "Instance":
-        profile = ValuationProfile(doc["kind"], np.array(doc["matrix"], dtype=float),
-                                   doc.get("rho"))
-        return cls(int(doc["n"]), int(doc["m"]),
-                   np.array(doc["budgets"], dtype=float), profile)
+    def from_dict(cls, doc: Any) -> "Instance":
+        """The instance ``to_dict`` wrote.  A document that is not an object,
+        or a field that is missing, null or of the wrong type, raises
+        ValueError (``rho`` may be absent or null)."""
+        n, m = _json_field(doc, "n", "int"), _json_field(doc, "m", "int")
+        rho = None if doc.get("rho") is None else _json_field(doc, "rho", "number")
+        profile = ValuationProfile(_json_field(doc, "kind", "str"),
+                                   _json_field(doc, "matrix", "matrix"), rho)
+        return cls(n, m, _json_field(doc, "budgets", "vector"), profile)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -148,6 +152,45 @@ class Instance:
     @classmethod
     def from_json(cls, text: str) -> "Instance":
         return cls.from_dict(json.loads(text))
+
+
+_JSON_KINDS = {"int": "an integer", "number": "a number", "str": "a string",
+               "vector": "a list of numbers", "matrix": "a list of lists of numbers"}
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _json_field(doc: Any, key: str, kind: str):
+    """Field ``key`` of a parsed JSON document, checked to be of ``kind``.
+
+    ``kind`` is a key of _JSON_KINDS; "vector" and "matrix" fields are
+    returned as float arrays.  A document that is not an object, or a field
+    that is missing, null or of another type, raises ValueError.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, not {type(doc).__name__}")
+    val = doc.get(key)
+    if val is None:
+        raise ValueError(f"field {key!r} is missing or null")
+    if kind == "int":
+        ok = isinstance(val, int) and not isinstance(val, bool)
+    elif kind == "number":
+        ok = _is_number(val)
+    elif kind == "str":
+        ok = isinstance(val, str)
+    else:
+        rows = val if kind == "matrix" and isinstance(val, list) else [val]
+        ok = all(isinstance(row, list) and all(map(_is_number, row)) for row in rows)
+    if not ok:
+        raise ValueError(f"field {key!r} must be {_JSON_KINDS[kind]}")
+    if kind in ("vector", "matrix"):
+        try:  # ragged rows raise ValueError here too
+            return np.array(val, dtype=float)
+        except OverflowError:
+            raise ValueError(f"field {key!r} holds an integer too large for a float") from None
+    return val
 
 
 def make_instance(kind: str, matrix, budgets=None, rho: float | None = None) -> Instance:

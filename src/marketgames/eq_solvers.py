@@ -6,9 +6,11 @@ utilities at given prices, approximate-equilibrium certification, and the
 Leontief primal/dual gap.  Solver iterations are plumbing; the verifiers
 are the ground truth and are kept independent of the solver paths.
 
-Linear and CES markets are solved on the price-space Eisenberg-Gale dual
-min_p sum_j p_j - sum_i B_i log e_i(p), e_i the unit-expenditure function,
-by Newton steps that each solve one m x m system by Cholesky.
+Every kind is solved on the price-space Eisenberg-Gale dual
+min_p sum_j p_j - sum_i B_i log e_i(p), e_i the unit-expenditure function
+(v_i . p for Leontief), by Newton steps that each solve one m x m system by
+Cholesky: an interior point for linear and Leontief markets, damped Newton
+for CES.
 """
 
 from __future__ import annotations
@@ -29,10 +31,7 @@ from .core import (CES, DEFAULT_TOL, LEONTIEF, LINEAR, Instance,
 #: Prices below this fraction of the total budget are reported as zero.
 ZERO_PRICE_FRACTION = 1e-9
 
-#: Floor keeping log(phi) defined inside the Leontief dual iteration.
-PRICE_FLOOR = 1e-12
-
-#: Default cap on the Newton steps of the linear and CES solvers.
+#: Default cap on the Newton steps of every solver.
 MAX_NEWTON_STEPS = 100
 
 #: Duality gap, over the total budget, below which the linear polish runs.
@@ -66,8 +65,7 @@ class KKTReport:
 
 @dataclass(frozen=True)
 class MarketEquilibrium:
-    """A solved equilibrium; ``iterations`` counts Newton steps for the
-    linear and CES solvers and dual iterations for the Leontief solver."""
+    """A solved equilibrium; ``iterations`` counts the solver's Newton steps."""
 
     allocation: np.ndarray
     prices: np.ndarray
@@ -188,6 +186,31 @@ def _newton_factor(d, w, c):
     return cho_factor(np.diag(d) + (w.T * c) @ w, check_finite=False)
 
 
+def _safeguarded_step(point, direction, max_step, merit, merit0, slope, centre,
+                      corrected):
+    """One interior-point step from ``point`` (a tuple of arrays).
+
+    ``direction(r_c)`` is the Newton direction for complementarity target
+    r_c, aligned with ``point``, and ``max_step`` its largest step keeping
+    the point interior; ``slope`` is the merit's rate along the centred
+    direction.  Mehrotra's corrector need not descend (it can cycle), so its
+    step, 0.995 of the way to the boundary, is taken only if it cuts the
+    merit by 1e-4 of ``slope``; else the centred step backtracks until it
+    does.  Returns the new point, or None if neither step descends.
+    """
+    for r_c, backtrack in ((corrected, False), (centre, True)):
+        delta = direction(r_c)
+        alpha = min(1.0, 0.995 * max_step(*delta))
+        while alpha >= 1e-12:
+            trial = tuple(a + alpha * d for a, d in zip(point, delta))
+            if merit(*trial) <= merit0 + 1e-4 * alpha * slope:
+                return trial
+            if not backtrack:
+                break
+            alpha *= 0.5
+    return None
+
+
 def _linear_ipm(v, budgets, max_iter):
     """Interior iterates of the linear EG dual, one per Newton step.
 
@@ -241,39 +264,25 @@ def _linear_ipm(v, budgets, max_iter):
             a = -r_d - (v * t).sum(axis=1)
             dp = cho_solve(fac, w.T @ (a / h) - r_p + t.sum(axis=0), check_finite=False)
             db = (a + w @ dp) / h
-            ds = dp - v * db[:, None]
-            return dp, db, ds, t - d * ds
+            return dp, db, t - d * (dp - v * db[:, None])
 
-        def max_step(db, ds, dx):
+        def max_step(dp, db, dx):
             # largest step keeping beta, s (hence p) and x positive
-            shrink = max(float((-db / beta).max()), float((-ds / s).max()),
+            shrink = max(float((-db / beta).max()),
+                         float((-(dp - v * db[:, None]) / s).max()),
                          float((-dx / np.where(edge, x, 1.0)).max()))
             return 1.0 / shrink if shrink > 0 else math.inf
 
-        dp, db, ds, dx = direction(-xs)
-        a_aff = min(1.0, max_step(db, ds, dx))
+        dp, db, dx = direction(-xs)
+        ds = dp - v * db[:, None]
+        a_aff = min(1.0, max_step(dp, db, dx))
         sigma = (float(((x + a_aff * dx) * (s + a_aff * ds)).sum()) / gap) ** 3
         centre = np.where(edge, sigma * mu - xs, 0.0)
-        # the merit falls at this rate along the Newton direction to centre;
-        # Mehrotra's corrector need not descend (it can cycle), so its step
-        # must cut the merit by 1e-4 of this, else the plain step backtracks
-        merit0 = merit(p, beta, x)
+        # the merit falls at this rate along the Newton direction to centre
         slope = -(1.0 - sigma) * gap - float(((beta * u - b) ** 2 / (beta * u)).sum())
-        corrected = centre - np.where(edge, dx * ds, 0.0)
-        step = None
-        for r_c, backtrack in ((corrected, False), (centre, True)):
-            dp, db, ds, dx = direction(r_c)
-            alpha = min(1.0, 0.995 * max_step(db, ds, dx))
-            while alpha >= 1e-12:
-                trial = p + alpha * dp, beta + alpha * db, x + alpha * dx
-                if merit(*trial) <= merit0 + 1e-4 * alpha * slope:
-                    step = trial
-                    break
-                if not backtrack:
-                    break
-                alpha *= 0.5
-            if step is not None:
-                break
+        step = _safeguarded_step((p, beta, x), direction, max_step, merit,
+                                 merit(p, beta, x), slope, centre,
+                                 centre - np.where(edge, dx * ds, 0.0))
         if step is None:
             return
         p, beta, x = step
@@ -425,97 +434,78 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
 
 
 # ---------------------------------------------------------------------------
-# Leontief solver: projected gradient on the price-space dual
-
-
-def _leontief_dual_value(v, budgets, p):
-    phi = v @ p
-    return float(p.sum() - np.dot(budgets, np.log(phi)))
+# Leontief solver: interior point on the price-space dual
 
 
 def solve_leontief_dual(instance: Instance, tol: float = DEFAULT_TOL,
-                        max_iter: int = 5000) -> MarketEquilibrium:
-    """Leontief equilibrium from the dual min sum_j p_j - sum_i B_i log phi_i(p).
+                        max_iter: int = MAX_NEWTON_STEPS) -> MarketEquilibrium:
+    """Leontief equilibrium by an interior point on the price dual.
 
-    Projected gradient with backtracking, with a Newton step attempted every
-    few iterations (the Hessian is m x m and cheap at desk scale).  Prices are
-    floored at PRICE_FLOOR to keep the log defined; the primal is recovered
-    as u_i = B_i / phi_i(p), x_ij = u_i v_ij.
+    The dual is min sum_j p_j - sum_i B_i log phi_i(p), phi_i(p) = v_i . p,
+    over p >= 0.  Mehrotra's predictor-corrector drives p_j z_j to zero,
+    z = 1 - V^T (B / phi) the dual gradient, under the merit sum |g - z| +
+    sum p z; each direction is one m x m Cholesky solve.  After each of at
+    most ``max_iter`` Newton steps (``iterations``), prices below
+    ZERO_PRICE_FRACTION of the budget are cut to zero and u_i = B_i /
+    phi_i(p), x_ij = u_i v_ij read off the rest.  The solve stops once
+    ``verify_kkt_leontief`` passes that point at min(1e-10, tol / 100), a
+    margin below tol; converged means it passes at ``tol``.
     """
     if instance.kind != LEONTIEF:
         raise ValueError("solve_leontief_dual requires Leontief valuations")
     kept, dropped = _drop_undemanded(instance.matrix)
     v = instance.matrix[:, kept]
-    budgets = instance.budgets
     total = instance.total_budget
-    m = v.shape[1]
+    b = instance.budgets / total
+    margin = min(1e-10, 0.01 * tol)
 
-    p = np.full(m, total / m)
-    fval = _leontief_dual_value(v, budgets, p)
-    eta = 1.0
-    rtol = min(1e-10, 0.01 * tol) / max(1.0, total)
-    it = 0
-    converged = False
-    best_p, best_r, best_it = p.copy(), math.inf, 0
-    for it in range(1, max_iter + 1):
+    def merit(p, z):
+        return float(np.abs(1.0 - v.T @ (b / (v @ p)) - z).sum() + p @ z)
+
+    p = b @ (v / v.sum(axis=1, keepdims=True))
+    z = np.ones_like(p)
+    for it in range(max_iter + 1):
+        cut = np.where(p <= ZERO_PRICE_FRACTION, 0.0, p)
+        if not (v @ cut > 0).all():
+            cut = p
+        u = b / (v @ cut)
+        x_full, p_full = _embed(instance, kept, u[:, None] * v, cut * total)
+        # goods' excess supply; small enough, the verifier is worth running
+        excess = 1.0 - u @ v
+        cheap = max(float(np.abs(excess[cut > 0]).max(initial=0.0)), float(-excess.min()))
+        if (cheap <= margin and verify_kkt_leontief(instance, x_full, p_full, margin).passed
+                or it == max_iter):
+            break
         phi = v @ p
-        g = 1.0 - v.T @ (budgets / phi)
-        resid = np.where(p > PRICE_FLOOR * 1.01, g, np.minimum(g, 0.0))
-        rnorm = float(np.abs(resid).max())
-        if rnorm < best_r:
-            best_p, best_r, best_it = p.copy(), rnorm, it
-        if rnorm <= rtol:
-            converged = True
-            break
-        if it - best_it >= 60:
-            # residual floor reached (flat dual directions); keep best iterate
+        r_d, pz = 1.0 - v.T @ (b / phi) - z, p * z
+        gap = float(pz.sum())
+        try:
+            fac = _newton_factor(z / p, v, b / phi**2)
+        except np.linalg.LinAlgError:
             break
 
-        stepped = False
-        if it % 3 == 1:
-            active = (p > PRICE_FLOOR * 1.01) | (g < 0)
-            if active.any():
-                va = v[:, active]
-                h = va.T @ (va * (budgets / phi**2)[:, None])
-                try:
-                    d_act = np.linalg.solve(h, -g[active])
-                except np.linalg.LinAlgError:
-                    d_act = np.linalg.lstsq(h, -g[active], rcond=None)[0]
-                d = np.zeros(m)
-                d[active] = d_act
-                t = 1.0
-                for _ in range(25):
-                    cand = np.maximum(p + t * d, PRICE_FLOOR)
-                    fc = _leontief_dual_value(v, budgets, cand)
-                    if fc < fval - 1e-14 * abs(fval):
-                        p, fval, stepped = cand, fc, True
-                        break
-                    t *= 0.5
-        if not stepped:
-            while True:
-                cand = np.maximum(p - eta * g, PRICE_FLOOR)
-                fc = _leontief_dual_value(v, budgets, cand)
-                if fc <= fval + 1e-4 * float(g @ (cand - p)):
-                    p, fval = cand, fc
-                    eta = min(eta * 1.5, 1e8)
-                    break
-                eta *= 0.5
-                if eta < 1e-18:
-                    break
-            if eta < 1e-18:
-                break
+        def direction(r_c):
+            dp = cho_solve(fac, r_c / p - r_d, check_finite=False)
+            return dp, (r_c - z * dp) / p
 
-    p = best_p
-    phi = v @ p
-    u = budgets / phi
-    x = u[:, None] * v
-    zero = p <= ZERO_PRICE_FRACTION * total
-    p_out = np.where(zero, 0.0, p)
+        def max_step(dp, dz):
+            shrink = max(float((-dp / p).max()), float((-dz / z).max()))
+            return 1.0 / shrink if shrink > 0 else math.inf
 
-    x_full, p_full = _embed(instance, kept, x, p_out)
+        dp, dz = direction(-pz)
+        a_aff = min(1.0, max_step(dp, dz))
+        sigma = (float((p + a_aff * dp) @ (z + a_aff * dz)) / gap) ** 3
+        centre = sigma * gap / p.size - pz
+        r_norm = float(np.abs(r_d).sum())
+        step = _safeguarded_step((p, z), direction, max_step, merit, r_norm + gap,
+                                 -r_norm - (1.0 - sigma) * gap, centre, centre - dp * dz)
+        if step is None:
+            break
+        p, z = step
+
     report = verify_kkt_leontief(instance, x_full, p_full, tol)
     return MarketEquilibrium(_readonly(x_full), _readonly(p_full), _readonly(u),
-                             report.residuals, it, converged or report.passed, dropped)
+                             report.residuals, it, report.passed, dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -597,15 +587,16 @@ def solve_eg(instance: Instance, tol: float = DEFAULT_TOL,
 
     This is the one Eisenberg-Gale solve path; the Fisher game solves its
     reported markets through it too.  ``max_iter`` caps the Newton steps of
-    the linear and CES solvers (default ``MAX_NEWTON_STEPS``) and the
-    Leontief dual's iterations (default 5000).  ``init_bids`` selects among
-    tied linear equilibria; the other kinds have unique ones and ignore it.
+    every solver (default ``MAX_NEWTON_STEPS``), and ``iterations`` counts
+    them.  ``init_bids`` selects among tied linear equilibria; the other
+    kinds ignore it.
     """
+    max_iter = max_iter or MAX_NEWTON_STEPS
     if instance.kind == LINEAR:
-        return solve_linear_eg(instance, tol, max_iter or MAX_NEWTON_STEPS, init_bids)
+        return solve_linear_eg(instance, tol, max_iter, init_bids)
     if instance.kind == LEONTIEF:
-        return solve_leontief_dual(instance, tol, max_iter or 5000)
-    return solve_ces_eg(instance, tol, max_iter or MAX_NEWTON_STEPS)
+        return solve_leontief_dual(instance, tol, max_iter)
+    return solve_ces_eg(instance, tol, max_iter)
 
 
 # ---------------------------------------------------------------------------

@@ -178,8 +178,8 @@ def fisher_ne_falsify(instance: Instance, reports, trials: int = 100,
     deviations of the lower-bound analysis expressed in report space), and
     seeded random deviations (log-uniform coordinate rescalings in
     ``scales`` and sparsified reports).  A max gain at or below tolerance is
-    evidence of equilibrium, not proof.  Solver failures on a deviation are
-    skipped and counted.
+    evidence of equilibrium, not proof.  A deviation whose solve raised or
+    did not converge is counted in ``failures`` and its gain left out.
     """
     base_reports = _check_reports(instance, reports)
     base = fisher_outcome(instance, reports, tol, init_spending=init_spending)
@@ -222,6 +222,8 @@ def fisher_ne_falsify(instance: Instance, reports, trials: int = 100,
             try:
                 out = fisher_outcome(instance, profile, tol)
             except (ValueError, FloatingPointError):
+                out = None
+            if out is None or not out.equilibrium.converged:
                 failures += 1
                 continue
             best = max(best, float(out.true_utilities[i] - base.true_utilities[i]))

@@ -248,6 +248,8 @@ def _run_single(config: ExperimentConfig, instance_id: str, instance: Instance,
     opt = solve_eg(instance, config.tol)
     nsw_opt = nsw(opt.utilities, instance.budgets)
     eps_market = float("nan")
+    failures = [] if opt.converged else [
+        f"optimum did not converge (worst residual {opt.residuals.worst:.3g})"]
 
     if config.mechanism == "fisher":
         if instance.kind != LEONTIEF:
@@ -260,6 +262,8 @@ def _run_single(config: ExperimentConfig, instance_id: str, instance: Instance,
             rep = fisher_ne_falsify(instance, reports, config.certify_trials,
                                     seed=config.seed, tol=config.tol)
             eps_br = rep.max_gain
+            if rep.failures:
+                failures.append(f"falsifier skipped {rep.failures} failed solves")
         allocation = outcome.equilibrium.allocation
         slack = np.zeros(instance.n)
     else:
@@ -281,11 +285,9 @@ def _run_single(config: ExperimentConfig, instance_id: str, instance: Instance,
         slack = np.minimum(config.delta * (instance.m - 1) / instance.budgets, 1.0)
 
     prop = proportionality_check(instance, allocation, slack, tol=1e-7)
-    failure = ("" if opt.converged else
-               f"optimum did not converge (worst residual {opt.residuals.worst:.3g})")
     return PoARecord(instance_id, config.mechanism, config.delta, nsw_opt, nsw_eq,
                      poa_ratio(nsw_opt, nsw_eq), eps_br, eps_market,
-                     prop.all_pass, time.perf_counter() - t0, failure)
+                     prop.all_pass, time.perf_counter() - t0, "; ".join(failures))
 
 
 def records_to_csv(records, path) -> None:

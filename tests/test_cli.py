@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import marketgames as mg
 from marketgames.cli import main
@@ -138,3 +140,47 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+VALID = {"n": 2, "m": 2, "budgets": [1.0, 2.0], "kind": "linear",
+         "matrix": [[1.0, 0.5], [0.5, 1.0]]}
+not_int = json_values.filter(lambda x: type(x) is not int)
+not_number_list = json_values.filter(lambda x: not isinstance(x, list)) | st.lists(
+    st.none() | st.text(max_size=4) | st.dictionaries(st.text(max_size=4), st.none()),
+    min_size=1, max_size=3)
+WRONG = {"n": not_int, "m": not_int, "budgets": not_number_list,
+         "matrix": not_number_list,
+         "kind": json_values.filter(lambda x: x not in ("linear", "leontief"))}
+
+
+@st.composite
+def malformed_documents(draw):
+    """A JSON value that is not an instance: any value but an object, an
+    object without the instance fields, or a valid instance with one field
+    dropped, null or of the wrong type (for linear, any non-null rho)."""
+    if draw(st.booleans()):
+        return draw(json_values)
+    doc = dict(VALID)
+    key = draw(st.sampled_from(sorted(WRONG) + ["rho"]))
+    if key == "rho":
+        doc[key] = draw(json_values.filter(lambda x: x is not None))
+        return doc
+    how = draw(st.sampled_from(["drop", "null", "wrong"]))
+    if how == "drop":
+        del doc[key]
+    else:
+        doc[key] = None if how == "null" else draw(WRONG[key])
+    return doc
+
+
+@given(malformed_documents())
+@settings(max_examples=200, deadline=None)
+def test_malformed_instance_json_exits_2(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve-eg", str(path)]) == 2

@@ -193,3 +193,26 @@ def test_instance_immutability():
         inst.matrix[0, 0] = 2.0
     with pytest.raises(ValueError):
         inst.budgets[0] = 2.0
+
+
+positive = st.floats(0.0, 1e300, exclude_min=True)
+
+
+@given(st.sampled_from(["linear", "leontief", "ces"]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_instance_json_round_trip_is_exact(kind, data):
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    v = np.array(data.draw(st.lists(st.lists(st.one_of(st.just(0.0), positive),
+                                             min_size=m, max_size=m),
+                                    min_size=n, max_size=n)))
+    v[~(v > 0).any(axis=1), 0] = 1.0
+    budgets = data.draw(st.lists(positive, min_size=n, max_size=n))
+    rho = None
+    if kind == "ces":
+        rho = data.draw(st.floats(-1e300, 1.0).filter(lambda r: r != 0.0))
+    inst = mg.make_instance(kind, v, budgets, rho)
+    again = mg.Instance.from_json(inst.to_json())
+    assert (again.kind, again.n, again.m) == (inst.kind, inst.n, inst.m)
+    assert np.array_equal(again.matrix, inst.matrix)
+    assert np.array_equal(again.budgets, inst.budgets)
+    assert again.valuations.rho == inst.valuations.rho

@@ -72,6 +72,17 @@ def test_leontief_identity_nsw_is_optimal():
     assert mg.nsw(eq.utilities, inst.budgets) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("n, m, seed, tol", [(50, 50, 1, 1e-8), (50, 50, 3, 1e-8),
+                                              (6, 5, 1, 1e-8), (6, 5, 1, 1e-9)])
+def test_leontief_verified_where_gradient_dual_stalled(n, m, seed, tol):
+    # a projected-gradient dual stopped short of tol on each of these
+    inst = mg.gen_random(n, m, "leontief", seed=seed)
+    eq = mg.solve_leontief_dual(inst, tol)
+    assert eq.converged
+    assert mg.verify_kkt_leontief(inst, eq.allocation, eq.prices, tol).passed
+    assert eq.iterations <= 20
+
+
 def test_solver_market_invariants():
     for seed in range(4):
         inst = mg.gen_random(4, 3, "linear", seed=seed)
@@ -159,22 +170,25 @@ def test_ces_rho_one_matches_linear_solver():
 
 
 @st.composite
-def eg_markets(draw):
-    """Linear (rho = 1) and CES markets with n, m <= 6."""
+def eg_markets(draw, leontief=False):
+    """Linear (rho = 1), CES and, if ``leontief``, Leontief markets with
+    n, m <= 6."""
     n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    rho = draw(st.sampled_from([1.0, 0.5, -1.0, -3.0]))
+    rho = draw(st.sampled_from([1.0, 0.5, -1.0, -3.0] + ([None] if leontief else [])))
     entry = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
     v = np.array(draw(st.lists(st.lists(entry, min_size=m, max_size=m),
                                min_size=n, max_size=n)))
     for i in np.nonzero(~(v > 0).any(axis=1))[0]:
         v[i, draw(st.integers(0, m - 1))] = 1.0
     budgets = draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
+    if rho is None:
+        return mg.make_instance("leontief", v, budgets)
     if rho == 1.0:
         return mg.make_instance("linear", v, budgets)
     return mg.make_instance("ces", v, budgets, rho=rho)
 
 
-@given(eg_markets())
+@given(eg_markets(leontief=True))
 # agent 1 splits its budget at the equilibrium; Mehrotra steps alone cycle here
 @example(mg.make_instance("linear", [[1.0, 0.0], [1.0625, 1.75], [0.0, 1.0], [0.0, 1.0],
                                      [1.0, 0.0], [0.25, 1.0]], [4.0, 1.0, 3.0, 5.0, 2.5, 3.0]))
@@ -184,6 +198,8 @@ def test_converged_solves_pass_their_verifier(inst):
     assert eq.converged
     if inst.kind == "linear":
         assert mg.verify_kkt_linear(inst, eq.allocation, eq.prices).passed
+    elif inst.kind == "leontief":
+        assert mg.verify_kkt_leontief(inst, eq.allocation, eq.prices).passed
     else:
         assert mg.verify_eps_market_eq(inst, eq.allocation, eq.prices, eps=1e-6).passed
 
@@ -197,7 +213,7 @@ def test_budget_scaling_scales_prices(inst, c):
     assert np.abs(scaled.utilities - eq.utilities).max() <= 1e-8
 
 
-@given(eg_markets(), st.data())
+@given(eg_markets(leontief=True), st.data())
 @settings(max_examples=100, deadline=None)
 def test_poa_ratio_at_least_one_against_converged_optimum(inst, data):
     # no feasible allocation has more NSW than a converged EG optimum

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import marketgames as mg
+from marketgames import fisher_game
+from marketgames.instance_lab import ExperimentConfig, run_experiment
 
 
 def test_fisher_outcome_truthful_example_31():
@@ -157,3 +161,33 @@ def test_certified_linear_equilibria_lose_at_most_factor_two():
         opt = mg.solve_linear_eg(inst, 1e-8)
         ratio = mg.poa_ratio(mg.nsw(opt.utilities, inst.budgets), out.nsw)
         assert ratio <= 2 + 1e-2
+
+
+def test_falsifier_counts_unconverged_deviation(monkeypatch):
+    # the fifth solve (a deviation of agent 0) comes back unconverged and
+    # handing that agent everything: a failure, not a gain, in the falsifier
+    # and in the PoA row it certifies
+    real = fisher_game.solve_eg
+    calls = []
+
+    def flaky(instance, *args, **kwargs):
+        eq = real(instance, *args, **kwargs)
+        calls.append(instance)
+        if len(calls) == 5:
+            return dataclasses.replace(eq, allocation=np.ones_like(eq.allocation),
+                                       converged=False)
+        return eq
+
+    monkeypatch.setattr(fisher_game, "solve_eg", flaky)
+    inst = mg.gen_identity_leontief(3)
+    reports, _ = mg.uniform_leontief_ne(inst)  # the first solve
+    rep = mg.fisher_ne_falsify(inst, reports, trials=10, seed=0)
+    assert rep.failures == 1
+    assert rep.max_gain <= 1e-6
+
+    calls.clear()
+    rec = run_experiment(ExperimentConfig(source="identity-leontief", mechanism="fisher",
+                                          n=3, certify_trials=10))[0]
+    assert rec.failure == "falsifier skipped 1 failed solves"
+    assert rec.ratio == pytest.approx(3.0, abs=1e-8)
+    assert rec.eps_br <= 1e-6
