@@ -4,7 +4,8 @@ Verbs: solve-eg, tp-dynamics, fisher-outcome, verify, poa, and reproduce
 (named worked examples).  Reports are flat key-value documents with fixed
 12-significant-digit formatting so identical invocations are byte-identical;
 experiment batches additionally write the PoA CSV.  Exit codes: 0 success,
-1 verification failure, 2 usage or input error.
+1 verification failure or an unconverged solve or dynamics, 2 usage or
+input error.
 """
 
 from __future__ import annotations
@@ -20,23 +21,32 @@ from .instance_lab import (ExperimentConfig, PoARecord, format_value,
                            load_instance, records_to_csv, run_experiment,
                            write_report)
 
+
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="marketgames")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p):
         p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--max-iter", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("solve-eg", help="solve the Eisenberg-Gale equilibrium")
     p.add_argument("instance")
+    p.add_argument("--max-iter", type=_positive_int, default=eq_solvers.MAX_NEWTON_STEPS)
     common(p)
 
     p = sub.add_parser("tp-dynamics", help="run round-robin best-response dynamics")
     p.add_argument("instance")
     p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--max-rounds", type=int, default=2000)
+    p.add_argument("--max-rounds", type=_positive_int, default=2000)
     p.add_argument("--init", type=str, default=None, help="bids JSON file")
     p.add_argument("--stream", type=str, default=None,
                    help="write one CSV row per round")
@@ -62,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="trading-post")
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-rounds", type=int, default=2000)
+    p.add_argument("--max-rounds", type=_positive_int, default=2000)
     common(p)
 
     p = sub.add_parser("reproduce", help="rebuild a named construction")
@@ -118,15 +128,16 @@ def _cmd_tp_dynamics(args) -> int:
               "equilibrium; dynamics can legitimately fail to converge",
               file=sys.stderr)
     init = _load_field(args.init, "bids") if args.init else None
+    rows: list = []
+    trace = (lambda *row: rows.append(row)) if args.stream else None
     report = trading_post.br_dynamics(instance, args.delta, init,
-                                      args.max_rounds, args.tol,
-                                      record_trajectory=bool(args.stream))
+                                      args.max_rounds, args.tol, trace)
     if args.stream:
         with open(args.stream, "w") as fh:
             fh.write("round,max_change," +
                      ",".join(f"u{i}" for i in range(instance.n)) + "\n")
-            for row in report.trajectory_tail:
-                rnd, change, utils = row
+            for rnd, change, bids in rows:
+                utils = instance.utilities(trading_post.tp_allocate(bids, args.delta))
                 fh.write(f"{rnd},{format_value(change)},"
                          + ",".join(format_value(u) for u in utils) + "\n")
     _emit({
@@ -140,7 +151,7 @@ def _cmd_tp_dynamics(args) -> int:
         "bids": report.bids,
         "note": report.note,
     }, args.out)
-    return 0
+    return 0 if report.converged else 1
 
 
 def _cmd_fisher_outcome(args) -> int:
@@ -156,7 +167,7 @@ def _cmd_fisher_outcome(args) -> int:
         "flagged_agents": list(outcome.flagged_agents),
         "converged": outcome.equilibrium.converged,
     }, args.out)
-    return 0
+    return 0 if outcome.equilibrium.converged else 1
 
 
 def _cmd_verify(args) -> int:

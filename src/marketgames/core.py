@@ -113,9 +113,6 @@ class Instance:
         """True when every good is positively valued by at least two agents."""
         return bool(((self.matrix > 0).sum(axis=0) >= 2).all())
 
-    def utility(self, agent: int, bundle: np.ndarray) -> float:
-        return eval_valuation(self.valuations, agent, bundle)
-
     def utilities(self, allocation: np.ndarray) -> np.ndarray:
         return eval_valuation_matrix(self.valuations, np.asarray(allocation, dtype=float))
 
@@ -154,12 +151,15 @@ class Instance:
         return cls.from_dict(json.loads(text))
 
 
-_JSON_KINDS = {"int": "an integer", "number": "a number", "str": "a string",
-               "vector": "a list of numbers", "matrix": "a list of lists of numbers"}
+_JSON_KINDS = {"int": "an integer", "number": "a finite number", "str": "a string",
+               "vector": "a list of finite numbers",
+               "matrix": "a list of lists of finite numbers"}
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    # json parses NaN, Infinity and -Infinity as floats
+    return (isinstance(x, int) and not isinstance(x, bool)
+            or isinstance(x, float) and math.isfinite(x))
 
 
 def _json_field(doc: Any, key: str, kind: str):
@@ -167,7 +167,8 @@ def _json_field(doc: Any, key: str, kind: str):
 
     ``kind`` is a key of _JSON_KINDS; "vector" and "matrix" fields are
     returned as float arrays.  A document that is not an object, or a field
-    that is missing, null or of another type, raises ValueError.
+    that is missing, null, of another type or holds NaN or an infinity,
+    raises ValueError.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object, not {type(doc).__name__}")
@@ -276,8 +277,8 @@ def nsw(utilities: np.ndarray, budgets: np.ndarray) -> float:
     return float(np.exp(np.dot(b, np.log(u)) / b.sum()))
 
 
-def poa_ratio(opt_nsw: float, eq_nsw: float, tol: float = DEFAULT_TOL) -> float:
-    """Optimal NSW over equilibrium NSW; clamped to 1 for sub-tolerance dips."""
+def poa_ratio(opt_nsw: float, eq_nsw: float) -> float:
+    """Optimal NSW over equilibrium NSW; clamped to 1 for dips within DEFAULT_TOL."""
     if opt_nsw <= 0:
         raise ValueError("optimal NSW must be positive")
     if eq_nsw == 0:
@@ -285,7 +286,7 @@ def poa_ratio(opt_nsw: float, eq_nsw: float, tol: float = DEFAULT_TOL) -> float:
     if eq_nsw < 0:
         raise ValueError("equilibrium NSW must be non-negative")
     ratio = opt_nsw / eq_nsw
-    if 1.0 - tol <= ratio < 1.0:
+    if 1.0 - DEFAULT_TOL <= ratio < 1.0:
         return 1.0
     return ratio
 

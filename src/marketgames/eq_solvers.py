@@ -43,7 +43,8 @@ class Residuals:
     """Named equilibrium residuals; all non-negative, smaller is better.
 
     stationarity and complementarity are relative / dimensionless, budget and
-    clearing are in money and supply units respectively.
+    clearing are in money and supply units respectively.  A NaN residual
+    makes ``worst`` NaN, which passes no tolerance.
     """
 
     stationarity: float
@@ -53,14 +54,14 @@ class Residuals:
 
     @property
     def worst(self) -> float:
-        return max(self.stationarity, self.complementarity, self.budget, self.clearing)
+        return float(np.max((self.stationarity, self.complementarity, self.budget,
+                             self.clearing)))
 
 
 @dataclass(frozen=True)
 class KKTReport:
     residuals: Residuals
     passed: bool
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -101,17 +102,17 @@ def _market_residuals(budgets, allocation, prices, tol):
     ptol = tol * max(1.0, float(prices.sum()))
     priced = prices > ptol
     unsold = float(np.abs(colsum[priced] - 1.0).max()) if priced.any() else 0.0
-    clearing = max(oversell, unsold)
+    clearing = float(np.maximum(oversell, unsold))  # NaN propagates
     complementarity = float((prices * np.maximum(1.0 - colsum, 0.0)).max())
     return budget, clearing, complementarity
 
 
 def verify_kkt_linear(instance: Instance, allocation, prices,
-                      tol: float = DEFAULT_TOL, act_tol: float = 1e-9) -> KKTReport:
+                      tol: float = DEFAULT_TOL) -> KKTReport:
     """Check the linear-market optimality conditions at (allocation, prices).
 
     Stationarity is the worst relative bang-per-buck shortfall over goods the
-    agent actually buys (entries above act_tol); budget and clearing residuals
+    agent actually buys (entries above 1e-9); budget and clearing residuals
     are absolute.  Passing means every residual is at most tol.
     """
     if instance.kind != LINEAR:
@@ -122,7 +123,7 @@ def verify_kkt_linear(instance: Instance, allocation, prices,
     with np.errstate(divide="ignore", invalid="ignore"):
         bpb = np.where(v > 0, v / np.where(p > 0, p, 0.0), 0.0)
     alpha = bpb.max(axis=1)
-    active = x > act_tol
+    active = x > 1e-9
     rel = np.zeros_like(x)
     for i in range(instance.n):
         if not active[i].any():
@@ -135,7 +136,7 @@ def verify_kkt_linear(instance: Instance, allocation, prices,
     stationarity = float(rel.max()) if x.size else 0.0
     budget, clearing, complementarity = _market_residuals(instance.budgets, x, p, tol)
     res = Residuals(stationarity, complementarity, budget, clearing)
-    return KKTReport(res, res.worst <= tol, tol)
+    return KKTReport(res, res.worst <= tol)
 
 
 def verify_kkt_leontief(instance: Instance, allocation, prices,
@@ -152,13 +153,12 @@ def verify_kkt_leontief(instance: Instance, allocation, prices,
         stationarity = math.inf
     else:
         u_star = instance.budgets / phi
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(v > 0, x / np.where(v > 0, v, 1.0), np.nan)
+        ratios = x / np.where(v > 0, v, 1.0)
         dev = np.abs(ratios - u_star[:, None]) / np.maximum(u_star[:, None], 1e-300)
-        stationarity = float(np.nanmax(np.where(v > 0, dev, 0.0)))
+        stationarity = float(np.where(v > 0, dev, 0.0).max())
     budget, clearing, complementarity = _market_residuals(instance.budgets, x, p, tol)
     res = Residuals(stationarity, complementarity, budget, clearing)
-    return KKTReport(res, res.worst <= tol, tol)
+    return KKTReport(res, res.worst <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +299,17 @@ def _linear_ipm(v, budgets, max_iter):
         yield p * total, x, theta
 
 
-def _linear_structure_polish(v, budgets, prices, x, theta, init, tried):
+def _linear_structure_polish(v, budgets, prices, start, theta, tried):
     """Try to read off the exact equilibrium from the near-converged iterate.
 
     Propagates exact log-prices (ties are exact in the valuation data) over
     a minimum spanning forest of the bang-per-buck graph at relative
     tolerance theta; edges that disagree with them are dropped.  The
     spending on the kept edges is the least-squares correction of the
-    iterate's own spending x_ij p_j onto the budget and clearing equations.
-    An LP finds it instead when that correction has a negative entry, or
-    when ``init`` is given: then the spending closest in L1 to ``init`` is
-    returned (this selects among tied equilibria).  Returns (allocation,
-    prices) or None; the caller verifies it.  ``tried`` holds the edge sets
-    already solved, which are not solved twice.
+    spending matrix ``start`` onto the budget and clearing equations, or a
+    feasible LP vertex when that correction has a negative entry.  Returns
+    (allocation, prices) or None; the caller verifies it.  ``tried`` holds
+    the edge sets already solved, which are not solved twice.
     """
     n, m = v.shape
     bpb = v / prices  # interior prices are positive
@@ -364,29 +362,19 @@ def _linear_structure_polish(v, budgets, prices, x, theta, init, tried):
     cols = np.r_[np.arange(nnz), np.nonzero(cleared)[0]]
     scale = np.r_[1.0 / budgets[ii], 1.0 / p_hat[jj[cleared]]]
     a_eq = sparse.coo_matrix((scale, (rows, cols)), shape=(r, nnz)).tocsr()
+    # s = s0 + A^T y with A A^T y = 1 - A s0; A A^T is the kept graph's
+    # signless Laplacian, scaled, nonsingular with those rows dropped
+    s0 = start[ii, jj]
+    y = spsolve(a_eq @ a_eq.T, 1.0 - a_eq @ s0)
+    s = s0 + a_eq.T @ y
+    if not (s >= 0).all():
+        res = linprog(np.zeros(nnz), A_eq=a_eq, b_eq=np.ones(r), bounds=(0, None),
+                      method="highs")
+        if not res.success:
+            return None
+        s = np.maximum(res.x, 0.0)
     spend = np.zeros((n, m))
-    if init is None:
-        # s = s0 + A^T y with A A^T y = 1 - A s0; A A^T is the kept graph's
-        # signless Laplacian, scaled, nonsingular with those rows dropped
-        s0 = x[ii, jj] * prices[jj]
-        y = spsolve(a_eq @ a_eq.T, 1.0 - a_eq @ s0)
-        s = s0 + a_eq.T @ y
-        if (s >= 0).all():
-            spend[ii, jj] = s
-            return spend / p_hat, p_hat
-    cost, a_ub, b_ub = np.zeros(nnz), None, None
-    if init is not None:
-        # min sum_e t_e with t_e >= |spend_e - init_e|
-        eye = sparse.identity(nnz, format="csr")
-        a_eq = sparse.hstack([a_eq, sparse.csr_matrix((r, nnz))])
-        a_ub = sparse.vstack([sparse.hstack([eye, -eye]), sparse.hstack([-eye, -eye])])
-        b_ub = np.r_[init[ii, jj], -init[ii, jj]]
-        cost = np.r_[cost, np.ones(nnz)]
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(r),
-                  bounds=(0, None), method="highs")
-    if not res.success:
-        return None
-    spend[ii, jj] = np.maximum(res.x[:nnz], 0.0)
+    spend[ii, jj] = s
     return spend / p_hat, p_hat
 
 
@@ -398,10 +386,10 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
     The iterates of at most ``max_iter`` Newton steps (``iterations``) go to
     ``_linear_structure_polish``; the first candidate ``verify_kkt_linear``
     passes is returned, else the last iterate, converged if that passes.
-    ``init_bids`` is a spending matrix: of tied equilibria, the one closest
-    to it in L1 is returned.  Without it, the tie is the least-squares
-    correction of the interior iterate's spending, or an LP vertex where that
-    correction has a negative entry.
+    Among tied equilibria the polish returns the spending closest in least
+    squares to ``init_bids`` (a spending matrix) or, without it, to the
+    interior iterate's spending x_ij p_j; where that projection has a
+    negative entry, a feasible LP vertex instead.
     """
     if instance.kind != LINEAR:
         raise ValueError("solve_linear_eg requires linear valuations")
@@ -419,7 +407,8 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
     for it, (p, x, theta) in enumerate(_linear_ipm(v, budgets, max_iter), 1):
         if theta is None:
             continue
-        polished = _linear_structure_polish(v, budgets, p, x, theta, init, tried)
+        start = x * p if init is None else init
+        polished = _linear_structure_polish(v, budgets, p, start, theta, tried)
         if polished is not None:
             x_full, p_full = _embed(instance, kept, *polished)
             report = verify_kkt_linear(instance, x_full, p_full, tol)
@@ -448,8 +437,10 @@ def solve_leontief_dual(instance: Instance, tol: float = DEFAULT_TOL,
     most ``max_iter`` Newton steps (``iterations``), prices below
     ZERO_PRICE_FRACTION of the budget are cut to zero and u_i = B_i /
     phi_i(p), x_ij = u_i v_ij read off the rest.  The solve stops once
-    ``verify_kkt_leontief`` passes that point at min(1e-10, tol / 100), a
-    margin below tol; converged means it passes at ``tol``.
+    ``verify_kkt_leontief`` passes that point at a margin below tol:
+    min(1e-10, tol / 100), raised to the rounding of the total budget's
+    spending (64 machine epsilons of it, since the budget residual is in
+    money) but never above tol.  Converged means it passes at ``tol``.
     """
     if instance.kind != LEONTIEF:
         raise ValueError("solve_leontief_dual requires Leontief valuations")
@@ -457,7 +448,7 @@ def solve_leontief_dual(instance: Instance, tol: float = DEFAULT_TOL,
     v = instance.matrix[:, kept]
     total = instance.total_budget
     b = instance.budgets / total
-    margin = min(1e-10, 0.01 * tol)
+    margin = min(tol, max(min(1e-10, 0.01 * tol), 64 * np.finfo(float).eps * total))
 
     def merit(p, z):
         return float(np.abs(1.0 - v.T @ (b / (v @ p)) - z).sum() + p @ z)
@@ -582,16 +573,15 @@ def solve_ces_eg(instance: Instance, tol: float = DEFAULT_TOL,
 
 
 def solve_eg(instance: Instance, tol: float = DEFAULT_TOL,
-             max_iter: int | None = None, init_bids=None) -> MarketEquilibrium:
+             max_iter: int = MAX_NEWTON_STEPS, init_bids=None) -> MarketEquilibrium:
     """Dispatch to the solver matching the instance's valuation kind.
 
     This is the one Eisenberg-Gale solve path; the Fisher game solves its
     reported markets through it too.  ``max_iter`` caps the Newton steps of
-    every solver (default ``MAX_NEWTON_STEPS``), and ``iterations`` counts
-    them.  ``init_bids`` selects among tied linear equilibria; the other
-    kinds ignore it.
+    every solver, and ``iterations`` counts them.  ``init_bids`` selects
+    among tied linear equilibria (see ``solve_linear_eg``); the other kinds
+    ignore it.
     """
-    max_iter = max_iter or MAX_NEWTON_STEPS
     if instance.kind == LINEAR:
         return solve_linear_eg(instance, tol, max_iter, init_bids)
     if instance.kind == LEONTIEF:
@@ -604,14 +594,14 @@ def solve_eg(instance: Instance, tol: float = DEFAULT_TOL,
 
 
 def optimal_bundle_utility(profile: ValuationProfile, agent: int, budget: float,
-                           prices, tol: float = DEFAULT_TOL) -> float:
+                           prices) -> float:
     """Best utility the agent can afford at the given prices.
 
     This is the unconstrained-supply demand value: the bundle may exceed one
     unit of a good, exactly as the approximate-equilibrium definition
     requires.  A demanded good priced at zero makes the value infinite
     (reported as math.inf rather than raising).  Every kind has a closed
-    form, so ``tol`` is not used.
+    form.
     """
     p = np.asarray(prices, dtype=float)
     values = profile.matrix[agent]
@@ -648,17 +638,12 @@ def verify_eps_market_eq(instance: Instance, allocation, prices, eps: float,
     """
     x = np.asarray(allocation, dtype=float)
     p = np.asarray(prices, dtype=float)
-    spend = x @ p
-    budget_ok = bool(np.abs(spend - instance.budgets).max()
-                     <= tol * max(1.0, float(instance.budgets.max())))
-    colsum = x.sum(axis=0)
-    ptol = tol * max(1.0, float(p.sum()))
-    priced = p > ptol
-    clearing_ok = bool((colsum <= 1.0 + tol).all()
-                       and (np.abs(colsum[priced] - 1.0) <= tol).all())
+    budget, clearing, _ = _market_residuals(instance.budgets, x, p, tol)
+    budget_ok = budget <= tol * max(1.0, float(instance.budgets.max()))
+    clearing_ok = clearing <= tol
     u_cur = instance.utilities(x)
     u_opt = np.array([optimal_bundle_utility(instance.valuations, i,
-                                             float(instance.budgets[i]), p, tol)
+                                             float(instance.budgets[i]), p)
                       for i in range(instance.n)])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(u_cur > 0, u_opt / np.where(u_cur > 0, u_cur, 1.0),

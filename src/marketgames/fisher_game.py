@@ -43,20 +43,21 @@ def _check_reports(instance: Instance, reports) -> np.ndarray:
     r = np.asarray(reports, dtype=float)
     if r.shape != (instance.n, instance.m):
         raise ValueError("reports must be an n x m matrix")
-    if (r < 0).any():
-        raise ValueError("reports must be non-negative")
+    if not ((r >= 0) & np.isfinite(r)).all():
+        raise ValueError("reports must be finite and non-negative")
     return r
 
 
 def fisher_outcome(instance: Instance, reports, tol: float = DEFAULT_TOL,
-                   max_iter: int | None = None, init_spending=None) -> GameOutcome:
+                   init_spending=None) -> GameOutcome:
     """Run the mechanism: solve the reported market, evaluate true utilities.
 
     Goods nobody reports a value for are removed before solving (their price
     is zero and they stay unallocated); agents whose whole report is zero
     receive nothing and are flagged.  The reported market is solved by
-    ``solve_eg``; ``init_spending`` is its ``init_bids``, which selects among
-    tied linear equilibria.
+    ``solve_eg`` within its default Newton-step cap; ``init_spending`` is its
+    ``init_bids``, which selects among tied linear equilibria.  Reports that
+    are negative or not finite raise ValueError.
     """
     r = _check_reports(instance, reports)
     live = (r > 0).any(axis=1)
@@ -64,7 +65,7 @@ def fisher_outcome(instance: Instance, reports, tol: float = DEFAULT_TOL,
     sub = Instance(int(live.sum()), instance.m, instance.budgets[live],
                    ValuationProfile(instance.kind, r[live], instance.valuations.rho))
     init = None if init_spending is None else np.asarray(init_spending, float)[live]
-    eq = solve_eg(sub, tol, max_iter, init_bids=init)
+    eq = solve_eg(sub, tol, init_bids=init)
 
     allocation = np.zeros((instance.n, instance.m))
     allocation[live] = eq.allocation
@@ -169,35 +170,34 @@ _STRUCTURED_SCALES = (0.25, 0.5, 0.9, 1.1, 2.0, 4.0)
 
 
 def fisher_ne_falsify(instance: Instance, reports, trials: int = 100,
-                      seed: int = 0, scales=(1e-3, 1e3), tol: float = DEFAULT_TOL,
-                      structured: bool = True, init_spending=None) -> FalsifierReport:
+                      seed: int = 0, tol: float = DEFAULT_TOL,
+                      init_spending=None) -> FalsifierReport:
     """Search for profitable unilateral report deviations by sampling.
 
     Per agent, up to ``trials`` deviations are tried: the truthful report, a
     deterministic grid of single-coordinate rescalings (the spend-shift
     deviations of the lower-bound analysis expressed in report space), and
     seeded random deviations (log-uniform coordinate rescalings in
-    ``scales`` and sparsified reports).  A max gain at or below tolerance is
+    [1e-3, 1e3] and sparsified reports).  A max gain at or below tolerance is
     evidence of equilibrium, not proof.  A deviation whose solve raised or
     did not converge is counted in ``failures`` and its gain left out.
     """
     base_reports = _check_reports(instance, reports)
     base = fisher_outcome(instance, reports, tol, init_spending=init_spending)
     rng = np.random.default_rng(seed)
-    lo, hi = math.log(scales[0]), math.log(scales[1])
+    lo, hi = math.log(1e-3), math.log(1e3)
     gains = np.zeros(instance.n)
     failures = 0
     for i in range(instance.n):
         devs = [instance.matrix[i].copy()]
-        if structured:
-            # smallest report coordinates first: they carry the fragile
-            # near-monopoly spending the spend-shift deviations target
-            pos = np.nonzero(base_reports[i] > 0)[0]
-            for j in pos[np.argsort(base_reports[i][pos], kind="stable")]:
-                for s in _STRUCTURED_SCALES:
-                    d = base_reports[i].copy()
-                    d[j] *= s
-                    devs.append(d)
+        # smallest report coordinates first: they carry the fragile
+        # near-monopoly spending the spend-shift deviations target
+        pos = np.nonzero(base_reports[i] > 0)[0]
+        for j in pos[np.argsort(base_reports[i][pos], kind="stable")]:
+            for s in _STRUCTURED_SCALES:
+                d = base_reports[i].copy()
+                d[j] *= s
+                devs.append(d)
         while len(devs) < trials:
             mode = rng.integers(0, 3)
             d = base_reports[i].copy()

@@ -33,7 +33,6 @@ class BRResult:
     bids: np.ndarray
     utility: float
     iterations: int
-    method: str
     converged: bool = True
 
 
@@ -51,24 +50,21 @@ class NEReport:
     rounds: int = 0
     max_change: float = 0.0
     note: str = ""
-    trajectory_tail: tuple = ()
 
 
-def delta_for_eps(eps: float, m: int, safety: float = 0.5) -> float:
+def delta_for_eps(eps: float, m: int) -> float:
     """An entrance fee guaranteeing price of anarchy at most 1 + eps.
 
     The statements of the fee/accuracy relation disagree between eps/m^2 and
-    eps^2/m; this takes the conservative minimum of both (and 1/m), scaled
-    strictly inside by ``safety``.  The achieved eps should still be
-    certified empirically with verify_eps_market_eq.
+    eps^2/m; this takes the conservative minimum of both (and 1/m), halved
+    to stay strictly inside.  The achieved eps should still be certified
+    empirically with verify_eps_market_eq.
     """
     if not 0 < eps:
         raise ValueError("eps must be positive")
     if m < 1:
         raise ValueError("need at least one good")
-    if not 0 < safety < 1:
-        raise ValueError("safety must lie strictly between 0 and 1")
-    return safety * min(eps / m ** 2, eps ** 2 / m, 1.0 / m)
+    return 0.5 * min(eps / m ** 2, eps ** 2 / m, 1.0 / m)
 
 
 def effective_bids(bids, delta: float = 0.0) -> np.ndarray:
@@ -101,16 +97,17 @@ def tp_allocate(bids, delta: float = 0.0) -> np.ndarray:
     return ne_to_market(bids, delta)[1]
 
 
-def check_bid_profile(bids, budgets, tol: float = 1e-6) -> np.ndarray:
-    """Validate a bid profile (non-negative, row sums equal budgets)."""
+def check_bid_profile(bids, budgets) -> np.ndarray:
+    """Validate a bid profile: finite, non-negative, and row sums equal to
+    the budgets within 1e-6 relative to the largest budget (at least 1)."""
     b = np.asarray(bids, dtype=float)
     budgets = np.asarray(budgets, dtype=float)
     if b.ndim != 2 or b.shape[0] != budgets.size:
         raise ValueError("bid matrix must have one row per agent")
-    if (b < 0).any():
-        raise ValueError("bids must be non-negative")
+    if not ((b >= 0) & np.isfinite(b)).all():
+        raise ValueError("bids must be finite and non-negative")
     err = np.abs(b.sum(axis=1) - budgets).max()
-    if err > tol * max(1.0, float(budgets.max())):
+    if err > 1e-6 * max(1.0, float(budgets.max())):
         raise ValueError(f"bid rows must sum to budgets (max deviation {err:.3g})")
     return b
 
@@ -186,7 +183,7 @@ def br_linear(values, budget: float, opp_spend, delta: float = 0.0) -> BRResult:
         bids = np.zeros_like(v)
         bids[comp] = wb
         utility = float(v[comp] @ _fractions(wb, d[comp]))
-        return BRResult(_readonly(bids), utility, 1, "waterfill")
+        return BRResult(_readonly(bids), utility, 1)
 
     iters = 0
 
@@ -203,7 +200,7 @@ def br_linear(values, budget: float, opp_spend, delta: float = 0.0) -> BRResult:
         support[comp] = wb > delta * 0.5
     bids, utility = _fee_search(v, budget, delta, monop, comp, support, fill,
                                 lambda b: float(v @ _fractions(b, d)))
-    return BRResult(_readonly(bids), utility, iters, "waterfill")
+    return BRResult(_readonly(bids), utility, iters)
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +279,13 @@ def _fee_search(v, budget, delta, monop, comp, support, fill, payoff):
 # Leontief best response (a bracketed root for the common consumption ratio)
 
 
-def br_leontief(values, budget: float, opp_spend, delta: float = 0.0,
-                tol: float = 1e-14) -> BRResult:
+def br_leontief(values, budget: float, opp_spend, delta: float = 0.0) -> BRResult:
     """Unique best response of a Leontief bidder.
 
     Non-floored demanded goods are bought at a common consumption ratio
     t = fraction_j / v_j; spending sum_j max(delta, t v_j D_j / (1 - t v_j))
     increases in t, and t is its root at the budget, found by Brent's method
-    on [0, min 1/v_j) to relative tolerance ``tol`` (``iterations`` counts its
+    on [0, min 1/v_j) to relative tolerance 1e-14 (``iterations`` counts its
     function evaluations).  Goods the agent does not demand get bid zero,
     never the floor.
     """
@@ -304,7 +300,7 @@ def br_leontief(values, budget: float, opp_spend, delta: float = 0.0,
         bids[demanded] += (budget - bids.sum()) / nd
         fr = _fractions(bids, d)
         utility = float((fr[demanded] / v[demanded]).min())
-        return BRResult(_readonly(bids), utility, 0, "brent")
+        return BRResult(_readonly(bids), utility, 0)
 
     vc, dc = v[comp], d[comp]
     base = delta * float(monop.sum())
@@ -324,7 +320,7 @@ def br_leontief(values, budget: float, opp_spend, delta: float = 0.0,
         if excess(t_hi) <= 0:
             t = t_hi
         else:
-            t, root = brentq(excess, 0.0, t_hi, xtol=1e-300, rtol=tol,
+            t, root = brentq(excess, 0.0, t_hi, xtol=1e-300, rtol=1e-14,
                              full_output=True, disp=False)
             iters, converged = root.function_calls, root.converged
     cb = comp_bids(t)
@@ -335,7 +331,7 @@ def br_leontief(values, budget: float, opp_spend, delta: float = 0.0,
         bids[free] += budget - bids.sum()
     fr = _fractions(bids, d)
     utility = float((fr[demanded] / v[demanded]).min())
-    return BRResult(_readonly(bids), utility, iters, "brent", converged)
+    return BRResult(_readonly(bids), utility, iters, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +459,7 @@ def br_ces(values, budget: float, opp_spend, rho: float,
         if bids is None:
             raise ValueError("infeasible floors: budget below delta times demanded goods")
         utility = payoff(bids)
-    return BRResult(_readonly(bids), utility, steps, "newton", converged)
+    return BRResult(_readonly(bids), utility, steps, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +545,7 @@ def br_concave_numeric(profile: ValuationProfile, agent: int, budget: float,
     if profile.kind == LEONTIEF:
         cap = 400 * v.size
         bids, util, steps = _leveling_leontief(v, budget, d, lb, tol, init, cap)
-        return BRResult(_readonly(bids), util, steps, "gradient", steps < cap)
+        return BRResult(_readonly(bids), util, steps, steps < cap)
 
     rho = profile.rho
 
@@ -646,7 +642,7 @@ def br_concave_numeric(profile: ValuationProfile, agent: int, budget: float,
             if not improved:
                 break
     bids, util, _, converged = best
-    return BRResult(_readonly(bids), util, iters, "gradient", converged)
+    return BRResult(_readonly(bids), util, iters, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +692,7 @@ def br_grid_oracle(profile: ValuationProfile, agent: int, budget: float,
     else:
         utils = _ces_eval(np.broadcast_to(v, f.shape), f, profile.rho)
     best = int(np.argmax(utils))
-    return BRResult(_readonly(bids[best]), float(utils[best]), len(bids), "grid")
+    return BRResult(_readonly(bids[best]), float(utils[best]), len(bids))
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +711,7 @@ def _best_response(instance: Instance, agent: int, opp, delta) -> BRResult:
 
 def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
                 max_rounds: int = 1000, tol: float = 1e-9,
-                record_trajectory: bool = False) -> NEReport:
+                trace=None) -> NEReport:
     """Round-robin best-response dynamics for the entrance-fee game.
 
     Agents update in index order, each replacing its bids by a best response
@@ -725,7 +721,9 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
     escape); converged profiles are certified with verify_tp_ne.
     Non-convergence, including best-response breakdown when a bid hits zero
     at delta = 0 and a best response that did not converge, is a reported
-    outcome, not an error.
+    outcome, not an error.  ``trace``, if given, is called after every
+    completed round as ``trace(round, max_change, bids)`` with a read-only
+    copy of the bids.
     """
     n, m = instance.n, instance.m
     support = instance.matrix > 0
@@ -743,8 +741,6 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
 
     streak = np.zeros((n, m), dtype=int)
     collapse_floor = COLLAPSE_FLOOR_FRACTION * instance.budgets[:, None]
-    trajectory: list = []
-    tail: list = []
     best_change = math.inf
     stall = 0
     note = ""
@@ -773,12 +769,8 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
         dec = support & (b < prev) & (b > 0)
         streak = np.where(dec, streak + 1, 0)
         collapsing = bool(((streak >= COLLAPSE_STREAK) & (b < collapse_floor)).any())
-        if record_trajectory:
-            trajectory.append((rounds, max_change,
-                               tuple(instance.utilities(tp_allocate(b, delta)))))
-        tail.append((rounds, max_change))
-        if len(tail) > 10:
-            tail.pop(0)
+        if trace is not None:
+            trace(rounds, max_change, _readonly(b))
         if max_change < best_change:
             best_change = max_change
             stall = 0
@@ -795,14 +787,12 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
         # at tol = inf, converged means that every best response converged
         rep = verify_tp_ne(instance, b, delta, math.inf)
         return NEReport(rep.bids, rep.gains, rep.max_gain, rep.converged, rep.prices,
-                        rep.allocation, rep.utilities, rounds, max_change,
-                        rep.note, tuple(trajectory if record_trajectory else tail))
+                        rep.allocation, rep.utilities, rounds, max_change, rep.note)
     prices, allocation = ne_to_market(b, delta)
     return NEReport(_readonly(b), _readonly(np.full(n, np.nan)), math.nan, False,
                     _readonly(prices), _readonly(allocation),
                     _readonly(instance.utilities(allocation)), rounds, max_change,
-                    note or "did not converge",
-                    tuple(trajectory if record_trajectory else tail))
+                    note or "did not converge")
 
 
 def verify_tp_ne(instance: Instance, bids, delta: float = 0.0,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import marketgames as mg
+from marketgames import fisher_game
 from marketgames.cli import main
+
+NAN = float("nan")
 
 
 @pytest.fixture
@@ -73,6 +77,64 @@ def test_tp_dynamics_stream(tmp_path, leo_pair_file):
     lines = stream.read_text().splitlines()
     assert lines[0] == "round,max_change,u0,u1"
     assert len(lines) >= 2
+
+
+def test_tp_dynamics_stream_has_a_row_per_round(tmp_path, capsys):
+    inst = tmp_path / "lin.json"
+    mg.save_instance(mg.gen_random(4, 3, "linear", seed=2), inst)
+    stream, out = tmp_path / "traj.csv", tmp_path / "report.txt"
+    assert main(["tp-dynamics", str(inst), "--delta", "1e-3", "--stream", str(stream),
+                 "--out", str(out)]) == 0
+    rounds = int(out.read_text().split("rounds = ")[1].splitlines()[0])
+    assert len(stream.read_text().splitlines()) == rounds + 1
+
+
+def test_tp_dynamics_exits_1_when_unconverged(tmp_path, capsys):
+    inst = tmp_path / "ne.json"
+    mg.save_instance(mg.gen_tp_nonexistence(), inst)
+    assert main(["tp-dynamics", str(inst), "--delta", "0", "--max-rounds", "50"]) == 1
+    assert "converged = false" in capsys.readouterr().out
+
+
+def test_fisher_outcome_exits_1_when_unconverged(ex31_file, tmp_path, monkeypatch,
+                                                 capsys):
+    def unconverged(instance, tol, init_bids=None):
+        return dataclasses.replace(mg.solve_eg(instance, tol), converged=False)
+
+    monkeypatch.setattr(fisher_game, "solve_eg", unconverged)
+    reports = tmp_path / "reports.json"
+    reports.write_text(json.dumps({"reports": [[1.0, 0.0], [0.5, 0.5]]}))
+    assert main(["fisher-outcome", ex31_file, "--reports", str(reports)]) == 1
+    assert "converged = false" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    ["solve-eg", "--max-iter", "0"],
+    ["tp-dynamics", "--max-rounds", "0"],
+    ["poa", "--max-rounds", "-1"],
+])
+def test_iteration_caps_below_one_exit_2(ex31_file, args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([args[0], ex31_file, *args[1:]])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("verb, key, payload", [
+    ("kkt", "allocation", {"prices": [1.0, 1.0], "allocation": [[NAN, 0.0], [0.0, 1.0]]}),
+    ("tp-ne", "bids", {"bids": [[NAN, 1.0], [0.5, 0.5]]}),
+    ("fisher-outcome", "reports", {"reports": [[NAN, 0.0], [0.5, 0.5]]}),
+])
+def test_nan_in_payload_exits_2(ex31_file, tmp_path, verb, key, payload, capsys):
+    # json parses the NaN literal, which no verifier or solve may pass on
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    assert "NaN" in path.read_text()
+    if verb == "fisher-outcome":
+        argv = ["fisher-outcome", ex31_file, "--reports", str(path)]
+    else:
+        argv = ["verify", "--kind", verb, str(path), ex31_file]
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_fisher_outcome_cli(ex31_file, tmp_path, capsys):

@@ -101,6 +101,13 @@ def test_lb_requires_enough_agents():
         mg.lb_construction(5)
 
 
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_fisher_outcome_rejects_bad_reports(bad):
+    inst = mg.gen_example_3_1()
+    with pytest.raises(ValueError):
+        mg.fisher_outcome(inst, [[bad, 0.0], [0.5, 0.5]])
+
+
 def test_falsifier_confirms_uniform_ne():
     inst = mg.gen_identity_leontief(3)
     reports, _ = mg.uniform_leontief_ne(inst)

@@ -273,6 +273,21 @@ def test_br_dynamics_linear_family_instance():
     assert rep.bids[3] == pytest.approx([eps, 1.0 - eps], abs=1e-6)
 
 
+def test_br_dynamics_trace_sees_every_round():
+    inst = mg.gen_random(4, 3, "linear", seed=2)
+    calls = []
+
+    def trace(rnd, change, bids):
+        calls.append((rnd, change))
+        with pytest.raises(ValueError):  # read-only
+            bids[0, 0] = 1.0
+
+    rep = mg.br_dynamics(inst, 1e-3, trace=trace)
+    assert rep.converged and rep.rounds > 1
+    assert [rnd for rnd, _ in calls] == list(range(1, rep.rounds + 1))
+    assert calls[-1][1] == rep.max_change
+
+
 def test_br_dynamics_requires_competition_for_linear_delta0():
     with pytest.raises(ValueError):
         mg.br_dynamics(mg.gen_example_3_1(), 0.0)
@@ -426,6 +441,9 @@ def test_check_bid_profile():
         check_bid_profile([[0.4, 0.4]], np.array([1.0]))
     with pytest.raises(ValueError):
         check_bid_profile([[-0.1, 1.1]], np.array([1.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            check_bid_profile([[bad, 1.0]], np.array([1.0]))
     b = check_bid_profile([[0.4, 0.6]], np.array([1.0]))
     assert b.shape == (1, 2)
     assert (effective_bids(b, 0.5) == [[0.0, 0.6]]).all()
