@@ -4,8 +4,8 @@ Verbs: solve-eg, tp-dynamics, fisher-outcome, verify, poa, and reproduce
 (named worked examples).  Reports are flat key-value documents with fixed
 12-significant-digit formatting so identical invocations are byte-identical;
 experiment batches additionally write the PoA CSV.  Exit codes: 0 success,
-1 verification failure or an unconverged solve or dynamics, 2 usage or
-input error.
+1 verification failure, an unconverged solve or dynamics, or a PoA row
+with a failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -347,7 +347,7 @@ def _cmd_reproduce(args) -> int:
     records_to_csv(records, out + ".csv")
     for key, val in report.items():
         print(f"{key} = {format_value(val)}")
-    return 0
+    return 1 if any(rec.failure for rec in records) else 0
 
 
 def main(argv=None) -> int:

@@ -61,7 +61,7 @@ class ValuationProfile:
             if self.rho is None:
                 raise ValueError("CES valuations require rho")
             rho = float(self.rho)
-            if not (rho <= 1.0) or rho == 0.0 or math.isnan(rho):
+            if not -math.inf < rho <= 1.0 or rho == 0.0:  # NaN fails too
                 raise ValueError("CES rho must lie in (-inf, 1] and differ from 0")
             object.__setattr__(self, "rho", rho)
         elif self.rho is not None:

@@ -19,11 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linprog
-from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
-from scipy.sparse.linalg import spsolve
 
 from .core import (CES, DEFAULT_TOL, LEONTIEF, LINEAR, Instance,
                    ValuationProfile, _readonly)
@@ -181,6 +178,13 @@ def _embed(instance: Instance, kept, x, p):
     return x_full, p_full
 
 
+def _equilibrium(x, p, u, residuals, iterations, passed, dropped):
+    """A solver's result: converged if it passed and every utility is finite."""
+    return MarketEquilibrium(_readonly(x), _readonly(p), _readonly(u), residuals,
+                             iterations, passed and bool(np.isfinite(u).all()),
+                             dropped)
+
+
 def _newton_factor(d, w, c):
     """Cholesky factor of the m x m Newton matrix diag(d) + W^T diag(c) W."""
     return cho_factor(np.diag(d) + (w.T * c) @ w, check_finite=False)
@@ -299,17 +303,44 @@ def _linear_ipm(v, budgets, max_iter):
         yield p * total, x, theta
 
 
+def _project_spending(ii, jj, s0, budgets, p_hat, keep_good):
+    """Least-squares correction of the spending ``s0`` on the edges (ii, jj)
+    onto row sums B_i and the column sums p_hat_j of the ``keep_good`` goods.
+
+    That is s0 + A^T y with A A^T y = b - A s0, A the edge incidence.  The
+    agent block of A A^T is diagonal (the degrees), so the agents are
+    eliminated; left is the goods' Laplacian, each agent i joining its goods
+    with weight 1 / deg_i, grounded at the goods not kept (one per
+    component): one m x m Cholesky solve gives the goods' part z of y.
+    """
+    n, m = budgets.size, p_hat.size
+    deg = np.bincount(ii, minlength=n)
+    res_a = (budgets - np.bincount(ii, s0, n)) / deg
+    res_g = p_hat - np.bincount(jj, s0, m) - np.bincount(jj, res_a[ii], m)
+    # an agent with one edge adds as much to the Laplacian's diagonal as it
+    # takes off: only agents that split their budget couple goods
+    w = np.zeros((n, m))
+    w[ii, jj] = 1.0
+    w, split_deg = w[deg > 1], deg[deg > 1]
+    lap = np.diag(w.sum(axis=0)) - (w.T / split_deg) @ w
+    fac = cho_factor(lap[np.ix_(keep_good, keep_good)], check_finite=False)
+    z = np.zeros(m)
+    z[keep_good] = cho_solve(fac, res_g[keep_good], check_finite=False)
+    return s0 + (res_a - np.bincount(ii, z[jj], n) / deg)[ii] + z[jj]
+
+
 def _linear_structure_polish(v, budgets, prices, start, theta, tried):
     """Try to read off the exact equilibrium from the near-converged iterate.
 
-    Propagates exact log-prices (ties are exact in the valuation data) over
-    a minimum spanning forest of the bang-per-buck graph at relative
-    tolerance theta; edges that disagree with them are dropped.  The
-    spending on the kept edges is the least-squares correction of the
-    spending matrix ``start`` onto the budget and clearing equations, or a
-    feasible LP vertex when that correction has a negative entry.  Returns
-    (allocation, prices) or None; the caller verifies it.  ``tried`` holds
-    the edge sets already solved, which are not solved twice.
+    Kruskal's algorithm takes a minimum spanning forest, by slack, of the
+    edges within bang-per-buck tolerance theta; its union-find carries
+    potentials q (log a_i for agents, -log p_j for goods), each forest edge
+    fixing q_i - q_j = log v_ij, exact in the valuation data.  So one pass
+    gives the components and exact log-prices; edges that disagree with
+    them by over 1e-8 are dropped.  The kept edges' spending is
+    ``_project_spending`` of ``start``, or a feasible LP vertex when that
+    has a negative entry.  Returns (allocation, prices) or None; the caller
+    verifies it.  ``tried`` holds the edge sets already solved.
     """
     n, m = v.shape
     bpb = v / prices  # interior prices are positive
@@ -318,25 +349,31 @@ def _linear_structure_polish(v, budgets, prices, start, theta, tried):
     if not edges.any(axis=0).all():
         return None
 
-    # agents are nodes 0..n-1 and goods n..n+m-1 (tree entries keep that
-    # orientation); each of the k tree edges fixes log a_i + log p_j =
-    # log v_ij, and one node per component is pinned at 0
+    # agents are nodes 0..n-1 and goods n..n+m-1; a union joins the smaller
+    # component to the larger, shifting the joined nodes' potentials
     ii, jj = np.nonzero(edges)
-    graph = sparse.coo_matrix((1.0 + slack[ii, jj], (ii, n + jj)), shape=(n + m,) * 2)
-    ti, tj = minimum_spanning_tree(graph).nonzero()
-    ncomp, label = connected_components(graph, directed=False)
-    roots = np.unique(label, return_index=True)[1]
-    k = ti.size
-    rows = np.r_[np.arange(k), np.arange(k), k + np.arange(ncomp)]
-    system = sparse.csc_matrix((np.ones(rows.size), (rows, np.r_[ti, tj, roots])))
-    log_v = np.log(np.where(edges, v, 1.0))
-    logs = spsolve(system, np.r_[log_v[ti, tj - n], np.zeros(ncomp)])
-    loga, logp = logs[:n], logs[n:]
-    consistent = np.abs(log_v[ii, jj] - loga[ii] - logp[jj]) <= 1e-8
+    log_v = np.log(v[ii, jj])
+    label, q = list(range(n + m)), [0.0] * (n + m)
+    members = [[node] for node in label]
+    order = np.argsort(slack[ii, jj], kind="stable")
+    for a, g, w in zip(ii[order].tolist(), (n + jj[order]).tolist(),
+                       log_v[order].tolist()):
+        keep, join, shift = label[a], label[g], q[a] - w - q[g]
+        if keep == join:
+            continue
+        if len(members[keep]) < len(members[join]):
+            keep, join, shift = join, keep, -shift
+        for node in members[join]:
+            label[node] = keep
+            q[node] += shift
+        members[keep] += members[join]
+    label = np.unique(label, return_inverse=True)[1]
+    q = np.array(q)
+    consistent = np.abs(log_v - q[ii] + q[n + jj]) <= 1e-8
     ii, jj = ii[consistent], jj[consistent]
 
     comp = label[n:]
-    p_hat = np.exp(logp)
+    p_hat = np.exp(-q[n:])
     p_hat *= (np.bincount(label[:n], budgets) / np.bincount(comp, p_hat))[comp]
 
     # every agent spends on its kept edges, so they must be its best buys
@@ -348,28 +385,22 @@ def _linear_structure_polish(v, budgets, prices, start, theta, tried):
         return None
     tried.add(key)
 
-    # row sums B_i, column sums p_j, each row divided by its right-hand side
-    # (so the LP's feasibility tolerance is relative); the redundant row per
-    # component dropped is the dearest good's, least hurt by its rounding
-    nnz = ii.size
+    # one clearing equation per component is redundant; the one dropped is
+    # the dearest good's, least hurt by its rounding
+    by_price = np.argsort(-p_hat, kind="stable")
     keep_good = np.ones(m, dtype=bool)
-    for c in range(ncomp):
-        goods_c = np.nonzero(comp == c)[0]
-        keep_good[goods_c[np.argmax(p_hat[goods_c])]] = False
-    cleared = keep_good[jj]
-    r = n + int(keep_good.sum())
-    rows = np.r_[ii, n + np.cumsum(keep_good)[jj[cleared]] - 1]
-    cols = np.r_[np.arange(nnz), np.nonzero(cleared)[0]]
-    scale = np.r_[1.0 / budgets[ii], 1.0 / p_hat[jj[cleared]]]
-    a_eq = sparse.coo_matrix((scale, (rows, cols)), shape=(r, nnz)).tocsr()
-    # s = s0 + A^T y with A A^T y = 1 - A s0; A A^T is the kept graph's
-    # signless Laplacian, scaled, nonsingular with those rows dropped
-    s0 = start[ii, jj]
-    y = spsolve(a_eq @ a_eq.T, 1.0 - a_eq @ s0)
-    s = s0 + a_eq.T @ y
+    keep_good[by_price[np.unique(comp[by_price], return_index=True)[1]]] = False
+    s = _project_spending(ii, jj, start[ii, jj], budgets, p_hat, keep_good)
     if not (s >= 0).all():
-        res = linprog(np.zeros(nnz), A_eq=a_eq, b_eq=np.ones(r), bounds=(0, None),
-                      method="highs")
+        # each row divided by its right-hand side, so that the LP's
+        # feasibility tolerance is relative
+        nnz, cleared = ii.size, keep_good[jj]
+        a_eq = np.zeros((n + int(keep_good.sum()), nnz))
+        a_eq[ii, np.arange(nnz)] = 1.0 / budgets[ii]
+        a_eq[n + np.cumsum(keep_good)[jj[cleared]] - 1,
+             np.nonzero(cleared)[0]] = 1.0 / p_hat[jj[cleared]]
+        res = linprog(np.zeros(nnz), A_eq=a_eq, b_eq=np.ones(a_eq.shape[0]),
+                      bounds=(0, None), method="highs")
         if not res.success:
             return None
         s = np.maximum(res.x, 0.0)
@@ -386,10 +417,11 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
     The iterates of at most ``max_iter`` Newton steps (``iterations``) go to
     ``_linear_structure_polish``; the first candidate ``verify_kkt_linear``
     passes is returned, else the last iterate, converged if that passes.
-    Among tied equilibria the polish returns the spending closest in least
+    The polish fixes exact prices by a spanning forest of the bang-per-buck
+    ties; among tied equilibria it returns the spending closest in least
     squares to ``init_bids`` (a spending matrix) or, without it, to the
-    interior iterate's spending x_ij p_j; where that projection has a
-    negative entry, a feasible LP vertex instead.
+    iterate's spending x_ij p_j, found by one m x m Cholesky solve; where
+    that has a negative entry, a feasible LP vertex instead.
     """
     if instance.kind != LINEAR:
         raise ValueError("solve_linear_eg requires linear valuations")
@@ -417,9 +449,8 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
     else:
         x_full, p_full = _embed(instance, kept, x, p)
         report = verify_kkt_linear(instance, x_full, p_full, tol)
-    utilities = instance.utilities(x_full)
-    return MarketEquilibrium(_readonly(x_full), _readonly(p_full), _readonly(utilities),
-                             report.residuals, it, report.passed, dropped)
+    return _equilibrium(x_full, p_full, instance.utilities(x_full), report.residuals,
+                        it, report.passed, dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +526,8 @@ def solve_leontief_dual(instance: Instance, tol: float = DEFAULT_TOL,
         p, z = step
 
     report = verify_kkt_leontief(instance, x_full, p_full, tol)
-    return MarketEquilibrium(_readonly(x_full), _readonly(p_full), _readonly(u),
-                             report.residuals, it, report.passed, dropped)
+    return _equilibrium(x_full, p_full, u, report.residuals, it, report.passed,
+                        dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +597,9 @@ def solve_ces_eg(instance: Instance, tol: float = DEFAULT_TOL,
     x_full, p_full = _embed(instance, kept, b[:, None] * q / p, p * total)
     budget, clearing, comp = _market_residuals(instance.budgets, x_full, p_full, tol)
     # stationarity is exact: each bundle is the agent's CES demand at p
-    return MarketEquilibrium(_readonly(x_full), _readonly(p_full),
-                             _readonly(instance.utilities(x_full)),
-                             Residuals(0.0, comp, budget, clearing), it,
-                             bool(np.abs(g).max() <= tol), dropped)
+    return _equilibrium(x_full, p_full, instance.utilities(x_full),
+                        Residuals(0.0, comp, budget, clearing), it,
+                        bool(np.abs(g).max() <= tol), dropped)
 
 
 def solve_eg(instance: Instance, tol: float = DEFAULT_TOL,

@@ -169,6 +169,14 @@ def test_reproduce_reports_are_byte_identical(tmp_path, capsys, monkeypatch):
     assert "misreport_gain_agent2" in (tmp_path / "a.txt").read_text()
 
 
+def test_reproduce_exits_1_when_a_row_failed(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["reproduce", "tp-leontief-poa", "--n", "3", "--delta", "0",
+                 "--out", "tp0"]) == 1
+    assert "failure = Leontief trading post needs delta > 0" in (tmp_path / "tp0.txt").read_text()
+    assert (tmp_path / "tp0.csv").exists()
+
+
 def test_reproduce_remaining_ids(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["reproduce", "tp-nonexistence", "--out", "ne"]) == 0

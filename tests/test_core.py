@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,8 +170,9 @@ def test_instance_validation():
         mg.make_instance("linear", [[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         mg.make_instance("linear", [[1.0, 0.0]], budgets=[0.0])
-    with pytest.raises(ValueError):
-        mg.make_instance("ces", [[1.0, 1.0]], rho=0.0)
+    for rho in (0.0, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            mg.make_instance("ces", [[1.0, 1.0]], rho=rho)
     with pytest.raises(ValueError):
         mg.make_instance("linear", [[1.0, 1.0]], rho=0.5)
     with pytest.raises(ValueError):

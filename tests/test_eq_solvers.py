@@ -173,12 +173,70 @@ def test_linear_polish_falls_back_to_lp(monkeypatch):
         return res
 
     monkeypatch.setattr(eq_solvers, "linprog", counting_lp)
-    inst = mg.make_instance("linear", [[1.0, 2.0, 3.0, 2.0, 3.0], [2.0, 0.0, 2.0, 2.0, 2.0]],
-                            [2.0, 1.0])
+    inst = mg.make_instance("linear", [[0.0, 0.0, 3.0, 3.0], [1.0, 2.0, 3.0, 0.0],
+                                       [1.0, 2.0, 1.0, 0.0]], [1.0, 1.0, 1.0])
     eq = mg.solve_linear_eg(inst)
     assert calls == [True]
     assert eq.converged
     assert mg.verify_kkt_linear(inst, eq.allocation, eq.prices).passed
+    # a square system whose exact spending has a zero entry: whether the
+    # LP runs depends on the rounding of that zero, the result does not
+    inst = mg.make_instance("linear", [[1.0, 2.0, 3.0, 2.0, 3.0], [2.0, 0.0, 2.0, 2.0, 2.0]],
+                            [2.0, 1.0])
+    eq = mg.solve_linear_eg(inst)
+    assert eq.converged
+    assert mg.verify_kkt_linear(inst, eq.allocation, eq.prices).passed
+
+
+@st.composite
+def tie_graphs(draw):
+    """A connected bipartite graph of agents and goods (edge lists ii, jj),
+    positive budgets and prices with equal totals, and a spending on each
+    edge between 0 and its agent's budget."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    edges = np.array(draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m),
+                                   min_size=n, max_size=n)))
+    # a spanning tree: agent 0 and good 0 first, then each node joins an
+    # earlier node of the other side
+    nodes = [(0, 0), (1, 0)] + draw(st.permutations(
+        [(0, i) for i in range(1, n)] + [(1, j) for j in range(1, m)]))
+    for k, (side, node) in enumerate(nodes[1:], 1):
+        peers = [other for s, other in nodes[:k] if s != side]
+        peer = peers[draw(st.integers(0, len(peers) - 1))]
+        edges[(peer, node) if side else (node, peer)] = True
+    ii, jj = np.nonzero(edges)
+    budgets = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    prices = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m)))
+    share = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=ii.size, max_size=ii.size)))
+    return ii, jj, share * budgets[ii], budgets, prices * budgets.sum() / prices.sum()
+
+
+@given(tie_graphs())
+@settings(max_examples=200, deadline=None)
+def test_spending_projection_is_the_minimum_norm_correction(graph):
+    ii, jj, s0, budgets, prices = graph
+    n, m, nnz = budgets.size, prices.size, ii.size
+    keep = np.ones(m, dtype=bool)
+    keep[np.argmax(prices)] = False
+    s = eq_solvers._project_spending(ii, jj, s0, budgets, prices, keep)
+    # the same equations, dense, each row divided by its right-hand side
+    a = np.zeros((n + m, nnz))
+    a[ii, np.arange(nnz)] = 1.0 / budgets[ii]
+    a[n + jj, np.arange(nnz)] = 1.0 / prices[jj]
+    a = a[np.r_[np.ones(n, dtype=bool), keep]]
+    ref = s0 + np.linalg.lstsq(a, 1.0 - a @ s0, rcond=None)[0]
+    assert np.abs(s - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert (np.abs(np.bincount(ii, s, n) - budgets) <= 1e-12 * budgets).all()
+    assert (np.abs(np.bincount(jj, s, m) - prices) <= 1e-12 * prices).all()
+
+
+def test_no_solve_converges_to_a_non_finite_utility():
+    # the equilibrium is exact, but a utility of 2e308 overflows
+    inst = mg.make_instance("linear", [[1e308, 1e308]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        eq = mg.solve_eg(inst)
+    assert np.isinf(eq.utilities).all()
+    assert not eq.converged
 
 
 def test_ces_rho_one_matches_linear_solver():
