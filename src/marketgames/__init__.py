@@ -11,7 +11,7 @@ from .core import (CES, DEFAULT_TOL, LEONTIEF, LINEAR, Instance,
                    proportionality_check)
 from .eq_solvers import (EpsEquilibriumReport, KKTReport, MarketEquilibrium,
                          Residuals, duality_gap_leontief, optimal_bundle_utility,
-                         solve_ces_eg, solve_eg, solve_leontief_dual,
+                         solve_ces_eg, solve_eg, solve_eg_many, solve_leontief_dual,
                          solve_linear_eg, verify_eps_market_eq,
                          verify_kkt_leontief, verify_kkt_linear)
 from .fisher_game import (FalsifierReport, GameOutcome, fisher_ne_falsify,

@@ -15,8 +15,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import eq_solvers, fisher_game, instance_lab, trading_post
-from .core import LEONTIEF, LINEAR, DEFAULT_TOL, _json_field, nsw, poa_ratio
+from .core import (LEONTIEF, LINEAR, DEFAULT_TOL, _json_field, nsw, poa_ratio,
+                   proportionality_check)
 from .instance_lab import (ExperimentConfig, PoARecord, format_value,
                            load_instance, records_to_csv, run_experiment,
                            write_report)
@@ -219,10 +222,19 @@ def _cmd_poa(args) -> int:
     return 0 if not rec.failure else 1
 
 
-def _record(instance_id, mechanism, delta, nsw_opt, nsw_eq, eps_br):
-    """A PoA row for a worked example: no market certificate, no timing."""
+def _record(instance, allocation, instance_id, mechanism, delta, nsw_opt, nsw_eq,
+            eps_br):
+    """A PoA row for a worked example: no market certificate, no timing.
+
+    ``allocation`` is the one whose NSW the row scores; ``proportional``
+    checks it with the entrance-fee slack delta (m - 1) / B_i, as
+    ``run_experiment`` does.
+    """
+    slack = np.minimum(delta * (instance.m - 1) / instance.budgets, 1.0)
+    prop = proportionality_check(instance, allocation, slack, tol=1e-7)
     return PoARecord(instance_id, mechanism, delta, nsw_opt, nsw_eq,
-                     poa_ratio(nsw_opt, nsw_eq), eps_br, float("nan"), True, 0.0)
+                     poa_ratio(nsw_opt, nsw_eq), eps_br, float("nan"), prop.all_pass,
+                     0.0)
 
 
 def _reproduce_example_3_1(args):
@@ -238,8 +250,8 @@ def _reproduce_example_3_1(args):
         "misreport_agent2_utility": deviated.true_utilities[1],
         "misreport_gain_agent2": gain,
     }
-    return report, [_record("example-3.1", "fisher", 0.0, truthful.nsw,
-                            deviated.nsw, gain)]
+    return report, [_record(instance, deviated.equilibrium.allocation, "example-3.1",
+                            "fisher", 0.0, truthful.nsw, deviated.nsw, gain)]
 
 
 def _reproduce_theorem_3_3(args):
@@ -273,12 +285,15 @@ def _reproduce_lb_construction(args):
                                             init_spending=spends)
         report["fisher_max_gain"] = fal.max_gain
         eps_br = max(eps_br, fal.max_gain)
-    return report, [_record(f"lb-construction-n{n}", "fisher", 0.0, nsw_opt,
-                            stats["nsw"], eps_br)]
+    # the profile's allocation: the trading post's, and the Fisher game's
+    # under the spending the construction selects
+    return report, [_record(instance, tp.allocation, f"lb-construction-n{n}", "fisher",
+                            0.0, nsw_opt, stats["nsw"], eps_br)]
 
 
 def _reproduce_tp_nonexistence(args):
     instance = instance_lab.gen_tp_nonexistence()
+    opt = eq_solvers.solve_leontief_dual(instance, args.tol)
     free = trading_post.br_dynamics(instance, 0.0, max_rounds=2000, tol=1e-12)
     feed = trading_post.br_dynamics(instance, 1e-3, max_rounds=2000, tol=1e-9)
     report = {
@@ -291,7 +306,8 @@ def _reproduce_tp_nonexistence(args):
         "fee_max_gain": feed.max_gain,
         "fee_utilities": feed.utilities,
     }
-    return report, [_record("tp-nonexistence", "trading_post", 1e-3, float("nan"),
+    return report, [_record(instance, feed.allocation, "tp-nonexistence", "trading_post",
+                            1e-3, nsw(opt.utilities, instance.budgets),
                             nsw(feed.utilities, instance.budgets), feed.max_gain)]
 
 
@@ -313,8 +329,8 @@ def _reproduce_example_lin(args):
     opt = eq_solvers.solve_linear_eg(instance, args.tol)
     report = {"eps": args.eps, "gains": rep.gains,
               "max_gain": rep.max_gain, "utilities": rep.utilities}
-    return report, [_record(f"example-lin-eps{args.eps}", "trading_post", 0.0,
-                            nsw(opt.utilities, instance.budgets),
+    return report, [_record(instance, rep.allocation, f"example-lin-eps{args.eps}",
+                            "trading_post", 0.0, nsw(opt.utilities, instance.budgets),
                             nsw(rep.utilities, instance.budgets), rep.max_gain)]
 
 
@@ -323,8 +339,9 @@ def _reproduce_example_leo(args):
     rep = trading_post.verify_tp_ne(instance, bids, 0.0, args.tol)
     report = {"a": args.a, "gains": rep.gains,
               "max_gain": rep.max_gain, "utilities": rep.utilities}
-    return report, [_record(f"example-leo-a{args.a}", "trading_post", 0.0, 1.0,
-                            nsw(rep.utilities, instance.budgets), rep.max_gain)]
+    return report, [_record(instance, rep.allocation, f"example-leo-a{args.a}",
+                            "trading_post", 0.0, 1.0, nsw(rep.utilities, instance.budgets),
+                            rep.max_gain)]
 
 
 #: The named worked examples: id -> (args) -> (report, PoA records).

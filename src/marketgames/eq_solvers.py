@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 from scipy.optimize import linprog
 
 from .core import (CES, DEFAULT_TOL, LEONTIEF, LINEAR, Instance,
@@ -33,6 +33,11 @@ MAX_NEWTON_STEPS = 100
 
 #: Duality gap, over the total budget, below which the linear polish runs.
 POLISH_GAP = 1e-2
+
+#: Most entries in one K x n x m array of a stacked solve (``solve_eg_many``).
+STACK_ENTRIES = 2 ** 16
+
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -119,17 +124,11 @@ def verify_kkt_linear(instance: Instance, allocation, prices,
     v = instance.matrix
     with np.errstate(divide="ignore", invalid="ignore"):
         bpb = np.where(v > 0, v / np.where(p > 0, p, 0.0), 0.0)
-    alpha = bpb.max(axis=1)
-    active = x > 1e-9
-    rel = np.zeros_like(x)
-    for i in range(instance.n):
-        if not active[i].any():
-            continue
-        if not math.isfinite(alpha[i]):
-            # a demanded good is free: any finite-bpb purchase is suboptimal
-            rel[i, active[i]] = np.where(np.isinf(bpb[i, active[i]]), 0.0, 1.0)
-        else:
-            rel[i, active[i]] = (alpha[i] - bpb[i, active[i]]) / max(alpha[i], 1e-300)
+        alpha = bpb.max(axis=1, keepdims=True)
+        shortfall = (alpha - bpb) / np.maximum(alpha, 1e-300)
+    # where a demanded good is free, any finite-bpb purchase is suboptimal
+    rel = np.where(np.isfinite(alpha), shortfall, np.where(np.isinf(bpb), 0.0, 1.0))
+    rel = np.where(x > 1e-9, rel, 0.0)
     stationarity = float(rel.max()) if x.size else 0.0
     budget, clearing, complementarity = _market_residuals(instance.budgets, x, p, tol)
     res = Residuals(stationarity, complementarity, budget, clearing)
@@ -185,122 +184,262 @@ def _equilibrium(x, p, u, residuals, iterations, passed, dropped):
                              dropped)
 
 
-def _newton_factor(d, w, c):
-    """Cholesky factor of the m x m Newton matrix diag(d) + W^T diag(c) W."""
-    return cho_factor(np.diag(d) + (w.T * c) @ w, check_finite=False)
+def _rowdot(a, b):
+    """Each member's dot product a_k . b_k of two K x n stacks."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _safeguarded_step(point, direction, max_step, merit, merit0, slope, centre,
-                      corrected):
-    """One interior-point step from ``point`` (a tuple of arrays).
+def _matvec(a, y):
+    """Each member's A_k y_k."""
+    return (a @ y[:, :, None])[:, :, 0]
+
+
+def _rmatvec(a, y):
+    """Each member's A_k^T y_k."""
+    return (a.transpose(0, 2, 1) @ y[:, :, None])[:, :, 0]
+
+
+def _cubes(a):
+    """Each entry cubed by Python's float power, the C library's pow:
+    numpy's vectorized power picks a SIMD kernel by CPU and can differ from
+    it in the last bit, and Mehrotra's centring weight, a cube, can move a
+    step count on degenerate markets by that bit."""
+    return np.array([r ** 3 for r in a.tolist()])
+
+
+def _longest_steps(shrink):
+    """Each member's largest step 1 / shrink keeping it interior; where no
+    entry limits the step (shrink <= 0) it is 1e300, as good as unlimited
+    since steps are capped at 1."""
+    return 1.0 / np.maximum(shrink, 1e-300)
+
+
+def _newton_factors(d, w, c):
+    """Upper Cholesky factors of the m x m Newton matrices diag(d_k) +
+    W_k^T diag(c_k) W_k of a stack, one LAPACK ``potrf`` per member; None
+    for a member whose matrix is not positive definite."""
+    a = (w.transpose(0, 2, 1) * c[:, None, :]) @ w
+    m = a.shape[1]
+    a.reshape(-1, m * m)[:, ::m + 1] += d
+    factors = []
+    for ak in a:
+        fac, info = _POTRF(ak, lower=False, clean=False)
+        factors.append(fac if info == 0 else None)
+    return factors
+
+
+def _cho_solve(factors, rhs):
+    """Each member's Newton system solved by its factor, one ``potrs`` each."""
+    out = np.empty_like(rhs)
+    for k, fac in enumerate(factors):
+        out[k] = _POTRS(fac, rhs[k], lower=False)[0]
+    return out
+
+
+def _take(keep, *arrays):
+    """The members ``keep`` (a mask, or indices for arrays) of each stacked
+    array or list."""
+    return [a[keep] if isinstance(a, np.ndarray) else [x for x, k in zip(a, keep) if k]
+            for a in arrays]
+
+
+def _along(point, delta, alpha):
+    """``point`` moved by each member's step alpha_k along ``delta``."""
+    return tuple(a + alpha.reshape((-1,) + (1,) * (a.ndim - 1)) * d
+                 for a, d in zip(point, delta))
+
+
+def _pick(mask, new, old):
+    """Each member's arrays from ``new`` where ``mask``, else from ``old``."""
+    return tuple(np.where(mask.reshape((-1,) + (1,) * (a.ndim - 1)), b, a)
+                 for a, b in zip(old, new))
+
+
+def _safeguarded_steps(point, direction, max_step, merit, merit0, slope, centre,
+                       corrected):
+    """One interior-point step of each stack member from ``point`` (a tuple
+    of K-member arrays).
 
     ``direction(r_c)`` is the Newton direction for complementarity target
     r_c, aligned with ``point``, and ``max_step`` its largest step keeping
-    the point interior; ``slope`` is the merit's rate along the centred
+    each member interior; ``slope`` is the merit's rate along the centred
     direction.  Mehrotra's corrector need not descend (it can cycle), so its
     step, 0.995 of the way to the boundary, is taken only if it cuts the
     merit by 1e-4 of ``slope``; else the centred step backtracks until it
-    does.  Returns the new point, or None if neither step descends.
+    does.  Returns the new point and the mask of members that moved; a
+    member where neither step descends keeps its point.
     """
-    for r_c, backtrack in ((corrected, False), (centre, True)):
-        delta = direction(r_c)
-        alpha = min(1.0, 0.995 * max_step(*delta))
-        while alpha >= 1e-12:
-            trial = tuple(a + alpha * d for a, d in zip(point, delta))
-            if merit(*trial) <= merit0 + 1e-4 * alpha * slope:
-                return trial
-            if not backtrack:
-                break
-            alpha *= 0.5
-    return None
+    delta = direction(corrected)
+    alpha = np.minimum(1.0, 0.995 * max_step(*delta))
+    trial = _along(point, delta, alpha)
+    moved = (alpha >= 1e-12) & (merit(*trial) <= merit0 + 1e-4 * alpha * slope)
+    if moved.all():
+        return trial, moved
+    new = _pick(moved, trial, point)
+    delta = direction(centre)
+    alpha = np.minimum(1.0, 0.995 * max_step(*delta))
+    live = ~moved & (alpha >= 1e-12)
+    while live.any():
+        trial = _along(point, delta, alpha)
+        good = live & (merit(*trial) <= merit0 + 1e-4 * alpha * slope)
+        new = _pick(good, trial, new)
+        moved |= good
+        live &= ~good
+        alpha = np.where(live, 0.5 * alpha, alpha)
+        live &= alpha >= 1e-12
+    return new, moved
 
 
-def _linear_ipm(v, budgets, max_iter):
-    """Interior iterates of the linear EG dual, one per Newton step.
+def _stack(instances, kept):
+    """The kept goods' valuations and the budgets of same-shape markets."""
+    return (np.stack([inst.matrix[:, kept] for inst in instances]),
+            np.stack([inst.budgets for inst in instances]))
+
+
+def _tie_split(p, x, s, edge):
+    """Per member, the bang-per-buck tolerance theta between the edges an
+    iterate treats as tight (relative slack s_ij / p_j below x_ij) and the
+    rest, the geometric mean of the tight edges' largest relative slack and
+    the others' smallest; and whether that split is clean: every agent and
+    good has a tight edge and the tight slacks lie below the rest."""
+    rel = s / p[:, None, :]
+    tight = rel < x
+    hi = np.where(tight, rel, -math.inf).max(axis=(1, 2))
+    lo = np.where(edge & ~tight, rel, 1.0).min(axis=(1, 2))
+    clean = (hi < lo) & tight.any(axis=1).all(axis=1) & tight.any(axis=2).all(axis=1)
+    return np.sqrt(np.maximum(hi, 1e-300) * lo), clean
+
+
+def _linear_ipm(v, budgets, max_iter, accept):
+    """The interior point of the linear EG dual, on a stack of markets.
 
     With e_i(p) = min_j p_j / v_ij the dual is min sum_j p_j - sum_i B_i log
     beta_i subject to s_ij = p_j - beta_i v_ij >= 0 on the edges v_ij > 0,
     whose multipliers x_ij are the allocation.  Mehrotra's predictor-
     corrector drives x_ij s_ij to zero, each step cutting the duality gap
     ``merit`` (else a backtracked plain Newton step is taken); the agents are
-    eliminated, so a direction is one m x m Cholesky factorization.  Yields
-    (prices, allocation, theta), theta a bang-per-buck tolerance between
-    the edges the iterate treats as tight (s_ij / p_j below x_ij) and the
-    rest, or None while that split is unclean or the gap sum x_ij s_ij /
-    sum B_i exceeds POLISH_GAP.
+    eliminated, so a direction is one m x m Cholesky factorization.
+
+    ``v`` is K x n x m and ``budgets`` K x n; one loop advances every member
+    k by its own Newton steps.  After a step that brings the gap sum x_ij
+    s_ij / sum B_i to at most POLISH_GAP with a clean ``_tie_split``,
+    ``accept(k, prices, allocation, theta)`` gets the iterate.  A
+    member leaves the stack when ``accept`` returns True, after ``max_iter``
+    steps, or alone when it breaks down: its gap at rounding level (or nan),
+    a slack rounded to zero, a Newton matrix Cholesky rejects, or no
+    descent.  Returns per member its steps, last prices and allocation (zero
+    before the first step) and, if it broke down after a step, that
+    iterate's theta, taken whether or not the split was clean (else nan).
     """
-    total = float(budgets.sum())
-    b = budgets / total
-    v = v / v.max(axis=1, keepdims=True)
+    K, n, m = v.shape
+    total = budgets.sum(axis=1)
+    b = budgets / total[:, None]
+    v = v / v.max(axis=2, keepdims=True)
     edge = v > 0
-    n_edges = int(edge.sum())
-    p = b @ (v / v.sum(axis=1, keepdims=True))
-    beta = 0.5 * (p / np.where(edge, v, 1e-300)).min(axis=1)
-    x = edge / edge.sum(axis=0)
+    n_edges = edge.sum(axis=(1, 2))
+    p = (b[:, None, :] @ (v / v.sum(axis=2, keepdims=True)))[:, 0]
+    beta = 0.5 * (p[:, None, :] / np.where(edge, v, 1e-300)).min(axis=2)
+    x = edge / edge.sum(axis=1, keepdims=True)
     # off the edges x = 0 and s = p > 0, so the arrays stay dense
-    s = p - beta[:, None] * v
+    s = p[:, None, :] - beta[:, :, None] * v
+    xs = x * s
+    gap = xs.sum(axis=(1, 2))
+    steps = np.zeros(K, dtype=int)
+    last_p, last_x, last_theta = np.zeros((K, m)), np.zeros((K, n, m)), np.full(K, math.nan)
+    ids = np.arange(K)
+
+    def leave(gone, it, broke=True):
+        k = ids[gone]
+        steps[k] = it
+        if it:  # before the first step there is no iterate
+            last_p[k] = p[gone] * total[gone, None]
+            last_x[k] = x[gone]
+            if broke:
+                last_theta[k] = _tie_split(p[gone], x[gone], s[gone], edge[gone])[0]
 
     def merit(p, beta, x):
         # sum x_ij s_ij + sum_i B_i (t_i - 1 - log t_i), t_i = beta_i u_i / B_i:
         # the EG duality gap while the goods clear, zero only at the optimum
-        t = beta * (v * x).sum(axis=1) / b
-        return float((x * (p - beta[:, None] * v)).sum() + b @ (t - 1.0 - np.log(t)))
+        t = beta * (v * x).sum(axis=2) / b
+        return ((x * (p[:, None, :] - beta[:, :, None] * v)).sum(axis=(1, 2))
+                + _rowdot(b, t - 1.0 - np.log(t)))
 
-    for _ in range(max_iter):
-        u = (v * x).sum(axis=1)
-        r_p, r_d = 1.0 - x.sum(axis=0), u - b / beta
-        xs = x * s
-        gap = float(xs.sum())
-        if not gap > 1e-15:  # at rounding level, or broken down (nan)
-            return
-        mu = gap / n_edges
+    for it in range(max_iter):
+        # at rounding level, broken down (nan), or a slack rounded to zero
+        ok = (gap > 1e-15) & (s.min(axis=(1, 2)) > 0)
+        if not ok.all():
+            leave(~ok, it)
+            if not ok.any():
+                break
+            v, b, edge, n_edges, total, ids, p, beta, x, s, xs, gap = _take(
+                ok, v, b, edge, n_edges, total, ids, p, beta, x, s, xs, gap)
+        u = (v * x).sum(axis=2)
         d = x / s
         w = d * v
         # beta_i u_i = B_i linearized in both factors, like x_ij s_ij = mu
-        h = u / beta + (w * v).sum(axis=1)
-        try:
-            fac = _newton_factor(d.sum(axis=0), w, -1.0 / h)
-        except np.linalg.LinAlgError:
-            return
+        h = u / beta + (w * v).sum(axis=2)
+        factors = _newton_factors(d.sum(axis=1), w, -1.0 / h)
+        if any(fac is None for fac in factors):
+            ok = np.array([fac is not None for fac in factors])
+            leave(~ok, it)
+            if not ok.any():
+                break
+            (v, b, edge, n_edges, total, ids, p, beta, x, s, xs, gap, u, d, w, h,
+             factors) = _take(ok, v, b, edge, n_edges, total, ids, p, beta, x, s, xs,
+                              gap, u, d, w, h, factors)
+        r_p, r_d = 1.0 - x.sum(axis=1), u - b / beta
+        mu = gap / n_edges
 
         def direction(r_c):
             t = r_c / s
-            a = -r_d - (v * t).sum(axis=1)
-            dp = cho_solve(fac, w.T @ (a / h) - r_p + t.sum(axis=0), check_finite=False)
-            db = (a + w @ dp) / h
-            return dp, db, t - d * (dp - v * db[:, None])
+            a = -r_d - (v * t).sum(axis=2)
+            dp = _cho_solve(factors, _rmatvec(w, a / h) - r_p + t.sum(axis=1))
+            db = (a + _matvec(w, dp)) / h
+            return dp, db, t - d * (dp[:, None, :] - v * db[:, :, None])
 
         def max_step(dp, db, dx):
             # largest step keeping beta, s (hence p) and x positive
-            shrink = max(float((-db / beta).max()),
-                         float((-(dp - v * db[:, None]) / s).max()),
-                         float((-dx / np.where(edge, x, 1.0)).max()))
-            return 1.0 / shrink if shrink > 0 else math.inf
+            return _longest_steps(np.maximum(np.maximum(
+                (-db / beta).max(axis=1),
+                (-(dp[:, None, :] - v * db[:, :, None]) / s).max(axis=(1, 2))),
+                (-dx / np.where(edge, x, 1.0)).max(axis=(1, 2))))
 
         dp, db, dx = direction(-xs)
-        ds = dp - v * db[:, None]
-        a_aff = min(1.0, max_step(dp, db, dx))
-        sigma = (float(((x + a_aff * dx) * (s + a_aff * ds)).sum()) / gap) ** 3
-        centre = np.where(edge, sigma * mu - xs, 0.0)
+        ds = dp[:, None, :] - v * db[:, :, None]
+        a_aff = np.minimum(1.0, max_step(dp, db, dx))[:, None, None]
+        sigma = _cubes(((x + a_aff * dx) * (s + a_aff * ds)).sum(axis=(1, 2)) / gap)
+        centre = np.where(edge, (sigma * mu)[:, None, None] - xs, 0.0)
         # the merit falls at this rate along the Newton direction to centre
-        slope = -(1.0 - sigma) * gap - float(((beta * u - b) ** 2 / (beta * u)).sum())
-        step = _safeguarded_step((p, beta, x), direction, max_step, merit,
-                                 merit(p, beta, x), slope, centre,
-                                 centre - np.where(edge, dx * ds, 0.0))
-        if step is None:
-            return
-        p, beta, x = step
-        s = p - beta[:, None] * v
-
-        rel = s / p
-        tight = rel < x
-        theta = None
-        if (x * s).sum() <= POLISH_GAP and tight.any(0).all() and tight.any(1).all():
-            hi = float(rel[tight].max())
-            lo = float(rel[edge & ~tight].min(initial=1.0))
-            if hi < lo:
-                theta = math.sqrt(max(hi, 1e-300) * lo)
-        yield p * total, x, theta
+        slope = -(1.0 - sigma) * gap - ((beta * u - b) ** 2 / (beta * u)).sum(axis=1)
+        t = beta * u / b  # the merit at the current point, from its gap and u
+        (p, beta, x), moved = _safeguarded_steps(
+            (p, beta, x), direction, max_step, merit, gap + _rowdot(b, t - 1.0 - np.log(t)),
+            slope, centre, centre - np.where(edge, dx * ds, 0.0))
+        if not moved.all():
+            leave(~moved, it)  # their point and slacks are unchanged
+            if not moved.any():
+                break
+            v, b, edge, n_edges, total, ids, p, beta, x = _take(
+                moved, v, b, edge, n_edges, total, ids, p, beta, x)
+        s = p[:, None, :] - beta[:, :, None] * v
+        xs = x * s
+        gap = xs.sum(axis=(1, 2))
+        near = np.nonzero(gap <= POLISH_GAP)[0]
+        if near.size:
+            split = (p, x, s, edge) if near.size == ids.size else _take(near, p, x, s, edge)
+            theta, clean = _tie_split(*split)
+            done = np.zeros(ids.size, dtype=bool)
+            for j, th in zip(near[clean], theta[clean]):
+                done[j] = accept(ids[j], p[j] * total[j], x[j], th)
+            if done.any():
+                leave(done, it + 1, broke=False)
+                if done.all():
+                    break
+                v, b, edge, n_edges, total, ids, p, beta, x, s, xs, gap = _take(
+                    ~done, v, b, edge, n_edges, total, ids, p, beta, x, s, xs, gap)
+    else:
+        leave(np.ones(ids.size, dtype=bool), max_iter, broke=False)
+    return steps, last_p, last_x, last_theta
 
 
 def _project_spending(ii, jj, s0, budgets, p_hat, keep_good):
@@ -409,6 +548,45 @@ def _linear_structure_polish(v, budgets, prices, start, theta, tried):
     return spend / p_hat, p_hat
 
 
+def _solve_linear_stack(instances, tol, max_iter, inits):
+    """``solve_linear_eg`` of same-shape markets with the same demanded
+    goods, their interior points advanced in one loop; ``inits`` holds each
+    member's ``init_bids`` (a checked n x m matrix) or None."""
+    kept, dropped = _drop_undemanded(instances[0].matrix)
+    v, budgets = _stack(instances, kept)
+    tried = [set() for _ in instances]
+    found = [None] * len(instances)
+
+    def polish(k, p, x, theta):
+        """The polished candidate of member k's iterate, if it verifies."""
+        start = x * p if inits[k] is None else inits[k][:, kept]
+        polished = _linear_structure_polish(v[k], budgets[k], p, start, theta, tried[k])
+        if polished is None:
+            return None
+        x_full, p_full = _embed(instances[k], kept, *polished)
+        report = verify_kkt_linear(instances[k], x_full, p_full, tol)
+        return (x_full, p_full, report) if report.passed else None
+
+    def accept(k, p, x, theta):
+        found[k] = polish(k, p, x, theta)
+        return found[k] is not None
+
+    steps, last_p, last_x, last_theta = _linear_ipm(v, budgets, max_iter, accept)
+    out = []
+    for k, inst in enumerate(instances):
+        if found[k] is None:
+            x_full, p_full = _embed(inst, kept, last_x[k], last_p[k])
+            found[k] = (x_full, p_full, verify_kkt_linear(inst, x_full, p_full, tol))
+            if not found[k][2].passed and not np.isnan(last_theta[k]):
+                # the interior point broke down: polish its last iterate
+                # once, split at its theta whether or not the split was clean
+                found[k] = polish(k, last_p[k], last_x[k], last_theta[k]) or found[k]
+        x_full, p_full, report = found[k]
+        out.append(_equilibrium(x_full, p_full, inst.utilities(x_full), report.residuals,
+                                int(steps[k]), report.passed, dropped))
+    return out
+
+
 def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
                     max_iter: int = MAX_NEWTON_STEPS,
                     init_bids=None) -> MarketEquilibrium:
@@ -416,45 +594,123 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
 
     The iterates of at most ``max_iter`` Newton steps (``iterations``) go to
     ``_linear_structure_polish``; the first candidate ``verify_kkt_linear``
-    passes is returned, else the last iterate, converged if that passes.
+    passes is returned, else the last iterate, converged if that passes;
+    failing that, if the interior point broke down before ``max_iter``, the
+    last iterate is polished at its own split, clean or not, and returned
+    if it passes.
     The polish fixes exact prices by a spanning forest of the bang-per-buck
     ties; among tied equilibria it returns the spending closest in least
     squares to ``init_bids`` (a spending matrix) or, without it, to the
     iterate's spending x_ij p_j, found by one m x m Cholesky solve; where
-    that has a negative entry, a feasible LP vertex instead.
+    that has a negative entry, a feasible LP vertex instead.  This is a
+    stack of one in the loop ``solve_eg_many`` runs.
     """
     if instance.kind != LINEAR:
         raise ValueError("solve_linear_eg requires linear valuations")
-    kept, dropped = _drop_undemanded(instance.matrix)
-    v = instance.matrix[:, kept]
-    budgets = instance.budgets
     init = None
     if init_bids is not None:
         init = np.asarray(init_bids, dtype=float)
         if init.shape != (instance.n, instance.m) or not (init >= 0).all():
             raise ValueError("init_bids must be a non-negative n x m matrix")
-        init = init[:, kept]
-
-    it, x, p, tried = 0, np.zeros(v.shape), np.zeros(v.shape[1]), set()
-    for it, (p, x, theta) in enumerate(_linear_ipm(v, budgets, max_iter), 1):
-        if theta is None:
-            continue
-        start = x * p if init is None else init
-        polished = _linear_structure_polish(v, budgets, p, start, theta, tried)
-        if polished is not None:
-            x_full, p_full = _embed(instance, kept, *polished)
-            report = verify_kkt_linear(instance, x_full, p_full, tol)
-            if report.passed:
-                break
-    else:
-        x_full, p_full = _embed(instance, kept, x, p)
-        report = verify_kkt_linear(instance, x_full, p_full, tol)
-    return _equilibrium(x_full, p_full, instance.utilities(x_full), report.residuals,
-                        it, report.passed, dropped)
+    return _solve_linear_stack([instance], tol, max_iter, [init])[0]
 
 
 # ---------------------------------------------------------------------------
 # Leontief solver: interior point on the price-space dual
+
+
+def _solve_leontief_stack(instances, tol, max_iter):
+    """``solve_leontief_dual`` of same-shape markets with the same demanded
+    goods, their interior points advanced in one loop; a member leaves the
+    stack once it stops."""
+    kept, dropped = _drop_undemanded(instances[0].matrix)
+    v_all, budgets = _stack(instances, kept)
+    K, n, m = v_all.shape
+    total = budgets.sum(axis=1)
+    b = budgets / total[:, None]
+    margin = np.minimum(tol, np.maximum(min(1e-10, 0.01 * tol),
+                                        64 * np.finfo(float).eps * total))
+    steps, last_u, last_cut = np.zeros(K, dtype=int), np.zeros((K, n)), np.zeros((K, m))
+    ids, v = np.arange(K), v_all
+
+    def leave(gone, it):
+        k = ids[gone]
+        steps[k], last_u[k], last_cut[k] = it, u[gone], cut[gone]
+
+    def merit(p, z):
+        return (np.abs(1.0 - _rmatvec(v, b / _matvec(v, p)) - z).sum(axis=1)
+                + _rowdot(p, z))
+
+    p = (b[:, None, :] @ (v / v.sum(axis=2, keepdims=True)))[:, 0]
+    z = np.ones_like(p)
+    for it in range(max_iter + 1):
+        cut = np.where(p <= ZERO_PRICE_FRACTION, 0.0, p)
+        phi = _matvec(v, cut)
+        if not (phi > 0).all():
+            uncut = ~(phi > 0).all(axis=1)
+            cut = np.where(uncut[:, None], p, cut)
+            phi = np.where(uncut[:, None], _matvec(v, p), phi)
+        u = b / phi
+        # goods' excess supply; small enough, the verifier is worth running
+        excess = 1.0 - (u[:, None, :] @ v)[:, 0]
+        cheap = np.maximum(np.where(cut > 0, np.abs(excess), 0.0).max(axis=1),
+                           -excess.min(axis=1))
+        check = np.nonzero(cheap <= margin)[0]
+        if check.size or it == max_iter:
+            done = np.full(ids.size, it == max_iter)
+            for j in check:
+                k = ids[j]
+                x_full, p_full = _embed(instances[k], kept, u[j][:, None] * v[j],
+                                        cut[j] * total[k])
+                done[j] |= verify_kkt_leontief(instances[k], x_full, p_full,
+                                               margin[j]).passed
+            if done.any():
+                leave(done, it)
+                if done.all():
+                    break
+                ids, v, b, margin, p, z, u, cut = _take(~done, ids, v, b, margin, p, z,
+                                                        u, cut)
+        phi = _matvec(v, p)
+        r_d, pz = 1.0 - _rmatvec(v, b / phi) - z, p * z
+        gap = pz.sum(axis=1)
+        factors = _newton_factors(z / p, v, b / phi**2)
+        if any(fac is None for fac in factors):
+            ok = np.array([fac is not None for fac in factors])
+            leave(~ok, it)
+            if not ok.any():
+                break
+            ids, v, b, margin, p, z, u, cut, r_d, pz, gap, factors = _take(
+                ok, ids, v, b, margin, p, z, u, cut, r_d, pz, gap, factors)
+
+        def direction(r_c):
+            dp = _cho_solve(factors, r_c / p - r_d)
+            return dp, (r_c - z * dp) / p
+
+        def max_step(dp, dz):
+            return _longest_steps(np.maximum((-dp / p).max(axis=1), (-dz / z).max(axis=1)))
+
+        dp, dz = direction(-pz)
+        a_aff = np.minimum(1.0, max_step(dp, dz))[:, None]
+        sigma = _cubes(_rowdot(p + a_aff * dp, z + a_aff * dz) / gap)
+        centre = (sigma * gap / m)[:, None] - pz
+        r_norm = np.abs(r_d).sum(axis=1)
+        (p, z), moved = _safeguarded_steps((p, z), direction, max_step, merit,
+                                           r_norm + gap, -r_norm - (1.0 - sigma) * gap,
+                                           centre, centre - dp * dz)
+        if not moved.all():
+            leave(~moved, it)
+            if not moved.any():
+                break
+            ids, v, b, margin, p, z = _take(moved, ids, v, b, margin, p, z)
+
+    out = []
+    for k, inst in enumerate(instances):
+        u = last_u[k]
+        x_full, p_full = _embed(inst, kept, u[:, None] * v_all[k], last_cut[k] * total[k])
+        report = verify_kkt_leontief(inst, x_full, p_full, tol)
+        out.append(_equilibrium(x_full, p_full, u, report.residuals, int(steps[k]),
+                                report.passed, dropped))
+    return out
 
 
 def solve_leontief_dual(instance: Instance, tol: float = DEFAULT_TOL,
@@ -472,62 +728,11 @@ def solve_leontief_dual(instance: Instance, tol: float = DEFAULT_TOL,
     min(1e-10, tol / 100), raised to the rounding of the total budget's
     spending (64 machine epsilons of it, since the budget residual is in
     money) but never above tol.  Converged means it passes at ``tol``.
+    This is a stack of one in the loop ``solve_eg_many`` runs.
     """
     if instance.kind != LEONTIEF:
         raise ValueError("solve_leontief_dual requires Leontief valuations")
-    kept, dropped = _drop_undemanded(instance.matrix)
-    v = instance.matrix[:, kept]
-    total = instance.total_budget
-    b = instance.budgets / total
-    margin = min(tol, max(min(1e-10, 0.01 * tol), 64 * np.finfo(float).eps * total))
-
-    def merit(p, z):
-        return float(np.abs(1.0 - v.T @ (b / (v @ p)) - z).sum() + p @ z)
-
-    p = b @ (v / v.sum(axis=1, keepdims=True))
-    z = np.ones_like(p)
-    for it in range(max_iter + 1):
-        cut = np.where(p <= ZERO_PRICE_FRACTION, 0.0, p)
-        if not (v @ cut > 0).all():
-            cut = p
-        u = b / (v @ cut)
-        x_full, p_full = _embed(instance, kept, u[:, None] * v, cut * total)
-        # goods' excess supply; small enough, the verifier is worth running
-        excess = 1.0 - u @ v
-        cheap = max(float(np.abs(excess[cut > 0]).max(initial=0.0)), float(-excess.min()))
-        if (cheap <= margin and verify_kkt_leontief(instance, x_full, p_full, margin).passed
-                or it == max_iter):
-            break
-        phi = v @ p
-        r_d, pz = 1.0 - v.T @ (b / phi) - z, p * z
-        gap = float(pz.sum())
-        try:
-            fac = _newton_factor(z / p, v, b / phi**2)
-        except np.linalg.LinAlgError:
-            break
-
-        def direction(r_c):
-            dp = cho_solve(fac, r_c / p - r_d, check_finite=False)
-            return dp, (r_c - z * dp) / p
-
-        def max_step(dp, dz):
-            shrink = max(float((-dp / p).max()), float((-dz / z).max()))
-            return 1.0 / shrink if shrink > 0 else math.inf
-
-        dp, dz = direction(-pz)
-        a_aff = min(1.0, max_step(dp, dz))
-        sigma = (float((p + a_aff * dp) @ (z + a_aff * dz)) / gap) ** 3
-        centre = sigma * gap / p.size - pz
-        r_norm = float(np.abs(r_d).sum())
-        step = _safeguarded_step((p, z), direction, max_step, merit, r_norm + gap,
-                                 -r_norm - (1.0 - sigma) * gap, centre, centre - dp * dz)
-        if step is None:
-            break
-        p, z = step
-
-    report = verify_kkt_leontief(instance, x_full, p_full, tol)
-    return _equilibrium(x_full, p_full, u, report.residuals, it, report.passed,
-                        dropped)
+    return _solve_leontief_stack([instance], tol, max_iter)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +782,10 @@ def solve_ces_eg(instance: Instance, tol: float = DEFAULT_TOL,
         g = 1.0 - spend / p
         if np.abs(g).max() <= tol or it == max_iter:
             break
-        try:
-            fac = _newton_factor(sigma * spend, q, (1.0 - sigma) * b)
-            dz = -cho_solve(fac, p * g, check_finite=False)
-        except np.linalg.LinAlgError:
+        fac = _newton_factors((sigma * spend)[None], q[None], ((1.0 - sigma) * b)[None])
+        if fac[0] is not None:
+            dz = -_cho_solve(fac, (p * g)[None])[0]
+        else:
             dz = -p * g / np.maximum(spend, 1e-300)
         decrement = float(-g @ (p * dz))
         t = min(1.0, 0.99 / max(float(-dz.min()), 1e-300))
@@ -606,17 +811,52 @@ def solve_eg(instance: Instance, tol: float = DEFAULT_TOL,
              max_iter: int = MAX_NEWTON_STEPS, init_bids=None) -> MarketEquilibrium:
     """Dispatch to the solver matching the instance's valuation kind.
 
-    This is the one Eisenberg-Gale solve path; the Fisher game solves its
-    reported markets through it too.  ``max_iter`` caps the Newton steps of
-    every solver, and ``iterations`` counts them.  ``init_bids`` selects
-    among tied linear equilibria (see ``solve_linear_eg``); the other kinds
-    ignore it.
+    This is the one Eisenberg-Gale solve path for a single market;
+    ``solve_eg_many`` solves many at once.  ``max_iter`` caps the Newton
+    steps of every solver, and ``iterations`` counts them.  ``init_bids``
+    selects among tied linear equilibria (see ``solve_linear_eg``); the
+    other kinds ignore it.
     """
     if instance.kind == LINEAR:
         return solve_linear_eg(instance, tol, max_iter, init_bids)
     if instance.kind == LEONTIEF:
         return solve_leontief_dual(instance, tol, max_iter)
     return solve_ces_eg(instance, tol, max_iter)
+
+
+def solve_eg_many(instances, tol: float = DEFAULT_TOL,
+                  max_iter: int = MAX_NEWTON_STEPS) -> list[MarketEquilibrium]:
+    """``solve_eg`` of each market, in order; the Fisher game solves its
+    report deviations through it.
+
+    Linear and Leontief markets of one kind, agent count and set of demanded
+    goods share one interior-point loop, in stacks of at most STACK_ENTRIES
+    entries per K x n x m array; each member takes its own Newton steps, is
+    polished and verified alone and leaves the stack when it stops, so its
+    result is the one ``solve_eg`` gives.  CES markets are solved one at a
+    time.
+    """
+    out = [None] * len(instances)
+    groups: dict = {}
+    for i, inst in enumerate(instances):
+        if inst.kind == CES:
+            out[i] = solve_ces_eg(inst, tol, max_iter)
+            continue
+        kept = _drop_undemanded(inst.matrix)[0]
+        key = (inst.kind, inst.n, inst.m, kept.tobytes())
+        groups.setdefault(key, (kept.size, []))[1].append(i)
+    for (kind, n, _, _), (m_kept, members) in groups.items():
+        size = max(1, STACK_ENTRIES // (n * m_kept))
+        for start in range(0, len(members), size):
+            chunk = members[start:start + size]
+            stack = [instances[i] for i in chunk]
+            if kind == LINEAR:
+                eqs = _solve_linear_stack(stack, tol, max_iter, [None] * len(stack))
+            else:
+                eqs = _solve_leontief_stack(stack, tol, max_iter)
+            for i, eq in zip(chunk, eqs):
+                out[i] = eq
+    return out
 
 
 # ---------------------------------------------------------------------------

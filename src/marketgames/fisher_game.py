@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (LEONTIEF, LINEAR, DEFAULT_TOL, Instance, ValuationProfile,
                    make_instance, nsw, _readonly)
-from .eq_solvers import MarketEquilibrium, solve_eg
+from .eq_solvers import MarketEquilibrium, solve_eg, solve_eg_many
 
 
 @dataclass(frozen=True)
@@ -48,35 +48,53 @@ def _check_reports(instance: Instance, reports) -> np.ndarray:
     return r
 
 
+def _fisher_outcomes(instance: Instance, profiles, tol: float,
+                     init_spending=None) -> list[GameOutcome]:
+    """The mechanism's outcome of each checked report profile.
+
+    Each reported market keeps its live agents (a positive report) and all
+    goods; the markets are solved by one ``solve_eg_many`` call, or, given
+    ``init_spending`` (its rows for the live agents are each market's
+    ``init_bids``), by ``solve_eg`` one at a time.
+    """
+    lives = [(r > 0).any(axis=1) for r in profiles]
+    subs = [Instance(int(live.sum()), instance.m, instance.budgets[live],
+                     ValuationProfile(instance.kind, r[live], instance.valuations.rho))
+            for r, live in zip(profiles, lives)]
+    if init_spending is None:
+        eqs = solve_eg_many(subs, tol)
+    else:
+        init = np.asarray(init_spending, float)
+        eqs = [solve_eg(sub, tol, init_bids=init[live]) for sub, live in zip(subs, lives)]
+    outcomes = []
+    for live, eq in zip(lives, eqs):
+        allocation = np.zeros((instance.n, instance.m))
+        allocation[live] = eq.allocation
+        rep_utilities = np.zeros(instance.n)
+        rep_utilities[live] = eq.utilities
+        full_eq = MarketEquilibrium(_readonly(allocation), eq.prices,
+                                    _readonly(rep_utilities), eq.residuals,
+                                    eq.iterations, eq.converged, eq.dropped_goods)
+        true_u = instance.utilities(allocation)
+        outcomes.append(GameOutcome(full_eq, _readonly(true_u),
+                                    nsw(true_u, instance.budgets),
+                                    tuple(int(i) for i in np.nonzero(~live)[0])))
+    return outcomes
+
+
 def fisher_outcome(instance: Instance, reports, tol: float = DEFAULT_TOL,
                    init_spending=None) -> GameOutcome:
     """Run the mechanism: solve the reported market, evaluate true utilities.
 
     Goods nobody reports a value for are removed before solving (their price
     is zero and they stay unallocated); agents whose whole report is zero
-    receive nothing and are flagged.  The reported market is solved by
-    ``solve_eg`` within its default Newton-step cap; ``init_spending`` is its
-    ``init_bids``, which selects among tied linear equilibria.  Reports that
-    are negative or not finite raise ValueError.
+    receive nothing and are flagged.  The reported market is solved within
+    the default Newton-step cap; ``init_spending`` is its ``init_bids``,
+    which selects among tied linear equilibria.  Reports that are negative
+    or not finite raise ValueError.
     """
     r = _check_reports(instance, reports)
-    live = (r > 0).any(axis=1)
-    flagged = tuple(int(i) for i in np.nonzero(~live)[0])
-    sub = Instance(int(live.sum()), instance.m, instance.budgets[live],
-                   ValuationProfile(instance.kind, r[live], instance.valuations.rho))
-    init = None if init_spending is None else np.asarray(init_spending, float)[live]
-    eq = solve_eg(sub, tol, init_bids=init)
-
-    allocation = np.zeros((instance.n, instance.m))
-    allocation[live] = eq.allocation
-    rep_utilities = np.zeros(instance.n)
-    rep_utilities[live] = eq.utilities
-    full_eq = MarketEquilibrium(_readonly(allocation), eq.prices,
-                                _readonly(rep_utilities), eq.residuals,
-                                eq.iterations, eq.converged, eq.dropped_goods)
-    true_u = instance.utilities(allocation)
-    return GameOutcome(full_eq, _readonly(true_u), nsw(true_u, instance.budgets),
-                       flagged)
+    return _fisher_outcomes(instance, [r], tol, init_spending)[0]
 
 
 def uniform_leontief_ne(instance: Instance, tol: float = DEFAULT_TOL):
@@ -179,8 +197,11 @@ def fisher_ne_falsify(instance: Instance, reports, trials: int = 100,
     deviations of the lower-bound analysis expressed in report space), and
     seeded random deviations (log-uniform coordinate rescalings in
     [1e-3, 1e3] and sparsified reports).  A max gain at or below tolerance is
-    evidence of equilibrium, not proof.  A deviation whose solve raised or
-    did not converge is counted in ``failures`` and its gain left out.
+    evidence of equilibrium, not proof.  Each agent's deviation markets are
+    solved together (``solve_eg_many``), and a profile that repeats within
+    the call is solved once.  A deviation whose solve did not converge, or
+    whose agent's solves raised, is counted in ``failures`` and its gain
+    left out.
     """
     base_reports = _check_reports(instance, reports)
     base = fisher_outcome(instance, reports, tol, init_spending=init_spending)
@@ -188,6 +209,7 @@ def fisher_ne_falsify(instance: Instance, reports, trials: int = 100,
     lo, hi = math.log(1e-3), math.log(1e3)
     gains = np.zeros(instance.n)
     failures = 0
+    solved: dict = {}  # profile bytes -> outcome, None if it raised or did not converge
     for i in range(instance.n):
         devs = [instance.matrix[i].copy()]
         # smallest report coordinates first: they carry the fragile
@@ -215,17 +237,32 @@ def fisher_ne_falsify(instance: Instance, reports, trials: int = 100,
                     mask[pos[keep]] = True
                     d = np.where(mask, d, 0.0)
             devs.append(d)
-        best = 0.0
+        # each distinct profile is solved once per call, the agent's new
+        # ones in one batch; the base outcome is not reused, since it may
+        # have been selected by init_spending
+        keys, batch = [], {}
         for d in devs[:trials]:
             profile = base_reports.copy()
             profile[i] = d
-            try:
-                out = fisher_outcome(instance, profile, tol)
-            except (ValueError, FloatingPointError):
-                out = None
-            if out is None or not out.equilibrium.converged:
+            key = profile.tobytes()
+            keys.append(key)
+            if key in solved or key in batch:
+                continue
+            if np.isfinite(profile).all():
+                batch[key] = profile
+            else:  # a rescaling overflowed
+                solved[key] = None
+        try:
+            outs = _fisher_outcomes(instance, list(batch.values()), tol)
+        except (ValueError, FloatingPointError):
+            outs = [None] * len(batch)
+        for key, out in zip(batch, outs):
+            solved[key] = out if out is not None and out.equilibrium.converged else None
+        best = 0.0
+        for key in keys:
+            if solved[key] is None:
                 failures += 1
                 continue
-            best = max(best, float(out.true_utilities[i] - base.true_utilities[i]))
+            best = max(best, float(solved[key].true_utilities[i] - base.true_utilities[i]))
         gains[i] = best
     return FalsifierReport(_readonly(gains), float(gains.max()), trials, failures)

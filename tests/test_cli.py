@@ -1,12 +1,14 @@
+import csv
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import marketgames as mg
-from marketgames import fisher_game
+from marketgames import cli, fisher_game
 from marketgames.cli import main
 
 NAN = float("nan")
@@ -98,10 +100,11 @@ def test_tp_dynamics_exits_1_when_unconverged(tmp_path, capsys):
 
 def test_fisher_outcome_exits_1_when_unconverged(ex31_file, tmp_path, monkeypatch,
                                                  capsys):
-    def unconverged(instance, tol, init_bids=None):
-        return dataclasses.replace(mg.solve_eg(instance, tol), converged=False)
+    def unconverged(instances, tol):
+        return [dataclasses.replace(eq, converged=False)
+                for eq in mg.solve_eg_many(instances, tol)]
 
-    monkeypatch.setattr(fisher_game, "solve_eg", unconverged)
+    monkeypatch.setattr(fisher_game, "solve_eg_many", unconverged)
     reports = tmp_path / "reports.json"
     reports.write_text(json.dumps({"reports": [[1.0, 0.0], [0.5, 0.5]]}))
     assert main(["fisher-outcome", ex31_file, "--reports", str(reports)]) == 1
@@ -196,6 +199,44 @@ def test_reproduce_remaining_ids(tmp_path, capsys, monkeypatch):
     assert main(["reproduce", "lb-construction", "--out", "lb-default"]) == 0
     assert "n = 8" in (tmp_path / "lb-default.txt").read_text()
     assert main(["reproduce", "lb-construction", "--n", "5", "--out", "lb5"]) == 2
+
+
+def _csv_row(path):
+    with open(path, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    return row
+
+
+def test_reproduce_rows_check_the_allocation_they_score(tmp_path, capsys, monkeypatch):
+    # a worked example's proportional field is proportionality_check of the
+    # allocation whose NSW the row reports, not a constant
+    monkeypatch.chdir(tmp_path)
+    real, scored = cli.proportionality_check, []
+
+    def failing(instance, allocation, slack=0.0, tol=1e-8):
+        scored.append(mg.nsw(instance.utilities(allocation), instance.budgets))
+        return dataclasses.replace(real(instance, allocation, slack, tol), all_pass=False)
+
+    monkeypatch.setattr(cli, "proportionality_check", failing)
+    for rid in ("example-3.1", "lb-construction", "tp-nonexistence", "example-lin",
+                "example-leo"):
+        main(["reproduce", rid, "--out", rid])
+        row = _csv_row(tmp_path / f"{rid}.csv")
+        assert row["proportional"] == "false"
+        assert float(row["nsw_eq"]) == pytest.approx(scored[-1], rel=1e-9)
+    assert len(scored) == 5
+
+
+def test_reproduce_tp_nonexistence_scores_against_its_optimum(tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["reproduce", "tp-nonexistence", "--out", "ne"]) == 0
+    row = _csv_row(tmp_path / "ne.csv")
+    # the optimum of (0.5, 0.5) / (0.9, 0.1) prices good 1 at 2 and good 2
+    # at 0: utilities 1 and 5/9
+    assert float(row["nsw_opt"]) == pytest.approx(math.sqrt(5 / 9), rel=1e-9)
+    assert 1.0 <= float(row["ratio"]) <= 1.0 + 1e-6
+    assert row["proportional"] == "true"
 
 
 def test_exit_codes_for_bad_input(tmp_path, capsys):

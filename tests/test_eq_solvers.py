@@ -274,6 +274,10 @@ def eg_markets(draw, leontief=False):
 # agent 1 splits its budget at the equilibrium; Mehrotra steps alone cycle here
 @example(mg.make_instance("linear", [[1.0, 0.0], [1.0625, 1.75], [0.0, 1.0], [0.0, 1.0],
                                      [1.0, 0.0], [0.25, 1.0]], [4.0, 1.0, 3.0, 5.0, 2.5, 3.0]))
+# a slack rounds to exactly zero before the tight/loose split is ever clean:
+# the interior point breaks down and its last iterate is polished
+@example(mg.make_instance("linear", [[1.0, 2.0, 0.0, 3.0, 1.0], [1.0, 3.0, 2.0, 1.0, 2.0],
+                                     [1.0, 3.0, 0.0, 0.0, 3.0]], [1.0, 1.0, 1.0]))
 @settings(max_examples=150, deadline=None)
 def test_converged_solves_pass_their_verifier(inst):
     eq = mg.solve_eg(inst)
@@ -495,3 +499,113 @@ def test_solver_kind_checks():
     for inst in (leo, mg.gen_random(2, 2, "ces", rho=0.5, seed=0)):
         with pytest.raises(TypeError):
             mg.solve_eg(inst, init_bidz=1)
+
+
+def _stationarity_by_agent(instance, allocation, prices):
+    """The linear stationarity residual, one agent at a time: the reference
+    for ``verify_kkt_linear``'s array form."""
+    x, p, v = np.asarray(allocation, float), np.asarray(prices, float), instance.matrix
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bpb = np.where(v > 0, v / np.where(p > 0, p, 0.0), 0.0)
+    alpha = bpb.max(axis=1)
+    active = x > 1e-9
+    rel = np.zeros_like(x)
+    for i in range(instance.n):
+        if not active[i].any():
+            continue
+        if not math.isfinite(alpha[i]):
+            rel[i, active[i]] = np.where(np.isinf(bpb[i, active[i]]), 0.0, 1.0)
+        else:
+            rel[i, active[i]] = (alpha[i] - bpb[i, active[i]]) / max(alpha[i], 1e-300)
+    return float(rel.max())
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_linear_stationarity_matches_the_per_agent_loop(n, m, data):
+    def matrix(rows, cols, entry):
+        return np.array(data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                           min_size=rows, max_size=rows)))
+
+    v = matrix(n, m, st.one_of(st.just(0.0), st.floats(0.05, 2.0)))
+    v[~(v > 0).any(axis=1), 0] = 1.0
+    inst = mg.make_instance("linear", v)
+    x = matrix(n, m, st.sampled_from([0.0, 1e-10, 0.3, 1.0, np.nan]))
+    p = matrix(1, m, st.one_of(st.just(0.0), st.floats(0.01, 3.0)))[0]
+    got = mg.verify_kkt_linear(inst, x, p).residuals.stationarity
+    assert got == _stationarity_by_agent(inst, x, p)
+
+
+@st.composite
+def same_shape_stacks(draw):
+    """One to six linear or Leontief markets of one shape, each good
+    demanded, as ``solve_eg_many`` stacks them."""
+    kind = draw(st.sampled_from(["linear", "leontief"]))
+    n, m, size = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+    markets = []
+    for _ in range(size):
+        v = np.array(draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                                   min_size=n, max_size=n)))
+        for i in np.nonzero(~(v > 0).any(axis=1))[0]:
+            v[i, draw(st.integers(0, m - 1))] = 1.0
+        for j in np.nonzero(~(v > 0).any(axis=0))[0]:
+            v[draw(st.integers(0, n - 1)), j] = 1.0
+        budgets = draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
+        markets.append(mg.make_instance(kind, v, budgets))
+    return markets
+
+
+@given(same_shape_stacks())
+@settings(max_examples=100, deadline=None)
+def test_stacked_solves_match_single_solves(markets):
+    for inst, eq in zip(markets, mg.solve_eg_many(markets)):
+        alone = mg.solve_eg(inst)
+        assert (eq.iterations, eq.converged) == (alone.iterations, alone.converged)
+        assert np.abs(eq.allocation - alone.allocation).max() <= 1e-12
+        if inst.kind == "linear":  # Leontief prices need not be unique
+            assert np.abs(eq.prices - alone.prices).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["linear", "leontief"])
+def test_a_failing_member_leaves_the_stack_alone(kind, monkeypatch):
+    # the second member's Newton matrix is rejected at the second step: it
+    # stops there, and the other members solve as they do alone
+    markets = [mg.gen_random(5, 4, kind, seed=seed) for seed in range(3)]
+    alone = [mg.solve_eg(inst) for inst in markets]
+    assert all(eq.converged and eq.iterations > 2 for eq in alone)
+    real, calls = eq_solvers._newton_factors, []
+
+    def reject_second(d, w, c):
+        factors = real(d, w, c)
+        calls.append(len(factors))
+        if len(calls) == 2:
+            factors[1] = None
+        return factors
+
+    monkeypatch.setattr(eq_solvers, "_newton_factors", reject_second)
+    stacked = mg.solve_eg_many(markets)
+    assert calls[:2] == [3, 3]
+    assert stacked[1].iterations == 1 and not stacked[1].converged
+    for k in (0, 2):
+        assert stacked[k].iterations == alone[k].iterations
+        assert stacked[k].converged
+        assert np.array_equal(stacked[k].allocation, alone[k].allocation)
+
+
+def test_stacks_are_capped_at_stack_entries(monkeypatch):
+    # five 4 x 3 markets under a cap of two markets' entries: stacks of 2, 2
+    # and 1, each member solved as alone
+    markets = [mg.gen_random(4, 3, "leontief", seed=seed) for seed in range(5)]
+    real, sizes = eq_solvers._solve_leontief_stack, []
+
+    def counting(instances, *args):
+        sizes.append(len(instances))
+        return real(instances, *args)
+
+    monkeypatch.setattr(eq_solvers, "STACK_ENTRIES", 2 * 4 * 3)
+    monkeypatch.setattr(eq_solvers, "_solve_leontief_stack", counting)
+    stacked = mg.solve_eg_many(markets)
+    assert sizes == [2, 2, 1]
+    for inst, eq in zip(markets, stacked):
+        assert np.array_equal(eq.allocation, mg.solve_eg(inst).allocation)

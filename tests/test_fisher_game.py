@@ -174,18 +174,19 @@ def test_falsifier_counts_unconverged_deviation(monkeypatch):
     # the fifth solve (a deviation of agent 0) comes back unconverged and
     # handing that agent everything: a failure, not a gain, in the falsifier
     # and in the PoA row it certifies
-    real = fisher_game.solve_eg
+    real = fisher_game.solve_eg_many
     calls = []
 
-    def flaky(instance, *args, **kwargs):
-        eq = real(instance, *args, **kwargs)
-        calls.append(instance)
-        if len(calls) == 5:
-            return dataclasses.replace(eq, allocation=np.ones_like(eq.allocation),
-                                       converged=False)
-        return eq
+    def flaky(instances, *args, **kwargs):
+        eqs = real(instances, *args, **kwargs)
+        for k, (instance, eq) in enumerate(zip(instances, eqs)):
+            calls.append(instance)
+            if len(calls) == 5:
+                eqs[k] = dataclasses.replace(eq, allocation=np.ones_like(eq.allocation),
+                                             converged=False)
+        return eqs
 
-    monkeypatch.setattr(fisher_game, "solve_eg", flaky)
+    monkeypatch.setattr(fisher_game, "solve_eg_many", flaky)
     inst = mg.gen_identity_leontief(3)
     reports, _ = mg.uniform_leontief_ne(inst)  # the first solve
     rep = mg.fisher_ne_falsify(inst, reports, trials=10, seed=0)
