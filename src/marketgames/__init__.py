@@ -17,11 +17,10 @@ from .eq_solvers import (EpsEquilibriumReport, KKTReport, MarketEquilibrium,
 from .fisher_game import (FalsifierReport, GameOutcome, fisher_ne_falsify,
                           fisher_outcome, lb_construction, lb_profile_stats,
                           uniform_leontief_ne)
-from .instance_lab import (ExperimentConfig, PoARecord, gen_example_3_1,
-                           gen_example_leo_family, gen_example_lin_family,
-                           gen_identity_leontief, gen_random,
-                           gen_tp_nonexistence, load_instance, run_experiment,
-                           save_instance)
+from .instance_lab import (PoARecord, gen_example_3_1, gen_example_leo_family,
+                           gen_example_lin_family, gen_identity_leontief,
+                           gen_random, gen_tp_nonexistence, load_instance,
+                           poa_record, run_experiment, save_instance)
 from .trading_post import (BRResult, NEReport, br_ces, br_concave_numeric,
                            br_dynamics, br_grid_oracle, br_leontief, br_linear,
                            delta_for_eps, ne_to_market, safe_strategy, tp_allocate,

@@ -3,34 +3,44 @@
 Verbs: solve-eg, tp-dynamics, fisher-outcome, verify, poa, and reproduce
 (named worked examples).  Reports are flat key-value documents with fixed
 12-significant-digit formatting so identical invocations are byte-identical;
-experiment batches additionally write the PoA CSV.  Exit codes: 0 success,
-1 verification failure, an unconverged solve or dynamics, or a PoA row
-with a failure, 2 usage or input error.
+`poa --out` and `reproduce` additionally write the PoA CSV.  Exit codes:
+0 success, 1 verification failure, an unconverged solve or dynamics, or a
+PoA row with a failure, 2 usage or input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import eq_solvers, fisher_game, instance_lab, trading_post
-from .core import (LEONTIEF, LINEAR, DEFAULT_TOL, _json_field, nsw, poa_ratio,
-                   proportionality_check)
-from .instance_lab import (ExperimentConfig, PoARecord, format_value,
-                           load_instance, records_to_csv, run_experiment,
-                           write_report)
+from .core import LEONTIEF, LINEAR, DEFAULT_TOL, _json_field, nsw, poa_ratio
+from .instance_lab import (format_value, load_instance, poa_record, records_to_csv,
+                           run_experiment, write_report)
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
+def _at_least(convert, low, strict=False):
+    """An argparse type: a finite number, read by ``convert``, of at least
+    ``low`` or, if ``strict``, above it."""
+    bound = f"{'above' if strict else 'at least'} {low}"
+
+    def parse(text: str):
+        value = convert(text)
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(f"must be finite and {bound}, not {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in its errors
+    return parse
+
+
+_positive_int = _at_least(int, 1)
+_positive_float = _at_least(float, 0, strict=True)
+_non_negative_float = _at_least(float, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
         p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("solve-eg", help="solve the Eisenberg-Gale equilibrium")
@@ -48,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tp-dynamics", help="run round-robin best-response dynamics")
     p.add_argument("instance")
-    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--delta", type=_non_negative_float, default=0.0)
     p.add_argument("--max-rounds", type=_positive_int, default=2000)
     p.add_argument("--init", type=str, default=None, help="bids JSON file")
     p.add_argument("--stream", type=str, default=None,
@@ -64,17 +74,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=("kkt", "tp-ne", "eps-market"))
     p.add_argument("payload", help="bids or prices/allocation JSON file")
     p.add_argument("instance")
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--delta", type=_non_negative_float, default=0.0)
+    p.add_argument("--eps", type=_non_negative_float, default=None)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("poa", help="price-of-anarchy record for one instance")
     p.add_argument("instance")
     p.add_argument("--mechanism", choices=("fisher", "trading-post"),
                    default="trading-post")
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--delta", type=_non_negative_float, default=0.0)
     p.add_argument("--max-rounds", type=_positive_int, default=2000)
     common(p)
 
@@ -82,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", choices=tuple(REPRODUCE))
     p.add_argument("--n", type=int, default=None,
                    help="size (default 8 for lb-construction, else 5)")
-    p.add_argument("--delta", type=float, default=1e-4)
+    p.add_argument("--delta", type=_non_negative_float, default=1e-4)
     p.add_argument("--a", type=float, default=0.5)
     p.add_argument("--eps", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)
@@ -207,34 +216,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_poa(args) -> int:
-    mechanism = args.mechanism.replace("-", "_")
-    config = ExperimentConfig(source=args.instance, mechanism=mechanism,
-                              delta=args.delta, seed=args.seed, tol=args.tol,
-                              max_rounds=args.max_rounds,
-                              out_path=args.out and args.out + ".csv")
-    records = run_experiment(config)
-    rec = records[0]
-    _emit({"instance_id": rec.instance_id, "mechanism": rec.mechanism,
-           "delta": rec.delta, "nsw_opt": rec.nsw_opt, "nsw_eq": rec.nsw_eq,
-           "ratio": rec.ratio, "eps_br": rec.eps_br,
-           "eps_market": rec.eps_market, "proportional": rec.proportional,
-           "failure": rec.failure}, args.out and args.out + ".txt")
+    rec = run_experiment(load_instance(args.instance), Path(args.instance).stem,
+                         args.mechanism.replace("-", "_"), args.delta, args.tol,
+                         args.max_rounds)
+    if args.out:
+        records_to_csv([rec], args.out + ".csv")
+    row = dataclasses.asdict(rec)
+    del row["seconds"]  # the text report stays byte-identical across runs
+    _emit(row, args.out and args.out + ".txt")
     return 0 if not rec.failure else 1
-
-
-def _record(instance, allocation, instance_id, mechanism, delta, nsw_opt, nsw_eq,
-            eps_br):
-    """A PoA row for a worked example: no market certificate, no timing.
-
-    ``allocation`` is the one whose NSW the row scores; ``proportional``
-    checks it with the entrance-fee slack delta (m - 1) / B_i, as
-    ``run_experiment`` does.
-    """
-    slack = np.minimum(delta * (instance.m - 1) / instance.budgets, 1.0)
-    prop = proportionality_check(instance, allocation, slack, tol=1e-7)
-    return PoARecord(instance_id, mechanism, delta, nsw_opt, nsw_eq,
-                     poa_ratio(nsw_opt, nsw_eq), eps_br, float("nan"), prop.all_pass,
-                     0.0)
 
 
 def _reproduce_example_3_1(args):
@@ -250,20 +240,17 @@ def _reproduce_example_3_1(args):
         "misreport_agent2_utility": deviated.true_utilities[1],
         "misreport_gain_agent2": gain,
     }
-    return report, [_record(instance, deviated.equilibrium.allocation, "example-3.1",
-                            "fisher", 0.0, truthful.nsw, deviated.nsw, gain)]
+    return report, [poa_record(instance, "example-3.1", "fisher", 0.0, truthful.nsw,
+                               deviated.nsw, gain, deviated.equilibrium.allocation)]
 
 
 def _reproduce_theorem_3_3(args):
     n = 5 if args.n is None else args.n
-    config = ExperimentConfig(source="identity-leontief", mechanism="fisher",
-                              n=n, tol=args.tol, certify_trials=50,
-                              seed=args.seed)
-    records = run_experiment(config)
-    rec = records[0]
+    rec = run_experiment(instance_lab.gen_identity_leontief(n), f"identity-leontief-n{n}",
+                         "fisher", tol=args.tol, certify_trials=50, seed=args.seed)
     return {"n": n, "nsw_opt": rec.nsw_opt, "nsw_eq": rec.nsw_eq,
             "ratio": rec.ratio, "eps_br": rec.eps_br,
-            "proportional": rec.proportional}, records
+            "proportional": rec.proportional}, [rec]
 
 
 def _reproduce_lb_construction(args):
@@ -287,8 +274,8 @@ def _reproduce_lb_construction(args):
         eps_br = max(eps_br, fal.max_gain)
     # the profile's allocation: the trading post's, and the Fisher game's
     # under the spending the construction selects
-    return report, [_record(instance, tp.allocation, f"lb-construction-n{n}", "fisher",
-                            0.0, nsw_opt, stats["nsw"], eps_br)]
+    return report, [poa_record(instance, f"lb-construction-n{n}", "fisher", 0.0, nsw_opt,
+                               stats["nsw"], eps_br, tp.allocation)]
 
 
 def _reproduce_tp_nonexistence(args):
@@ -306,21 +293,19 @@ def _reproduce_tp_nonexistence(args):
         "fee_max_gain": feed.max_gain,
         "fee_utilities": feed.utilities,
     }
-    return report, [_record(instance, feed.allocation, "tp-nonexistence", "trading_post",
-                            1e-3, nsw(opt.utilities, instance.budgets),
-                            nsw(feed.utilities, instance.budgets), feed.max_gain)]
+    return report, [poa_record(instance, "tp-nonexistence", "trading_post", 1e-3,
+                               nsw(opt.utilities, instance.budgets),
+                               nsw(feed.utilities, instance.budgets), feed.max_gain,
+                               feed.allocation)]
 
 
 def _reproduce_tp_leontief_poa(args):
     n = 5 if args.n is None else args.n
-    config = ExperimentConfig(source="identity-leontief",
-                              mechanism="trading_post", n=n,
-                              delta=args.delta, tol=args.tol, seed=args.seed)
-    records = run_experiment(config)
-    rec = records[0]
+    rec = run_experiment(instance_lab.gen_identity_leontief(n), f"identity-leontief-n{n}",
+                         "trading_post", args.delta, args.tol)
     return {"n": n, "delta": args.delta, "ratio": rec.ratio,
             "eps_br": rec.eps_br, "eps_market": rec.eps_market,
-            "proportional": rec.proportional, "failure": rec.failure}, records
+            "proportional": rec.proportional, "failure": rec.failure}, [rec]
 
 
 def _reproduce_example_lin(args):
@@ -329,9 +314,10 @@ def _reproduce_example_lin(args):
     opt = eq_solvers.solve_linear_eg(instance, args.tol)
     report = {"eps": args.eps, "gains": rep.gains,
               "max_gain": rep.max_gain, "utilities": rep.utilities}
-    return report, [_record(instance, rep.allocation, f"example-lin-eps{args.eps}",
-                            "trading_post", 0.0, nsw(opt.utilities, instance.budgets),
-                            nsw(rep.utilities, instance.budgets), rep.max_gain)]
+    return report, [poa_record(instance, f"example-lin-eps{args.eps}", "trading_post",
+                               0.0, nsw(opt.utilities, instance.budgets),
+                               nsw(rep.utilities, instance.budgets), rep.max_gain,
+                               rep.allocation)]
 
 
 def _reproduce_example_leo(args):
@@ -339,9 +325,9 @@ def _reproduce_example_leo(args):
     rep = trading_post.verify_tp_ne(instance, bids, 0.0, args.tol)
     report = {"a": args.a, "gains": rep.gains,
               "max_gain": rep.max_gain, "utilities": rep.utilities}
-    return report, [_record(instance, rep.allocation, f"example-leo-a{args.a}",
-                            "trading_post", 0.0, 1.0, nsw(rep.utilities, instance.budgets),
-                            rep.max_gain)]
+    return report, [poa_record(instance, f"example-leo-a{args.a}", "trading_post", 0.0,
+                               1.0, nsw(rep.utilities, instance.budgets), rep.max_gain,
+                               rep.allocation)]
 
 
 #: The named worked examples: id -> (args) -> (report, PoA records).
@@ -360,10 +346,9 @@ def _cmd_reproduce(args) -> int:
     out = args.out or f"marketgames-{args.id}"
     body, records = REPRODUCE[args.id](args)
     report = {"id": args.id, **body}
-    write_report(out + ".txt", report)
+    _emit(report, out + ".txt")
     records_to_csv(records, out + ".csv")
-    for key, val in report.items():
-        print(f"{key} = {format_value(val)}")
+    _emit(report, None)
     return 1 if any(rec.failure for rec in records) else 0
 
 

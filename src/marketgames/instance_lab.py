@@ -2,15 +2,15 @@
 
 Named constructions reproduce the worked examples; gen_random provides a
 seeded stress family with the perfect-competition property enforced.
-Experiments emit one CSV row per instance (the spec header plus a trailing
-failure tag so failed runs never abort a batch).
+run_experiment turns an instance into one PoA row, which poa_record builds; a
+failed run becomes a row with a failure tag, so it never aborts a batch.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +20,6 @@ from .core import (CES, LEONTIEF, LINEAR, DEFAULT_TOL, Instance, make_instance,
 from .eq_solvers import solve_eg, verify_eps_market_eq
 from .fisher_game import fisher_ne_falsify, uniform_leontief_ne
 from .trading_post import br_dynamics
-
-CSV_HEADER = ("instance_id", "mechanism", "delta", "nsw_opt", "nsw_eq", "ratio",
-              "eps_br", "eps_market", "proportional", "seconds", "failure")
-
 
 # ---------------------------------------------------------------------------
 # Generators
@@ -91,7 +87,8 @@ def gen_random(n: int, m: int, kind: str, rho: float | None = None,
 
     Columns are resampled until every good is demanded by at least two
     agents (perfect competition), rows until every agent demands something.
-    Leontief rows are rescaled to max entry 1 for conditioning.
+    Leontief rows are rescaled to max entry 1 for conditioning.  Raises
+    ValueError if 1000 redraws leave a column with fewer than two demanders.
     """
     if not 0 <= sparsity < 1:
         raise ValueError("sparsity must lie in [0, 1)")
@@ -107,11 +104,12 @@ def gen_random(n: int, m: int, kind: str, rho: float | None = None,
 
     mat = np.empty((n, m))
     for j in range(m):
-        col = draw_column()
-        for _ in range(1000):
+        for _ in range(1001):  # a draw and 1000 redraws
+            col = draw_column()
             if (col > 0).sum() >= 2:
                 break
-            col = draw_column()
+        else:
+            raise ValueError(f"sparsity {sparsity} leaves good {j} under two demanders")
         mat[:, j] = col
     for i in range(n):
         if not (mat[i] > 0).any():
@@ -159,39 +157,9 @@ def write_report(path, items: dict) -> None:
 
 
 @dataclass
-class ExperimentConfig:
-    """One experiment batch: where instances come from and what to run.
-
-    source is a named construction ("identity-leontief", "example-3.1",
-    "tp-nonexistence"), a file path, or "random" (with n, m, kind, rho,
-    seed, sparsity, count).  For Leontief trading-post runs delta must be
-    positive: exact equilibria need not exist at delta = 0.
-    """
-
-    source: str
-    mechanism: str = "trading_post"
-    delta: float = 0.0
-    n: int = 4
-    m: int = 3
-    kind: str = LINEAR
-    rho: float | None = None
-    seed: int = 0
-    sparsity: float = 0.0
-    count: int = 1
-    tol: float = DEFAULT_TOL
-    max_rounds: int = 2000
-    certify_trials: int = 0
-    out_path: str | None = None
-
-    def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
-        if self.mechanism not in ("fisher", "trading_post"):
-            raise ValueError(f"unknown mechanism {self.mechanism!r}")
-
-
-@dataclass
 class PoARecord:
+    """One price-of-anarchy row; its field names are the CSV header."""
+
     instance_id: str
     mechanism: str
     delta: float
@@ -205,89 +173,81 @@ class PoARecord:
     failure: str = ""
 
 
-def _resolve_instances(config: ExperimentConfig):
-    src = config.source
-    if src == "identity-leontief":
-        return [(f"identity-leontief-n{config.n}", gen_identity_leontief(config.n))]
-    if src == "example-3.1":
-        return [("example-3.1", gen_example_3_1())]
-    if src == "tp-nonexistence":
-        return [("tp-nonexistence", gen_tp_nonexistence())]
-    if src == "random":
-        out = []
-        for t in range(config.count):
-            seed = config.seed + t
-            name = f"random-{config.kind}-n{config.n}-m{config.m}-seed{seed}"
-            out.append((name, gen_random(config.n, config.m, config.kind,
-                                         config.rho, seed, config.sparsity)))
-        return out
-    return [(Path(src).stem, load_instance(src))]
+CSV_HEADER = tuple(f.name for f in fields(PoARecord))
 
 
-def run_experiment(config: ExperimentConfig) -> list[PoARecord]:
-    """Solve the optimum, find/verify the mechanism equilibrium, and emit
-    one PoARecord per instance.  Per-instance failures are recorded and the
-    batch continues."""
-    records = []
-    for instance_id, instance in _resolve_instances(config):
-        t0 = time.perf_counter()
-        try:
-            records.append(_run_single(config, instance_id, instance, t0))
-        except Exception as exc:  # failure tag, never abort the batch
-            records.append(PoARecord(instance_id, config.mechanism, config.delta,
-                                     float("nan"), float("nan"), float("nan"),
-                                     float("nan"), float("nan"), False,
-                                     time.perf_counter() - t0, str(exc)))
-    if config.out_path:
-        records_to_csv(records, config.out_path)
-    return records
+def poa_record(instance: Instance, instance_id: str, mechanism: str, delta: float,
+               nsw_opt: float, nsw_eq: float, eps_br: float, allocation,
+               eps_market: float = np.nan, seconds: float = 0.0,
+               failure: str = "") -> PoARecord:
+    """The PoA row of ``allocation``, the allocation whose NSW is ``nsw_eq``.
 
-
-def _run_single(config: ExperimentConfig, instance_id: str, instance: Instance,
-                t0: float) -> PoARecord:
-    opt = solve_eg(instance, config.tol)
-    nsw_opt = nsw(opt.utilities, instance.budgets)
-    eps_market = float("nan")
-    failures = [] if opt.converged else [
-        f"optimum did not converge (worst residual {opt.residuals.worst:.3g})"]
-
-    if config.mechanism == "fisher":
-        if instance.kind != LEONTIEF:
-            raise ValueError("fisher experiments use the uniform Leontief equilibrium; "
-                             "linear/CES Fisher equilibria are not constructed here")
-        reports, outcome = uniform_leontief_ne(instance, config.tol)
-        nsw_eq = outcome.nsw
-        eps_br = float("nan")
-        if config.certify_trials > 0:
-            rep = fisher_ne_falsify(instance, reports, config.certify_trials,
-                                    seed=config.seed, tol=config.tol)
-            eps_br = rep.max_gain
-            if rep.failures:
-                failures.append(f"falsifier skipped {rep.failures} failed solves")
-        allocation = outcome.equilibrium.allocation
-        slack = np.zeros(instance.n)
-    else:
-        if instance.kind == LEONTIEF and config.delta <= 0:
-            raise ValueError("Leontief trading post needs delta > 0: exact "
-                             "equilibria may not exist at delta = 0")
-        report = br_dynamics(instance, config.delta, max_rounds=config.max_rounds,
-                             tol=min(config.tol, 1e-9))
-        if not report.converged:
-            raise ValueError(f"dynamics did not converge: {report.note}")
-        nsw_eq = nsw(report.utilities, instance.budgets)
-        eps_br = report.max_gain
-        allocation = report.allocation
-        if instance.kind == LEONTIEF:
-            eps = instance.m ** 2 * config.delta
-            eps_rep = verify_eps_market_eq(instance, report.allocation,
-                                           report.prices, eps, config.tol)
-            eps_market = eps_rep.eps_required
-        slack = np.minimum(config.delta * (instance.m - 1) / instance.budgets, 1.0)
-
+    ``proportional`` checks it with the entrance-fee slack delta (m - 1) / B_i
+    on the trading post and with none in the Fisher game.
+    """
+    fee = delta if mechanism == "trading_post" else 0.0
+    slack = np.minimum(fee * (instance.m - 1) / instance.budgets, 1.0)
     prop = proportionality_check(instance, allocation, slack, tol=1e-7)
-    return PoARecord(instance_id, config.mechanism, config.delta, nsw_opt, nsw_eq,
-                     poa_ratio(nsw_opt, nsw_eq), eps_br, eps_market,
-                     prop.all_pass, time.perf_counter() - t0, "; ".join(failures))
+    return PoARecord(instance_id, mechanism, delta, nsw_opt, nsw_eq,
+                     poa_ratio(nsw_opt, nsw_eq), eps_br, eps_market, prop.all_pass,
+                     seconds, failure)
+
+
+def run_experiment(instance: Instance, instance_id: str, mechanism: str = "trading_post",
+                   delta: float = 0.0, tol: float = DEFAULT_TOL, max_rounds: int = 2000,
+                   certify_trials: int = 0, seed: int = 0) -> PoARecord:
+    """The PoA row of ``instance``: its optimum against the uniform Leontief
+    equilibrium of the Fisher game (checked by ``certify_trials`` falsifier
+    trials from ``seed``) or the trading post's best-response dynamics at
+    entrance fee ``delta``.  A failed run returns a row whose ``failure``
+    says why, and only bad arguments raise."""
+    if mechanism not in ("fisher", "trading_post"):
+        raise ValueError(f"unknown mechanism {mechanism!r}")
+    if not 0 <= delta < np.inf:
+        raise ValueError(f"delta must be finite and non-negative, not {delta}")
+    t0 = time.perf_counter()
+    try:
+        opt = solve_eg(instance, tol)
+        nsw_opt = nsw(opt.utilities, instance.budgets)
+        eps_br = eps_market = float("nan")
+        failures = [] if opt.converged else [
+            f"optimum did not converge (worst residual {opt.residuals.worst:.3g})"]
+        if mechanism == "fisher":
+            if instance.kind != LEONTIEF:
+                raise ValueError("fisher experiments use the uniform Leontief "
+                                 "equilibrium; linear/CES Fisher equilibria are not "
+                                 "constructed here")
+            reports, outcome = uniform_leontief_ne(instance, tol)
+            nsw_eq = outcome.nsw
+            if certify_trials > 0:
+                rep = fisher_ne_falsify(instance, reports, certify_trials, seed=seed,
+                                        tol=tol)
+                eps_br = rep.max_gain
+                if rep.failures:
+                    failures.append(f"falsifier skipped {rep.failures} failed solves")
+            allocation = outcome.equilibrium.allocation
+        else:
+            if instance.kind == LEONTIEF and delta <= 0:
+                raise ValueError("Leontief trading post needs delta > 0: exact "
+                                 "equilibria may not exist at delta = 0")
+            report = br_dynamics(instance, delta, max_rounds=max_rounds,
+                                 tol=min(tol, 1e-9))
+            if not report.converged:
+                raise ValueError(f"dynamics did not converge: {report.note}")
+            nsw_eq = nsw(report.utilities, instance.budgets)
+            eps_br = report.max_gain
+            allocation = report.allocation
+            if instance.kind == LEONTIEF:
+                eps_market = verify_eps_market_eq(
+                    instance, report.allocation, report.prices,
+                    instance.m ** 2 * delta, tol).eps_required
+        return poa_record(instance, instance_id, mechanism, delta, nsw_opt, nsw_eq,
+                          eps_br, allocation, eps_market,
+                          time.perf_counter() - t0, "; ".join(failures))
+    except Exception as exc:  # failure tag, never abort the caller's batch
+        nan = float("nan")
+        return PoARecord(instance_id, mechanism, delta, nan, nan, nan, nan, nan,
+                         False, time.perf_counter() - t0, str(exc))
 
 
 def records_to_csv(records, path) -> None:
@@ -295,9 +255,4 @@ def records_to_csv(records, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for r in records:
-            writer.writerow([r.instance_id, r.mechanism, format_value(r.delta),
-                             format_value(r.nsw_opt), format_value(r.nsw_eq),
-                             format_value(r.ratio), format_value(r.eps_br),
-                             format_value(r.eps_market),
-                             format_value(r.proportional),
-                             format_value(r.seconds), r.failure])
+            writer.writerow([format_value(v) for v in astuple(r)])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import marketgames as mg
-from marketgames import cli, fisher_game
+from marketgames import cli, fisher_game, instance_lab
 from marketgames.cli import main
 
 NAN = float("nan")
@@ -122,6 +122,31 @@ def test_iteration_caps_below_one_exit_2(ex31_file, args, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["solve-eg", "INST", "--tol", "inf"],
+    ["solve-eg", "INST", "--tol", "0"],
+    ["verify", "--kind", "kkt", "ZERO", "INST", "--tol", "inf"],
+    ["tp-dynamics", "INST", "--delta", "nan"],
+    ["verify", "--kind", "eps-market", "EXACT", "INST", "--eps", "nan"],
+    ["poa", "INST", "--delta", "nan"],
+    ["reproduce", "tp-leontief-poa", "--delta", "inf"],
+])
+def test_non_finite_float_flags_exit_2(tmp_path, args, capsys):
+    # on the 2 x 2 identity linear market, ZERO (nothing allocated, prices
+    # (5, 0)) is no equilibrium and EXACT is the exact one
+    files = {"INST": tmp_path / "id2.json", "ZERO": tmp_path / "zero.json",
+             "EXACT": tmp_path / "exact.json"}
+    mg.save_instance(mg.make_instance("linear", [[1.0, 0.0], [0.0, 1.0]]), files["INST"])
+    files["ZERO"].write_text(json.dumps({"prices": [5.0, 0.0],
+                                         "allocation": [[0.0, 0.0], [0.0, 0.0]]}))
+    files["EXACT"].write_text(json.dumps({"prices": [1.0, 1.0],
+                                          "allocation": [[1.0, 0.0], [0.0, 1.0]]}))
+    with pytest.raises(SystemExit) as exc:
+        main([str(files.get(a, a)) for a in args])
+    assert exc.value.code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("verb, key, payload", [
     ("kkt", "allocation", {"prices": [1.0, 1.0], "allocation": [[NAN, 0.0], [0.0, 1.0]]}),
     ("tp-ne", "bids", {"bids": [[NAN, 1.0], [0.5, 0.5]]}),
@@ -154,6 +179,23 @@ def test_poa_verb(tmp_path, capsys):
     assert main(["poa", str(inst), "--mechanism", "fisher"]) == 0
     out = capsys.readouterr().out
     assert "ratio = 3" in out
+
+
+def test_poa_out_writes_the_record(leo_pair_file, tmp_path, capsys):
+    out = tmp_path / "X"
+    assert main(["poa", leo_pair_file, "--delta", "1e-3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    text = dict(line.split(" = ", 1) for line in (tmp_path / "X.txt").read_text()
+                .splitlines())
+    names = [f.name for f in dataclasses.fields(mg.PoARecord)]
+    assert list(text) == [name for name in names if name != "seconds"]
+    with open(tmp_path / "X.csv", newline="") as fh:
+        header, row = csv.reader(fh)
+    assert header == list(instance_lab.CSV_HEADER) == names
+    values = dict(zip(header, row))
+    assert {key: values[key] for key in text} == text
+    assert float(values["seconds"]) > 0
+    assert text["mechanism"] == "trading_post" and text["failure"] == ""
 
 
 def test_reproduce_theorem_33(tmp_path, capsys, monkeypatch):
@@ -211,20 +253,19 @@ def test_reproduce_rows_check_the_allocation_they_score(tmp_path, capsys, monkey
     # a worked example's proportional field is proportionality_check of the
     # allocation whose NSW the row reports, not a constant
     monkeypatch.chdir(tmp_path)
-    real, scored = cli.proportionality_check, []
+    real, scored = instance_lab.proportionality_check, []
 
     def failing(instance, allocation, slack=0.0, tol=1e-8):
         scored.append(mg.nsw(instance.utilities(allocation), instance.budgets))
         return dataclasses.replace(real(instance, allocation, slack, tol), all_pass=False)
 
-    monkeypatch.setattr(cli, "proportionality_check", failing)
-    for rid in ("example-3.1", "lb-construction", "tp-nonexistence", "example-lin",
-                "example-leo"):
+    monkeypatch.setattr(instance_lab, "proportionality_check", failing)
+    for rid in cli.REPRODUCE:
         main(["reproduce", rid, "--out", rid])
         row = _csv_row(tmp_path / f"{rid}.csv")
         assert row["proportional"] == "false"
         assert float(row["nsw_eq"]) == pytest.approx(scored[-1], rel=1e-9)
-    assert len(scored) == 5
+    assert len(scored) == 7
 
 
 def test_reproduce_tp_nonexistence_scores_against_its_optimum(tmp_path, capsys,

@@ -5,7 +5,7 @@ import pytest
 
 import marketgames as mg
 from marketgames import fisher_game
-from marketgames.instance_lab import ExperimentConfig, run_experiment
+from marketgames.instance_lab import run_experiment
 
 
 def test_fisher_outcome_truthful_example_31():
@@ -194,8 +194,7 @@ def test_falsifier_counts_unconverged_deviation(monkeypatch):
     assert rep.max_gain <= 1e-6
 
     calls.clear()
-    rec = run_experiment(ExperimentConfig(source="identity-leontief", mechanism="fisher",
-                                          n=3, certify_trials=10))[0]
+    rec = run_experiment(inst, "identity-leontief-n3", "fisher", certify_trials=10)
     assert rec.failure == "falsifier skipped 1 failed solves"
     assert rec.ratio == pytest.approx(3.0, abs=1e-8)
     assert rec.eps_br <= 1e-6

@@ -7,8 +7,8 @@ import sympy
 
 import marketgames as mg
 from marketgames import instance_lab
-from marketgames.instance_lab import (ExperimentConfig, format_value,
-                                      gen_positive_leontief, run_experiment,
+from marketgames.instance_lab import (format_value, gen_positive_leontief,
+                                      poa_record, records_to_csv, run_experiment,
                                       write_report)
 
 
@@ -86,6 +86,13 @@ def test_gen_random_determinism_and_competition():
         assert inst.matrix.max(axis=1) == pytest.approx(np.ones(3))
 
 
+def test_gen_random_raises_when_sparsity_leaves_a_good_undemanded():
+    # at this sparsity 1000 redraws leave a column with fewer than two
+    # demanders, which would break the perfect competition promised
+    with pytest.raises(ValueError, match="sparsity"):
+        mg.gen_random(2, 3, "linear", seed=0, sparsity=0.999)
+
+
 def test_gen_positive_leontief_prices_positive():
     inst, x, p = gen_positive_leontief(4, 3, seed=3)
     assert p.min() > 0.1
@@ -113,68 +120,77 @@ def test_report_writer_format(tmp_path):
 
 
 def test_run_experiment_fisher_identity():
-    recs = run_experiment(ExperimentConfig(source="identity-leontief",
-                                           mechanism="fisher", n=5))
-    assert len(recs) == 1
-    assert recs[0].ratio == pytest.approx(5.0, abs=1e-8)
-    assert recs[0].proportional
-    assert not recs[0].failure
+    rec = run_experiment(mg.gen_identity_leontief(5), "identity-leontief-n5", "fisher")
+    assert rec.ratio == pytest.approx(5.0, abs=1e-8)
+    assert rec.proportional
+    assert not rec.failure
 
 
 def test_run_experiment_tp_identity():
-    recs = run_experiment(ExperimentConfig(source="identity-leontief",
-                                           mechanism="trading_post", n=5,
-                                           delta=1e-4))
-    assert recs[0].ratio <= 1.0025
-    assert recs[0].eps_br <= 1e-8
+    rec = run_experiment(mg.gen_identity_leontief(5), "identity-leontief-n5",
+                         "trading_post", delta=1e-4)
+    assert rec.ratio <= 1.0025
+    assert rec.eps_br <= 1e-8
 
 
 def test_run_experiment_random_linear_batch(tmp_path):
     out = tmp_path / "records.csv"
-    recs = run_experiment(ExperimentConfig(source="random", kind="linear",
-                                           mechanism="trading_post", n=4, m=3,
-                                           count=5, seed=10,
-                                           out_path=str(out)))
-    assert len(recs) == 5
+    recs = [run_experiment(mg.gen_random(4, 3, "linear", seed=seed),
+                           f"random-linear-n4-m3-seed{seed}", "trading_post")
+            for seed in range(10, 15)]
+    records_to_csv(recs, out)
     for r in recs:
         assert not r.failure
         assert r.ratio <= 2.001
         assert r.ratio >= 1 - 1e-6
-    header = out.read_text().splitlines()[0]
-    assert header == ("instance_id,mechanism,delta,nsw_opt,nsw_eq,ratio,"
-                      "eps_br,eps_market,proportional,seconds,failure")
+    lines = out.read_text().splitlines()
+    assert len(lines) == 6
+    assert lines[0] == ("instance_id,mechanism,delta,nsw_opt,nsw_eq,ratio,"
+                        "eps_br,eps_market,proportional,seconds,failure")
 
 
 def test_run_experiment_flags_unconverged_optimum(monkeypatch):
     def unconverged(instance, tol):
         return dataclasses.replace(mg.solve_eg(instance, tol), converged=False)
 
-    config = ExperimentConfig(source="identity-leontief", mechanism="trading_post",
-                              n=3, delta=1e-4)
-    plain = run_experiment(config)[0]
+    instance = mg.gen_identity_leontief(3)
+    plain = run_experiment(instance, "identity-leontief-n3", "trading_post", 1e-4)
     monkeypatch.setattr(instance_lab, "solve_eg", unconverged)
-    rec = run_experiment(config)[0]
+    rec = run_experiment(instance, "identity-leontief-n3", "trading_post", 1e-4)
     assert rec.failure.startswith("optimum did not converge (worst residual ")
     assert (rec.nsw_opt, rec.ratio) == (plain.nsw_opt, plain.ratio)  # numbers kept
 
 
 def test_run_experiment_leontief_tp_needs_delta():
-    recs = run_experiment(ExperimentConfig(source="identity-leontief",
-                                           mechanism="trading_post", n=3,
-                                           delta=0.0))
-    assert recs[0].failure  # recorded, not raised
-    assert math.isnan(recs[0].ratio)
+    rec = run_experiment(mg.gen_identity_leontief(3), "identity-leontief-n3",
+                         "trading_post", delta=0.0)
+    assert rec.failure  # recorded, not raised
+    assert math.isnan(rec.ratio)
 
 
 def test_run_experiment_failure_tag_keeps_batch_alive():
-    recs = run_experiment(ExperimentConfig(source="random", kind="ces", rho=0.5,
-                                           mechanism="fisher", n=3, m=2, count=2))
-    assert len(recs) == 2
+    recs = [run_experiment(mg.gen_random(3, 2, "ces", rho=0.5, seed=seed),
+                           f"random-ces-n3-m2-seed{seed}", "fisher")
+            for seed in (0, 1)]
     assert all(r.failure for r in recs)
 
 
-def test_experiment_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(source="random", mechanism="auction")
-    with pytest.raises(ValueError):
-        ExperimentConfig(source="random", delta=-1.0)
+def test_run_experiment_rejects_bad_arguments():
+    instance = mg.gen_example_3_1()
+    with pytest.raises(ValueError, match="mechanism"):
+        run_experiment(instance, "example-3.1", mechanism="auction")
+    for delta in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta"):
+            run_experiment(instance, "example-3.1", delta=delta)
+
+
+def test_poa_record_grants_the_fee_slack_to_the_trading_post_only():
+    # each agent gets 0.46 of its good: below its proportional share 1/2, but
+    # within the share less the entrance-fee slack delta (m - 1) / B_i = 0.1
+    instance = mg.gen_identity_leontief(2)
+    allocation = 0.46 * np.eye(2)
+    tp = poa_record(instance, "id2", "trading_post", 0.1, 1.0, 0.46, 0.0, allocation)
+    fisher = poa_record(instance, "id2", "fisher", 0.1, 1.0, 0.46, 0.0, allocation)
+    assert tp.proportional and not fisher.proportional
+    assert tp.ratio == fisher.ratio == pytest.approx(1 / 0.46)
+    assert math.isnan(tp.eps_market) and tp.seconds == 0.0 and tp.failure == ""
