@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="rebuild a named construction")
     p.add_argument("id", choices=tuple(REPRODUCE))
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_positive_int, default=None,
                    help="size (default 8 for lb-construction, else 5)")
     p.add_argument("--delta", type=_non_negative_float, default=1e-4)
     p.add_argument("--a", type=float, default=0.5)

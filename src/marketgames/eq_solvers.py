@@ -229,18 +229,17 @@ def _newton_factors(d, w, c):
 
 
 def _cho_solve(factors, rhs):
-    """Each member's Newton system solved by its factor, one ``potrs`` each."""
+    """Each member's Newton system solved by its factor, one ``potrs`` each;
+    nan for a member without one, so that it takes no step."""
     out = np.empty_like(rhs)
     for k, fac in enumerate(factors):
-        out[k] = _POTRS(fac, rhs[k], lower=False)[0]
+        out[k] = math.nan if fac is None else _POTRS(fac, rhs[k], lower=False)[0]
     return out
 
 
 def _take(keep, *arrays):
-    """The members ``keep`` (a mask, or indices for arrays) of each stacked
-    array or list."""
-    return [a[keep] if isinstance(a, np.ndarray) else [x for x, k in zip(a, keep) if k]
-            for a in arrays]
+    """The members ``keep`` (a mask or indices) of each stacked array."""
+    return [a[keep] for a in arrays]
 
 
 def _along(point, delta, alpha):
@@ -321,15 +320,16 @@ def _linear_ipm(v, budgets, max_iter, accept):
     eliminated, so a direction is one m x m Cholesky factorization.
 
     ``v`` is K x n x m and ``budgets`` K x n; one loop advances every member
-    k by its own Newton steps.  After a step that brings the gap sum x_ij
-    s_ij / sum B_i to at most POLISH_GAP with a clean ``_tie_split``,
-    ``accept(k, prices, allocation, theta)`` gets the iterate.  A
-    member leaves the stack when ``accept`` returns True, after ``max_iter``
-    steps, or alone when it breaks down: its gap at rounding level (or nan),
-    a slack rounded to zero, a Newton matrix Cholesky rejects, or no
-    descent.  Returns per member its steps, last prices and allocation (zero
-    before the first step) and, if it broke down after a step, that
-    iterate's theta, taken whether or not the split was clean (else nan).
+    k by its own Newton steps.  Once a step brings the gap sum x_ij s_ij /
+    sum B_i to at most POLISH_GAP with a clean ``_tie_split``, ``accept(k,
+    prices, allocation, theta)`` gets the iterate.  Members leave the stack
+    in one place, the top of an iteration: when ``accept`` returned True,
+    after ``max_iter`` steps, or when they broke down: no step in the last
+    iteration (no descent, or a Newton matrix Cholesky rejects), or, before
+    the cap, a gap at rounding level (or nan) or a slack rounded to zero.
+    Returns per member its steps, last prices and allocation (zero before
+    the first step) and, if it broke down after a step, that iterate's
+    theta, taken whether or not the split was clean (else nan).
     """
     K, n, m = v.shape
     total = budgets.sum(axis=1)
@@ -346,16 +346,7 @@ def _linear_ipm(v, budgets, max_iter, accept):
     gap = xs.sum(axis=(1, 2))
     steps = np.zeros(K, dtype=int)
     last_p, last_x, last_theta = np.zeros((K, m)), np.zeros((K, n, m)), np.full(K, math.nan)
-    ids = np.arange(K)
-
-    def leave(gone, it, broke=True):
-        k = ids[gone]
-        steps[k] = it
-        if it:  # before the first step there is no iterate
-            last_p[k] = p[gone] * total[gone, None]
-            last_x[k] = x[gone]
-            if broke:
-                last_theta[k] = _tie_split(p[gone], x[gone], s[gone], edge[gone])[0]
+    ids, moved = np.arange(K), np.ones(K, dtype=bool)
 
     def merit(p, beta, x):
         # sum x_ij s_ij + sum_i B_i (t_i - 1 - log t_i), t_i = beta_i u_i / B_i:
@@ -364,29 +355,41 @@ def _linear_ipm(v, budgets, max_iter, accept):
         return ((x * (p[:, None, :] - beta[:, :, None] * v)).sum(axis=(1, 2))
                 + _rowdot(b, t - 1.0 - np.log(t)))
 
-    for it in range(max_iter):
-        # at rounding level, broken down (nan), or a slack rounded to zero
-        ok = (gap > 1e-15) & (s.min(axis=(1, 2)) > 0)
-        if not ok.all():
-            leave(~ok, it)
-            if not ok.any():
-                break
-            v, b, edge, n_edges, total, ids, p, beta, x, s, xs, gap = _take(
-                ok, v, b, edge, n_edges, total, ids, p, beta, x, s, xs, gap)
+    for it in range(max_iter + 1):
+        # the one exit: a member leaves here, whatever the reason
+        ok = moved & (gap > 1e-15) & (s.min(axis=(1, 2)) > 0)
+        near = np.nonzero(moved & (gap <= POLISH_GAP))[0]
+        if near.size or it == max_iter or not ok.all():
+            done = np.zeros(ids.size, dtype=bool)
+            if near.size:
+                split = ((p, x, s, edge) if near.size == ids.size
+                         else _take(near, p, x, s, edge))
+                theta, clean = _tie_split(*split)
+                for j, th in zip(near[clean], theta[clean]):
+                    done[j] = accept(ids[j], p[j] * total[j], x[j], th)
+            # at the cap only a member that took no step has broken down
+            broke = ~done & ~(moved if it == max_iter else ok)
+            gone = done | broke | (it == max_iter)
+            if gone.any():
+                steps[ids[gone]] = it - ~moved[gone]
+                # before its first step a member has no iterate
+                seen = gone & (steps[ids] > 0)
+                broke &= seen
+                last_p[ids[seen]] = p[seen] * total[seen, None]
+                last_x[ids[seen]] = x[seen]
+                if broke.any():
+                    last_theta[ids[broke]] = _tie_split(p[broke], x[broke], s[broke],
+                                                        edge[broke])[0]
+                if gone.all():
+                    break
+                v, b, edge, n_edges, total, ids, moved, p, beta, x, s, xs, gap = _take(
+                    ~gone, v, b, edge, n_edges, total, ids, moved, p, beta, x, s, xs, gap)
         u = (v * x).sum(axis=2)
         d = x / s
         w = d * v
         # beta_i u_i = B_i linearized in both factors, like x_ij s_ij = mu
         h = u / beta + (w * v).sum(axis=2)
         factors = _newton_factors(d.sum(axis=1), w, -1.0 / h)
-        if any(fac is None for fac in factors):
-            ok = np.array([fac is not None for fac in factors])
-            leave(~ok, it)
-            if not ok.any():
-                break
-            (v, b, edge, n_edges, total, ids, p, beta, x, s, xs, gap, u, d, w, h,
-             factors) = _take(ok, v, b, edge, n_edges, total, ids, p, beta, x, s, xs,
-                              gap, u, d, w, h, factors)
         r_p, r_d = 1.0 - x.sum(axis=1), u - b / beta
         mu = gap / n_edges
 
@@ -415,30 +418,9 @@ def _linear_ipm(v, budgets, max_iter, accept):
         (p, beta, x), moved = _safeguarded_steps(
             (p, beta, x), direction, max_step, merit, gap + _rowdot(b, t - 1.0 - np.log(t)),
             slope, centre, centre - np.where(edge, dx * ds, 0.0))
-        if not moved.all():
-            leave(~moved, it)  # their point and slacks are unchanged
-            if not moved.any():
-                break
-            v, b, edge, n_edges, total, ids, p, beta, x = _take(
-                moved, v, b, edge, n_edges, total, ids, p, beta, x)
         s = p[:, None, :] - beta[:, :, None] * v
         xs = x * s
         gap = xs.sum(axis=(1, 2))
-        near = np.nonzero(gap <= POLISH_GAP)[0]
-        if near.size:
-            split = (p, x, s, edge) if near.size == ids.size else _take(near, p, x, s, edge)
-            theta, clean = _tie_split(*split)
-            done = np.zeros(ids.size, dtype=bool)
-            for j, th in zip(near[clean], theta[clean]):
-                done[j] = accept(ids[j], p[j] * total[j], x[j], th)
-            if done.any():
-                leave(done, it + 1, broke=False)
-                if done.all():
-                    break
-                v, b, edge, n_edges, total, ids, p, beta, x, s, xs, gap = _take(
-                    ~done, v, b, edge, n_edges, total, ids, p, beta, x, s, xs, gap)
-    else:
-        leave(np.ones(ids.size, dtype=bool), max_iter, broke=False)
     return steps, last_p, last_x, last_theta
 
 
@@ -621,8 +603,10 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
 
 def _solve_leontief_stack(instances, tol, max_iter):
     """``solve_leontief_dual`` of same-shape markets with the same demanded
-    goods, their interior points advanced in one loop; a member leaves the
-    stack once it stops."""
+    goods, their interior points advanced in one loop.  A member leaves the
+    stack only at the top of an iteration: once verified, after ``max_iter``
+    steps, or after an iteration without a step (no descent, or a Newton
+    matrix Cholesky rejects)."""
     kept, dropped = _drop_undemanded(instances[0].matrix)
     v_all, budgets = _stack(instances, kept)
     K, n, m = v_all.shape
@@ -631,11 +615,7 @@ def _solve_leontief_stack(instances, tol, max_iter):
     margin = np.minimum(tol, np.maximum(min(1e-10, 0.01 * tol),
                                         64 * np.finfo(float).eps * total))
     steps, last_u, last_cut = np.zeros(K, dtype=int), np.zeros((K, n)), np.zeros((K, m))
-    ids, v = np.arange(K), v_all
-
-    def leave(gone, it):
-        k = ids[gone]
-        steps[k], last_u[k], last_cut[k] = it, u[gone], cut[gone]
+    ids, moved, v = np.arange(K), np.ones(K, dtype=bool), v_all
 
     def merit(p, z):
         return (np.abs(1.0 - _rmatvec(v, b / _matvec(v, p)) - z).sum(axis=1)
@@ -655,32 +635,24 @@ def _solve_leontief_stack(instances, tol, max_iter):
         excess = 1.0 - (u[:, None, :] @ v)[:, 0]
         cheap = np.maximum(np.where(cut > 0, np.abs(excess), 0.0).max(axis=1),
                            -excess.min(axis=1))
-        check = np.nonzero(cheap <= margin)[0]
-        if check.size or it == max_iter:
-            done = np.full(ids.size, it == max_iter)
-            for j in check:
-                k = ids[j]
-                x_full, p_full = _embed(instances[k], kept, u[j][:, None] * v[j],
-                                        cut[j] * total[k])
-                done[j] |= verify_kkt_leontief(instances[k], x_full, p_full,
-                                               margin[j]).passed
-            if done.any():
-                leave(done, it)
-                if done.all():
-                    break
-                ids, v, b, margin, p, z, u, cut = _take(~done, ids, v, b, margin, p, z,
-                                                        u, cut)
+        # the one exit: a member leaves here, whatever the reason; at the
+        # cap a check could change nothing
+        gone = ~moved | (it == max_iter)
+        for j in np.nonzero(~gone & (cheap <= margin))[0]:
+            k = ids[j]
+            x_full, p_full = _embed(instances[k], kept, u[j][:, None] * v[j],
+                                    cut[j] * total[k])
+            gone[j] = verify_kkt_leontief(instances[k], x_full, p_full, margin[j]).passed
+        if gone.any():
+            k = ids[gone]
+            steps[k], last_u[k], last_cut[k] = it - ~moved[gone], u[gone], cut[gone]
+            if gone.all():
+                break
+            ids, moved, v, b, margin, p, z = _take(~gone, ids, moved, v, b, margin, p, z)
         phi = _matvec(v, p)
         r_d, pz = 1.0 - _rmatvec(v, b / phi) - z, p * z
         gap = pz.sum(axis=1)
         factors = _newton_factors(z / p, v, b / phi**2)
-        if any(fac is None for fac in factors):
-            ok = np.array([fac is not None for fac in factors])
-            leave(~ok, it)
-            if not ok.any():
-                break
-            ids, v, b, margin, p, z, u, cut, r_d, pz, gap, factors = _take(
-                ok, ids, v, b, margin, p, z, u, cut, r_d, pz, gap, factors)
 
         def direction(r_c):
             dp = _cho_solve(factors, r_c / p - r_d)
@@ -697,11 +669,6 @@ def _solve_leontief_stack(instances, tol, max_iter):
         (p, z), moved = _safeguarded_steps((p, z), direction, max_step, merit,
                                            r_norm + gap, -r_norm - (1.0 - sigma) * gap,
                                            centre, centre - dp * dz)
-        if not moved.all():
-            leave(~moved, it)
-            if not moved.any():
-                break
-            ids, v, b, margin, p, z = _take(moved, ids, v, b, margin, p, z)
 
     out = []
     for k, inst in enumerate(instances):

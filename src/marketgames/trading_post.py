@@ -123,7 +123,8 @@ def _fractions(bids_row, opp):
 def _br_inputs(values, budget, opp_spend, delta):
     """Input checks shared by the best-response oracles.  Returns the values
     and opposing spend as arrays, the demanded goods, and their split into
-    uncontested (monop) and contested (comp) goods."""
+    uncontested (monop) and contested (comp) goods.  With an entrance fee
+    delta > 0 the budget must cover delta on every demanded good."""
     v = np.asarray(values, dtype=float)
     d = np.asarray(opp_spend, dtype=float)
     if v.shape != d.shape:
@@ -133,6 +134,8 @@ def _br_inputs(values, budget, opp_spend, delta):
     demanded = v > 0
     if not demanded.any():
         raise ValueError("agent demands no goods")
+    if delta > 0 and budget < delta * float(demanded.sum()) * (1 - 1e-12):
+        raise ValueError("infeasible floors: budget below delta times demanded goods")
     monop = demanded & (d <= 0)
     comp = demanded & (d > 0)
     if delta == 0 and monop.any():
@@ -172,8 +175,10 @@ def br_linear(values, budget: float, opp_spend, delta: float = 0.0) -> BRResult:
     b_j = max(0, sqrt(v_j D_j / lam) - D_j) with lam fixed by budget
     exhaustion.  For delta > 0, monopolized goods are claimed at the floor,
     floors are enforced on the active set, and a deterministic toggle search
-    refines which goods are worth the entrance fee.  With delta = 0 a
-    demanded good without opposing spend has no attainable optimum.
+    refines which goods are worth the entrance fee; a budget below delta
+    times the demanded goods raises ValueError, as in every oracle.  With
+    delta = 0 a demanded good without opposing spend has no attainable
+    optimum.
     ``iterations`` counts the water-fill solves (1 at delta = 0).
     """
     v, d, _, monop, comp = _br_inputs(values, budget, opp_spend, delta)
@@ -198,7 +203,7 @@ def br_linear(values, budget: float, opp_spend, delta: float = 0.0) -> BRResult:
                                               budget * 1e-12), 0.0)
         iters += 1
         support[comp] = wb > delta * 0.5
-    bids, utility = _fee_search(v, budget, delta, monop, comp, support, fill,
+    bids, utility = _fee_search(budget, delta, monop, comp, support, fill,
                                 lambda b: float(v @ _fractions(b, d)))
     return BRResult(_readonly(bids), utility, iters)
 
@@ -224,15 +229,15 @@ def _fee_config(budget, delta, claims, support, fill):
     return bids
 
 
-def _fee_search(v, budget, delta, monop, comp, support, fill, payoff):
+def _fee_search(budget, delta, monop, comp, support, fill, payoff):
     """Which goods are worth the entrance fee delta > 0, by a deterministic
     toggle search.
 
     Monopolized goods are claimed at the fee and the contested goods in
     ``support`` are bought through ``fill``; single-good toggles of both sets
-    are kept while ``payoff(bids)`` improves.  When the fees of ``support``
-    are unaffordable the search starts from every contested good, and failing
-    that from the best-value goods the budget covers.  Returns (bids, utility).
+    are kept while ``payoff(bids)`` improves.  The budget covers the fee on
+    every demanded good (``_br_inputs``), so the start is affordable.
+    Returns (bids, utility).
     """
     demanded = monop | comp
 
@@ -240,25 +245,8 @@ def _fee_search(v, budget, delta, monop, comp, support, fill, payoff):
         bids = _fee_config(budget, delta, claims, support, fill)
         return None if bids is None else (bids, payoff(bids))
 
-    claims = monop.copy()
-    best = config(claims, support)
-    if best is None:
-        support = comp.copy()
-        best = config(claims, support)
-    if best is None:
-        # fees unaffordable for the full demand set: keep the best-value goods
-        claims = np.zeros_like(monop)
-        support = np.zeros_like(comp)
-        budget_left = budget
-        for j in np.argsort(-v):
-            if demanded[j] and budget_left >= delta:
-                (claims if monop[j] else support)[j] = True
-                budget_left -= delta
-        best = config(claims, support)
-        if best is None:
-            raise ValueError("budget cannot cover any entrance fee")
-
-    for _ in range(2 * v.size + 2):
+    claims, best = monop.copy(), config(monop, support)
+    for _ in range(2 * demanded.size + 2):
         improved = False
         for j in np.nonzero(demanded)[0]:
             cl, su = claims.copy(), support.copy()
@@ -290,14 +278,10 @@ def br_leontief(values, budget: float, opp_spend, delta: float = 0.0) -> BRResul
     never the floor.
     """
     v, d, demanded, monop, comp = _br_inputs(values, budget, opp_spend, delta)
-    nd = int(demanded.sum())
-    if delta > 0 and budget < delta * nd * (1 - 1e-12):
-        raise ValueError("infeasible floors: budget below delta times demanded goods")
-
     bids = np.zeros_like(v)
     bids[monop] = delta
     if not comp.any():
-        bids[demanded] += (budget - bids.sum()) / nd
+        bids[demanded] += (budget - bids.sum()) / demanded.sum()
         fr = _fractions(bids, d)
         utility = float((fr[demanded] / v[demanded]).min())
         return BRResult(_readonly(bids), utility, 0)
@@ -452,12 +436,10 @@ def br_ces(values, budget: float, opp_spend, rho: float,
         return float(_ces_eval(v[None, :], _fractions(bids, d)[None, :], rho)[0])
 
     if delta > 0 and rho > 0:
-        bids, utility = _fee_search(v, budget, delta, monop, comp, comp.copy(),
-                                    fill, payoff)
+        bids, utility = _fee_search(budget, delta, monop, comp, comp.copy(), fill,
+                                    payoff)
     else:
         bids = _fee_config(budget, delta, monop, comp, fill)
-        if bids is None:
-            raise ValueError("infeasible floors: budget below delta times demanded goods")
         utility = payoff(bids)
     return BRResult(_readonly(bids), utility, steps, converged)
 
@@ -539,9 +521,6 @@ def br_concave_numeric(profile: ValuationProfile, agent: int, budget: float,
     """
     v, d, demanded, _, _ = _br_inputs(profile.matrix[agent], budget, opp_spend, delta)
     lb = np.where(demanded, delta, 0.0)
-    if lb.sum() > budget * (1 + 1e-12):
-        raise ValueError("infeasible floors: budget below delta times demanded goods")
-
     if profile.kind == LEONTIEF:
         cap = 400 * v.size
         bids, util, steps = _leveling_leontief(v, budget, d, lb, tol, init, cap)
@@ -804,6 +783,8 @@ def verify_tp_ne(instance: Instance, bids, delta: float = 0.0,
     response converged (a note names the agents whose did not).  When
     delta = 0 and an agent monopolizes a demanded good, the unattained
     supremum is approximated through a vanishing entrance fee and noted.
+    With delta > 0 a budget below delta times the agent's demanded goods
+    raises ValueError, as br_dynamics does.
     """
     b = check_bid_profile(bids, instance.budgets)
     eff = effective_bids(b, delta)

@@ -63,6 +63,33 @@ def test_verify_kkt_and_eps(ex31_file, tmp_path):
     assert main(["verify", "--kind", "kkt", str(payload), ex31_file]) == 1
     with pytest.raises(SystemExit):  # usage error: unknown kind
         main(["verify", "--kind", "bogus", str(payload), ex31_file])
+    # eps-market: the exact equilibrium passes at eps 0, a non-equilibrium
+    # fails, and the check needs --eps
+    assert main(["verify", "--kind", "eps-market", str(payload), ex31_file,
+                 "--eps", "0"]) == 1
+    assert main(["verify", "--kind", "eps-market", str(payload), ex31_file]) == 2
+    payload.write_text(json.dumps({"prices": [1.0, 1.0],
+                                   "allocation": [[1.0, 0.0], [0.0, 1.0]]}))
+    assert main(["verify", "--kind", "eps-market", str(payload), ex31_file,
+                 "--eps", "0"]) == 0
+    # kkt covers Leontief markets, and refuses CES ones
+    leo, ces = tmp_path / "leo.json", tmp_path / "ces.json"
+    mg.save_instance(mg.make_instance("leontief", [[1.0, 1.0], [1.0, 1.0]]), leo)
+    mg.save_instance(mg.make_instance("ces", [[1.0, 1.0], [1.0, 1.0]], rho=0.5), ces)
+    payload.write_text(json.dumps({"prices": [1.0, 1.0],
+                                   "allocation": [[0.5, 0.5], [0.5, 0.5]]}))
+    assert main(["verify", "--kind", "kkt", str(payload), str(leo)]) == 0
+    assert main(["verify", "--kind", "kkt", str(payload), str(ces)]) == 2
+
+
+def test_verify_tp_ne_exits_2_when_a_budget_cannot_cover_the_fees(tmp_path, capsys):
+    inst, bids = tmp_path / "lin.json", tmp_path / "bids.json"
+    mg.save_instance(mg.make_instance("linear", [[0.397, 0.949], [0.0, 1.0]],
+                                      [0.233, 1.049]), inst)
+    bids.write_text(json.dumps({"bids": [[0.0, 0.233], [0.0, 1.049]]}))
+    assert main(["verify", "--kind", "tp-ne", str(bids), str(inst),
+                 "--delta", "0.124"]) == 2
+    assert "infeasible floors" in capsys.readouterr().err
 
 
 def test_tp_dynamics_warns_on_delta_zero_leontief(leo_pair_file, capsys):
@@ -120,6 +147,14 @@ def test_iteration_caps_below_one_exit_2(ex31_file, args, capsys):
     with pytest.raises(SystemExit) as exc:
         main([args[0], ex31_file, *args[1:]])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_reproduce_n_below_one_exits_2(n, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "theorem-3.3", "--n", n])
+    assert exc.value.code == 2
+    assert "must be finite and at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [

@@ -567,30 +567,51 @@ def test_stacked_solves_match_single_solves(markets):
             assert np.abs(eq.prices - alone.prices).max() <= 1e-12
 
 
-@pytest.mark.parametrize("kind", ["linear", "leontief"])
-def test_a_failing_member_leaves_the_stack_alone(kind, monkeypatch):
-    # the second member's Newton matrix is rejected at the second step: it
-    # stops there, and the other members solve as they do alone
+@pytest.mark.parametrize("kind, failure", [
+    pytest.param("linear", "factor", id="linear"),
+    pytest.param("leontief", "factor", id="leontief"),
+    pytest.param("linear", "step", id="linear-no-step"),
+    pytest.param("leontief", "step", id="leontief-no-step"),
+])
+def test_a_failing_member_leaves_the_stack_alone(kind, failure, monkeypatch):
+    # at the second step the second member's Newton matrix is rejected, or
+    # its step is reported as not taken: it stops after one step, and the
+    # other members solve as they do alone
     markets = [mg.gen_random(5, 4, kind, seed=seed) for seed in range(3)]
     alone = [mg.solve_eg(inst) for inst in markets]
     assert all(eq.converged and eq.iterations > 2 for eq in alone)
-    real, calls = eq_solvers._newton_factors, []
+    calls = []
+    if failure == "factor":
+        real = eq_solvers._newton_factors
 
-    def reject_second(d, w, c):
-        factors = real(d, w, c)
-        calls.append(len(factors))
-        if len(calls) == 2:
-            factors[1] = None
-        return factors
+        def fail_second(d, w, c):
+            factors = real(d, w, c)
+            calls.append(len(factors))
+            if len(calls) == 2:
+                factors[1] = None
+            return factors
 
-    monkeypatch.setattr(eq_solvers, "_newton_factors", reject_second)
+        monkeypatch.setattr(eq_solvers, "_newton_factors", fail_second)
+    else:
+        real = eq_solvers._safeguarded_steps
+
+        def fail_second(point, *args):
+            new, moved = real(point, *args)
+            calls.append(moved.size)
+            if len(calls) == 2:
+                for a, old in zip(new, point):
+                    a[1] = old[1]
+                moved[1] = False
+            return new, moved
+
+        monkeypatch.setattr(eq_solvers, "_safeguarded_steps", fail_second)
     stacked = mg.solve_eg_many(markets)
     assert calls[:2] == [3, 3]
     assert stacked[1].iterations == 1 and not stacked[1].converged
     for k in (0, 2):
-        assert stacked[k].iterations == alone[k].iterations
-        assert stacked[k].converged
+        assert (stacked[k].iterations, stacked[k].converged) == (alone[k].iterations, True)
         assert np.array_equal(stacked[k].allocation, alone[k].allocation)
+        assert np.array_equal(stacked[k].prices, alone[k].prices)
 
 
 def test_stacks_are_capped_at_stack_entries(monkeypatch):

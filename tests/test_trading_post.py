@@ -93,9 +93,27 @@ def test_br_leontief_single_demanded_good():
     assert r.utility == pytest.approx(0.5)
 
 
-def test_br_leontief_floor_feasibility():
-    with pytest.raises(ValueError):
-        mg.br_leontief(np.array([1.0, 1.0]), 0.05, np.array([1.0, 1.0]), delta=0.2)
+@pytest.mark.parametrize("oracle", [
+    lambda v, b, d, delta: mg.br_linear(v, b, d, delta),
+    lambda v, b, d, delta: mg.br_leontief(v, b, d, delta),
+    lambda v, b, d, delta: mg.br_ces(v, b, d, 0.5, delta),
+    lambda v, b, d, delta: mg.br_concave_numeric(
+        mg.ValuationProfile("linear", v[None, :]), 0, b, d, delta),
+], ids=["br_linear", "br_leontief", "br_ces", "br_concave_numeric"])
+def test_br_floor_feasibility(oracle):
+    # a budget below delta times the demanded goods is refused by every
+    # oracle, whether the goods are contested or not
+    for opp in ([1.0, 1.0], [0.0, 1.0]):
+        with pytest.raises(ValueError, match="infeasible floors"):
+            oracle(np.array([1.0, 1.0]), 0.05, np.array(opp), 0.2)
+
+
+def test_verify_tp_ne_refuses_fees_a_budget_cannot_cover():
+    # agent 0 cannot pay the fee on both goods it demands, and claiming
+    # good 0 alone would gain it 0.225: no certificate can be given
+    inst = mg.make_instance("linear", [[0.397, 0.949], [0.0, 1.0]], [0.233, 1.049])
+    with pytest.raises(ValueError, match="infeasible floors"):
+        mg.verify_tp_ne(inst, [[0.0, 0.233], [0.0, 1.049]], 0.124)
 
 
 @st.composite
