@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import eq_solvers, fisher_game, instance_lab, trading_post
-from .core import LEONTIEF, LINEAR, DEFAULT_TOL, _json_field, nsw, poa_ratio
+from .core import LEONTIEF, LINEAR, DEFAULT_TOL, _json_field
 from .instance_lab import (format_value, load_instance, poa_record, records_to_csv,
                            run_experiment, write_report)
 
@@ -240,8 +240,9 @@ def _reproduce_example_3_1(args):
         "misreport_agent2_utility": deviated.true_utilities[1],
         "misreport_gain_agent2": gain,
     }
-    return report, [poa_record(instance, "example-3.1", "fisher", 0.0, truthful.nsw,
-                               deviated.nsw, gain, deviated.equilibrium.allocation)]
+    eq = deviated.equilibrium
+    return report, [poa_record(instance, "example-3.1", "fisher", 0.0, eq.allocation,
+                               eq.prices, gain, args.tol)]
 
 
 def _reproduce_theorem_3_3(args):
@@ -255,32 +256,29 @@ def _reproduce_theorem_3_3(args):
 
 def _reproduce_lb_construction(args):
     n = 8 if args.n is None else args.n  # the smallest n the construction takes
-    tol = args.tol
     instance, reports, spends = fisher_game.lb_construction(n)
     stats = fisher_game.lb_profile_stats(n)
-    opt = eq_solvers.solve_linear_eg(instance, tol)
-    nsw_opt = nsw(opt.utilities, instance.budgets)
-    tp = trading_post.verify_tp_ne(instance, spends, 0.0, tol)
-    report = {"n": n, "k": stats["k"], "delta": stats["delta"],
-              "u_first": stats["u_first"], "u_mid": stats["u_mid"],
-              "nsw_profile": stats["nsw"], "nsw_opt": nsw_opt,
-              "ratio": poa_ratio(nsw_opt, stats["nsw"]), "tp_max_gain": tp.max_gain}
-    eps_br = tp.max_gain
+    tp = trading_post.verify_tp_ne(instance, spends, 0.0, args.tol)
+    eps_br, falsified = tp.max_gain, {}
     if n <= 30:
         fal = fisher_game.fisher_ne_falsify(instance, reports, trials=16,
-                                            seed=args.seed, tol=tol,
+                                            seed=args.seed, tol=args.tol,
                                             init_spending=spends)
-        report["fisher_max_gain"] = fal.max_gain
+        falsified["fisher_max_gain"] = fal.max_gain
         eps_br = max(eps_br, fal.max_gain)
     # the profile's allocation: the trading post's, and the Fisher game's
     # under the spending the construction selects
-    return report, [poa_record(instance, f"lb-construction-n{n}", "fisher", 0.0, nsw_opt,
-                               stats["nsw"], eps_br, tp.allocation)]
+    rec = poa_record(instance, f"lb-construction-n{n}", "fisher", 0.0, tp.allocation,
+                     tp.prices, eps_br, args.tol)
+    report = {"n": n, "k": stats["k"], "delta": stats["delta"],
+              "u_first": stats["u_first"], "u_mid": stats["u_mid"],
+              "nsw_profile": stats["nsw"], "nsw_opt": rec.nsw_opt, "ratio": rec.ratio,
+              "tp_max_gain": tp.max_gain, **falsified}
+    return report, [rec]
 
 
 def _reproduce_tp_nonexistence(args):
     instance = instance_lab.gen_tp_nonexistence()
-    opt = eq_solvers.solve_leontief_dual(instance, args.tol)
     free = trading_post.br_dynamics(instance, 0.0, max_rounds=2000, tol=1e-12)
     feed = trading_post.br_dynamics(instance, 1e-3, max_rounds=2000, tol=1e-9)
     report = {
@@ -294,9 +292,7 @@ def _reproduce_tp_nonexistence(args):
         "fee_utilities": feed.utilities,
     }
     return report, [poa_record(instance, "tp-nonexistence", "trading_post", 1e-3,
-                               nsw(opt.utilities, instance.budgets),
-                               nsw(feed.utilities, instance.budgets), feed.max_gain,
-                               feed.allocation)]
+                               feed.allocation, feed.prices, feed.max_gain, args.tol)]
 
 
 def _reproduce_tp_leontief_poa(args):
@@ -311,13 +307,10 @@ def _reproduce_tp_leontief_poa(args):
 def _reproduce_example_lin(args):
     instance, bids = instance_lab.gen_example_lin_family(args.eps)
     rep = trading_post.verify_tp_ne(instance, bids, 0.0, args.tol)
-    opt = eq_solvers.solve_linear_eg(instance, args.tol)
     report = {"eps": args.eps, "gains": rep.gains,
               "max_gain": rep.max_gain, "utilities": rep.utilities}
     return report, [poa_record(instance, f"example-lin-eps{args.eps}", "trading_post",
-                               0.0, nsw(opt.utilities, instance.budgets),
-                               nsw(rep.utilities, instance.budgets), rep.max_gain,
-                               rep.allocation)]
+                               0.0, rep.allocation, rep.prices, rep.max_gain, args.tol)]
 
 
 def _reproduce_example_leo(args):
@@ -326,8 +319,7 @@ def _reproduce_example_leo(args):
     report = {"a": args.a, "gains": rep.gains,
               "max_gain": rep.max_gain, "utilities": rep.utilities}
     return report, [poa_record(instance, f"example-leo-a{args.a}", "trading_post", 0.0,
-                               1.0, nsw(rep.utilities, instance.budgets), rep.max_gain,
-                               rep.allocation)]
+                               rep.allocation, rep.prices, rep.max_gain, args.tol)]
 
 
 #: The named worked examples: id -> (args) -> (report, PoA records).

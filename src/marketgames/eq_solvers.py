@@ -882,7 +882,7 @@ def verify_eps_market_eq(instance: Instance, allocation, prices, eps: float,
     u_opt = np.array([optimal_bundle_utility(instance.valuations, i,
                                              float(instance.budgets[i]), p)
                       for i in range(instance.n)])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratios = np.where(u_cur > 0, u_opt / np.where(u_cur > 0, u_cur, 1.0),
                           np.where(u_opt > 0, np.inf, 1.0))
     eps_required = float(max(ratios.max() - 1.0, 0.0))

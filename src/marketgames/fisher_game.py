@@ -211,32 +211,33 @@ def fisher_ne_falsify(instance: Instance, reports, trials: int = 100,
     failures = 0
     solved: dict = {}  # profile bytes -> outcome, None if it raised or did not converge
     for i in range(instance.n):
-        devs = [instance.matrix[i].copy()]
-        # smallest report coordinates first: they carry the fragile
-        # near-monopoly spending the spend-shift deviations target
-        pos = np.nonzero(base_reports[i] > 0)[0]
-        for j in pos[np.argsort(base_reports[i][pos], kind="stable")]:
-            for s in _STRUCTURED_SCALES:
+        with np.errstate(over="ignore"):  # an overflowed rescaling fails below
+            devs = [instance.matrix[i].copy()]
+            # smallest report coordinates first: they carry the fragile
+            # near-monopoly spending the spend-shift deviations target
+            pos = np.nonzero(base_reports[i] > 0)[0]
+            for j in pos[np.argsort(base_reports[i][pos], kind="stable")]:
+                for s in _STRUCTURED_SCALES:
+                    d = base_reports[i].copy()
+                    d[j] *= s
+                    devs.append(d)
+            while len(devs) < trials:
+                mode = rng.integers(0, 3)
                 d = base_reports[i].copy()
-                d[j] *= s
+                if mode == 0:
+                    j = int(rng.integers(0, instance.m))
+                    d[j] = max(d[j], 1e-6) * math.exp(rng.uniform(lo, hi))
+                elif mode == 1:
+                    d *= np.exp(rng.uniform(lo, hi, size=instance.m))
+                else:
+                    pos = np.nonzero(d > 0)[0]
+                    if pos.size > 1:
+                        keep = rng.integers(0, 2, size=pos.size).astype(bool)
+                        keep[rng.integers(0, pos.size)] = True
+                        mask = np.zeros(instance.m, dtype=bool)
+                        mask[pos[keep]] = True
+                        d = np.where(mask, d, 0.0)
                 devs.append(d)
-        while len(devs) < trials:
-            mode = rng.integers(0, 3)
-            d = base_reports[i].copy()
-            if mode == 0:
-                j = int(rng.integers(0, instance.m))
-                d[j] = max(d[j], 1e-6) * math.exp(rng.uniform(lo, hi))
-            elif mode == 1:
-                d *= np.exp(rng.uniform(lo, hi, size=instance.m))
-            else:
-                pos = np.nonzero(d > 0)[0]
-                if pos.size > 1:
-                    keep = rng.integers(0, 2, size=pos.size).astype(bool)
-                    keep[rng.integers(0, pos.size)] = True
-                    mask = np.zeros(instance.m, dtype=bool)
-                    mask[pos[keep]] = True
-                    d = np.where(mask, d, 0.0)
-            devs.append(d)
         # each distinct profile is solved once per call, the agent's new
         # ones in one batch; the base outcome is not reused, since it may
         # have been selected by init_spending

@@ -2,15 +2,16 @@
 
 Named constructions reproduce the worked examples; gen_random provides a
 seeded stress family with the perfect-competition property enforced.
-run_experiment turns an instance into one PoA row, which poa_record builds; a
-failed run becomes a row with a failure tag, so it never aborts a batch.
+run_experiment plays a mechanism on an instance, and poa_record scores the
+outcome against the optimum as one PoA row; a failed run becomes a row with a
+failure tag, so it never aborts a batch.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -177,20 +178,34 @@ CSV_HEADER = tuple(f.name for f in fields(PoARecord))
 
 
 def poa_record(instance: Instance, instance_id: str, mechanism: str, delta: float,
-               nsw_opt: float, nsw_eq: float, eps_br: float, allocation,
-               eps_market: float = np.nan, seconds: float = 0.0,
+               allocation, prices, eps_br: float, tol: float = DEFAULT_TOL,
                failure: str = "") -> PoARecord:
-    """The PoA row of ``allocation``, the allocation whose NSW is ``nsw_eq``.
+    """The PoA row of a mechanism's outcome: ``allocation`` at ``prices``,
+    whose best-response gain is ``eps_br``.
 
-    ``proportional`` checks it with the entrance-fee slack delta (m - 1) / B_i
-    on the trading post and with none in the Fisher game.
+    The row solves the optimum at ``tol``; one that did not converge is named
+    first in ``failure``.  ``eps_market``, given on a Leontief trading post
+    and NaN elsewhere, is the smallest eps for which the outcome is an
+    eps-market equilibrium (checked at m^2 delta).  ``proportional`` checks
+    the allocation with the entrance-fee slack delta (m - 1) / B_i on the
+    trading post and with none in the Fisher game.
     """
+    opt = solve_eg(instance, tol)
+    if not opt.converged:
+        note = f"optimum did not converge (worst residual {opt.residuals.worst:.3g})"
+        failure = f"{note}; {failure}" if failure else note
     fee = delta if mechanism == "trading_post" else 0.0
+    eps_market = float("nan")
+    if mechanism == "trading_post" and instance.kind == LEONTIEF:
+        eps_market = verify_eps_market_eq(instance, allocation, prices,
+                                          instance.m ** 2 * delta, tol).eps_required
     slack = np.minimum(fee * (instance.m - 1) / instance.budgets, 1.0)
     prop = proportionality_check(instance, allocation, slack, tol=1e-7)
+    nsw_opt = nsw(opt.utilities, instance.budgets)
+    nsw_eq = nsw(instance.utilities(allocation), instance.budgets)
     return PoARecord(instance_id, mechanism, delta, nsw_opt, nsw_eq,
                      poa_ratio(nsw_opt, nsw_eq), eps_br, eps_market, prop.all_pass,
-                     seconds, failure)
+                     0.0, failure)
 
 
 def run_experiment(instance: Instance, instance_id: str, mechanism: str = "trading_post",
@@ -207,43 +222,32 @@ def run_experiment(instance: Instance, instance_id: str, mechanism: str = "tradi
         raise ValueError(f"delta must be finite and non-negative, not {delta}")
     t0 = time.perf_counter()
     try:
-        opt = solve_eg(instance, tol)
-        nsw_opt = nsw(opt.utilities, instance.budgets)
-        eps_br = eps_market = float("nan")
-        failures = [] if opt.converged else [
-            f"optimum did not converge (worst residual {opt.residuals.worst:.3g})"]
+        failure = ""
         if mechanism == "fisher":
             if instance.kind != LEONTIEF:
                 raise ValueError("fisher experiments use the uniform Leontief "
                                  "equilibrium; linear/CES Fisher equilibria are not "
                                  "constructed here")
             reports, outcome = uniform_leontief_ne(instance, tol)
-            nsw_eq = outcome.nsw
+            eps_br = float("nan")
             if certify_trials > 0:
                 rep = fisher_ne_falsify(instance, reports, certify_trials, seed=seed,
                                         tol=tol)
                 eps_br = rep.max_gain
                 if rep.failures:
-                    failures.append(f"falsifier skipped {rep.failures} failed solves")
-            allocation = outcome.equilibrium.allocation
+                    failure = f"falsifier skipped {rep.failures} failed solves"
+            eq = outcome.equilibrium
         else:
             if instance.kind == LEONTIEF and delta <= 0:
                 raise ValueError("Leontief trading post needs delta > 0: exact "
                                  "equilibria may not exist at delta = 0")
-            report = br_dynamics(instance, delta, max_rounds=max_rounds,
-                                 tol=min(tol, 1e-9))
-            if not report.converged:
-                raise ValueError(f"dynamics did not converge: {report.note}")
-            nsw_eq = nsw(report.utilities, instance.budgets)
-            eps_br = report.max_gain
-            allocation = report.allocation
-            if instance.kind == LEONTIEF:
-                eps_market = verify_eps_market_eq(
-                    instance, report.allocation, report.prices,
-                    instance.m ** 2 * delta, tol).eps_required
-        return poa_record(instance, instance_id, mechanism, delta, nsw_opt, nsw_eq,
-                          eps_br, allocation, eps_market,
-                          time.perf_counter() - t0, "; ".join(failures))
+            eq = br_dynamics(instance, delta, max_rounds=max_rounds, tol=min(tol, 1e-9))
+            if not eq.converged:
+                raise ValueError(f"dynamics did not converge: {eq.note}")
+            eps_br = eq.max_gain
+        rec = poa_record(instance, instance_id, mechanism, delta, eq.allocation,
+                         eq.prices, eps_br, tol, failure)
+        return replace(rec, seconds=time.perf_counter() - t0)
     except Exception as exc:  # failure tag, never abort the caller's batch
         nan = float("nan")
         return PoARecord(instance_id, mechanism, delta, nan, nan, nan, nan, nan,

@@ -313,6 +313,28 @@ def test_reproduce_tp_nonexistence_scores_against_its_optimum(tmp_path, capsys,
     assert float(row["nsw_opt"]) == pytest.approx(math.sqrt(5 / 9), rel=1e-9)
     assert 1.0 <= float(row["ratio"]) <= 1.0 + 1e-6
     assert row["proportional"] == "true"
+    # the fee's outcome is an eps-market equilibrium at eps = m^2 delta
+    assert 0.0 <= float(row["eps_market"]) <= 4 * 1e-3
+
+
+def test_reproduce_example_leo_scores_against_its_optimum(tmp_path, capsys, monkeypatch):
+    # two identical Leontief agents reach NSW 1/2 at best, which every
+    # equilibrium of the family attains
+    monkeypatch.chdir(tmp_path)
+    assert main(["reproduce", "example-leo", "--out", "leo"]) == 0
+    row = _csv_row(tmp_path / "leo.csv")
+    assert (float(row["nsw_opt"]), float(row["ratio"])) == (0.5, 1.0)
+    assert float(row["eps_market"]) == 0.0
+
+
+def test_reproduce_tags_an_unconverged_optimum(tmp_path, capsys, monkeypatch):
+    def unconverged(instance, tol):
+        return dataclasses.replace(mg.solve_eg(instance, tol), converged=False)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(instance_lab, "solve_eg", unconverged)
+    assert main(["reproduce", "example-lin", "--out", "lin"]) == 1
+    assert _csv_row(tmp_path / "lin.csv")["failure"].startswith("optimum did not converge")
 
 
 def test_exit_codes_for_bad_input(tmp_path, capsys):

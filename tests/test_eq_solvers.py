@@ -138,6 +138,13 @@ def test_linear_init_bids_selects_tied_equilibrium():
     assert np.abs(eq.allocation * eq.prices - spends).max() <= 1e-12
 
 
+def test_linear_rejects_malformed_init_bids():
+    inst = mg.gen_example_3_1()
+    for init in (np.ones((2, 3)), [[1.0, -0.5], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="init_bids"):
+            mg.solve_linear_eg(inst, init_bids=init)
+
+
 def test_linear_polish_spends_by_projection_without_lp(monkeypatch):
     # the reported lower-bound market and report deviations of its
     # misreporting agents: tie graphs with cycles, spending found by the
@@ -437,6 +444,13 @@ def test_verify_eps_suboptimal_bundles():
     assert not rep.passed
     assert rep.eps_required == pytest.approx(1 / 0.9 - 1, abs=1e-9)
     assert mg.verify_eps_market_eq(inst, x, np.ones(2), eps=0.12).passed
+
+
+def test_verify_eps_needs_infinite_eps_at_a_subnormal_utility():
+    # agent 1 could buy 1 but holds 5e-324 of its good: the ratio overflows
+    inst = mg.gen_identity_leontief(2)
+    rep = mg.verify_eps_market_eq(inst, np.diag([1.0, 5e-324]), np.ones(2), eps=0.0)
+    assert rep.eps_required == math.inf and not rep.passed
 
 
 def test_verify_eps_tp_delta_equilibrium():

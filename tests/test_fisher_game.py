@@ -198,3 +198,26 @@ def test_falsifier_counts_unconverged_deviation(monkeypatch):
     assert rec.failure == "falsifier skipped 1 failed solves"
     assert rec.ratio == pytest.approx(3.0, abs=1e-8)
     assert rec.eps_br <= 1e-6
+
+
+def test_falsifier_counts_an_overflowed_rescaling():
+    # agent 0's first report times 4 overflows to inf: that one deviation is
+    # a failure, and the agents' other structured deviations are solved
+    inst = mg.make_instance("linear", [[1.0, 0.5], [0.5, 1.0]])
+    reports = np.array([[5e307, 1.0], [0.5, 1.0]])
+    rep = mg.fisher_ne_falsify(inst, reports, trials=13)  # truthful + 2 x 6 scales
+    assert rep.failures == 1
+    assert np.isfinite(rep.gains).all()
+
+
+def test_falsifier_counts_a_batch_whose_solve_raised(monkeypatch):
+    # the base outcome is solved alone (init_spending); every deviation batch
+    # raises, so each of the n x trials deviations is a failure
+    def broken(instances, *args, **kwargs):
+        raise ValueError("degenerate reported market")
+
+    inst, reports, spends = mg.lb_construction(8)
+    monkeypatch.setattr(fisher_game, "solve_eg_many", broken)
+    rep = mg.fisher_ne_falsify(inst, reports, trials=5, init_spending=spends)
+    assert rep.failures == inst.n * 5
+    assert rep.max_gain == 0.0

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import marketgames as mg
 from marketgames import instance_lab
@@ -188,9 +190,32 @@ def test_poa_record_grants_the_fee_slack_to_the_trading_post_only():
     # each agent gets 0.46 of its good: below its proportional share 1/2, but
     # within the share less the entrance-fee slack delta (m - 1) / B_i = 0.1
     instance = mg.gen_identity_leontief(2)
-    allocation = 0.46 * np.eye(2)
-    tp = poa_record(instance, "id2", "trading_post", 0.1, 1.0, 0.46, 0.0, allocation)
-    fisher = poa_record(instance, "id2", "fisher", 0.1, 1.0, 0.46, 0.0, allocation)
+    allocation, prices = 0.46 * np.eye(2), np.ones(2)
+    tp = poa_record(instance, "id2", "trading_post", 0.1, allocation, prices, 0.0)
+    fisher = poa_record(instance, "id2", "fisher", 0.1, allocation, prices, 0.0)
     assert tp.proportional and not fisher.proportional
     assert tp.ratio == fisher.ratio == pytest.approx(1 / 0.46)
-    assert math.isnan(tp.eps_market) and tp.seconds == 0.0 and tp.failure == ""
+    # the trading-post row on a Leontief market checks the outcome at m^2 delta
+    assert tp.eps_market == mg.verify_eps_market_eq(instance, allocation, prices,
+                                                    0.4).eps_required
+    assert math.isnan(fisher.eps_market) and tp.seconds == 0.0 and tp.failure == ""
+
+
+KINDS = (("linear", None), ("leontief", None), ("ces", 0.5), ("ces", -1.0))
+
+
+@given(st.sampled_from(KINDS), st.integers(2, 5), st.integers(1, 5),
+       st.integers(0, 2 ** 16), st.sampled_from(["fisher", "trading_post"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_poa_record_never_beats_the_optimum(kind, n, m, seed, mechanism, data):
+    # any allocation whose columns sum to at most 1 is feasible, so its NSW is
+    # at most the optimum's and the row's ratio is at least 1
+    instance = mg.gen_random(n, m, kind[0], rho=kind[1], seed=seed)
+    share = st.floats(0.0, 1.0)
+    x = np.array(data.draw(st.lists(st.lists(share, min_size=m, max_size=m),
+                                    min_size=n, max_size=n)))
+    x /= np.maximum(x.sum(axis=0), 1.0)
+    rec = poa_record(instance, "random", mechanism, 0.0, x, np.ones(m), 0.0)
+    if not rec.failure:
+        assert rec.ratio >= 1
+        assert rec.nsw_eq == mg.nsw(instance.utilities(x), instance.budgets)

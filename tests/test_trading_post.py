@@ -311,6 +311,42 @@ def test_br_dynamics_requires_competition_for_linear_delta0():
         mg.br_dynamics(mg.gen_example_3_1(), 0.0)
 
 
+
+def test_br_dynamics_refuses_fees_a_budget_cannot_cover():
+    # three demanded goods at fee 0.5 cost 1.5, above the unit budget
+    inst = mg.make_instance("linear", np.ones((2, 3)))
+    with pytest.raises(ValueError, match="cannot cover the entrance fees"):
+        mg.br_dynamics(inst, 0.5)
+
+
+def test_br_dynamics_stops_an_oscillation(monkeypatch):
+    # agent 0 flips between two bids on every call: after the first round the
+    # largest change never improves, so the dynamics stop 50 rounds later
+    flips = iter(np.tile([[0.7, 0.3], [0.3, 0.7]], (100, 1)))
+
+    def flipping(instance, agent, opp, delta):
+        bids = next(flips) if agent == 0 else np.array([0.5, 0.5])
+        return mg.BRResult(bids, 0.0, 0)
+
+    monkeypatch.setattr(trading_post, "_best_response", flipping)
+    rep = mg.br_dynamics(mg.make_instance("linear", np.ones((2, 2))), 0.0)
+    assert not rep.converged
+    assert rep.rounds == 51 and rep.max_change == pytest.approx(0.4)
+    assert rep.note == "oscillation detected: no new best profile in 50 rounds"
+
+
+def test_br_ces_checks_rho_and_is_br_linear_at_rho_one():
+    v, d = np.array([1.0, 0.4, 0.0]), np.array([0.3, 1.2, 0.5])
+    for rho in (0.0, 1.5):
+        with pytest.raises(ValueError, match="rho"):
+            mg.br_ces(v, 1.0, d, rho)
+    for delta in (0.0, 0.1):
+        ces, lin = mg.br_ces(v, 1.0, d, 1.0, delta), mg.br_linear(v, 1.0, d, delta)
+        assert ces.bids.tobytes() == lin.bids.tobytes()
+        assert (ces.utility, ces.iterations, ces.converged) == \
+            (lin.utility, lin.iterations, lin.converged)
+
+
 def test_verify_tp_ne_leo_family():
     inst, bids = mg.gen_example_leo_family(0.3)
     rep = mg.verify_tp_ne(inst, bids, 0.0, 1e-8)
