@@ -11,7 +11,7 @@ outcome mapping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -678,14 +678,35 @@ def br_grid_oracle(profile: ValuationProfile, agent: int, budget: float,
 # Dynamics and equilibrium verification
 
 
-def _best_response(instance: Instance, agent: int, opp, delta) -> BRResult:
-    values = instance.matrix[agent]
+def _best_response(instance: Instance, agent: int, opp, delta, values=None) -> BRResult:
+    if values is None:
+        values = instance.matrix[agent]
     budget = float(instance.budgets[agent])
     if instance.kind == LINEAR:
         return br_linear(values, budget, opp, delta)
     if instance.kind == LEONTIEF:
         return br_leontief(values, budget, opp, delta)
     return br_ces(values, budget, opp, instance.valuations.rho, delta)
+
+
+def _monopoly_supremum(instance: Instance, agent: int, opp) -> BRResult:
+    """The delta -> 0 supremum of a best response at delta = 0 when the agent
+    alone demands some goods (no opposing spend).  A vanishing bid wins each
+    of them whole, so the supremum is the utility of those goods plus the
+    attained best response on the contested goods alone with the whole
+    budget: linear utility adds over goods, Leontief takes their minimum and
+    CES is monotone in the separable sum of v_j f_j^rho.  The bids are the
+    supremizing bids' limit, zero on the monopolized goods."""
+    v = instance.matrix[agent]
+    monop = (v > 0) & (opp <= 0)
+    fractions = monop.astype(float)
+    if ((v > 0) & ~monop).any():
+        br = _best_response(instance, agent, opp, 0.0, np.where(monop, 0.0, v))
+        fractions += _fractions(br.bids, opp)
+    else:
+        br = BRResult(_readonly(np.zeros_like(v)), 0.0, 0)
+    own = ValuationProfile(instance.kind, v[None, :], instance.valuations.rho)
+    return replace(br, utility=float(eval_valuation_matrix(own, fractions[None, :])[0]))
 
 
 def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
@@ -781,26 +802,24 @@ def verify_tp_ne(instance: Instance, bids, delta: float = 0.0,
     The profile is an eps-Nash equilibrium for eps equal to the reported
     max_gain; `converged` records whether max_gain <= tol and every best
     response converged (a note names the agents whose did not).  When
-    delta = 0 and an agent monopolizes a demanded good, the unattained
-    supremum is approximated through a vanishing entrance fee and noted.
-    With delta > 0 a budget below delta times the agent's demanded goods
-    raises ValueError, as br_dynamics does.
+    delta = 0 and an agent monopolizes a demanded good, its best response is
+    the unattained supremum, computed exactly by _monopoly_supremum, and
+    noted.  With delta > 0 a budget below delta times the agent's demanded
+    goods raises ValueError, as br_dynamics does.
     """
     b = check_bid_profile(bids, instance.budgets)
     eff = effective_bids(b, delta)
-    allocation = tp_allocate(b, delta)
+    prices, allocation = ne_to_market(b, delta)
     utilities = instance.utilities(allocation)
     gains = np.zeros(instance.n)
     suprema, inexact = False, []
     for i in range(instance.n):
-        opp = eff.sum(axis=0) - eff[i]
-        try:
-            br = _best_response(instance, i, opp, delta)
-        except ValueError:
-            if delta > 0:
-                raise
-            br = _best_response(instance, i, opp, 1e-12)
+        opp = prices - eff[i]
+        if delta == 0 and ((instance.matrix[i] > 0) & (opp <= 0)).any():
+            br = _monopoly_supremum(instance, i, opp)
             suprema = True
+        else:
+            br = _best_response(instance, i, opp, delta)
         if not br.converged:
             inexact.append(str(i))
         gains[i] = br.utility - utilities[i]
@@ -809,7 +828,6 @@ def verify_tp_ne(instance: Instance, bids, delta: float = 0.0,
         notes.append("some best responses are unattained suprema (delta=0 monopoly)")
     if inexact:
         notes.append(f"best response did not converge for agent {', '.join(inexact)}")
-    prices = eff.sum(axis=0)
     max_gain = float(gains.max())
     return NEReport(_readonly(b), _readonly(gains), max_gain,
                     max_gain <= tol and not inexact, _readonly(prices),

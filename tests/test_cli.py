@@ -278,6 +278,18 @@ def test_reproduce_remaining_ids(tmp_path, capsys, monkeypatch):
     assert main(["reproduce", "lb-construction", "--n", "5", "--out", "lb5"]) == 2
 
 
+def test_reproduce_lb_construction_climbs_toward_e_to_the_1_over_e(tmp_path, capsys,
+                                                                   monkeypatch):
+    # at n = 300 the certificate stays exact at delta = 0, and the ratio lies
+    # above n = 109's 1.429093 and below the limit e^(1/e)
+    monkeypatch.chdir(tmp_path)
+    assert main(["reproduce", "lb-construction", "--n", "300", "--out", "lb300"]) == 0
+    report = dict(line.split(" = ", 1)
+                  for line in (tmp_path / "lb300.txt").read_text().splitlines())
+    assert float(report["tp_max_gain"]) <= 1e-6
+    assert 1.429093 < float(report["ratio"]) < math.exp(1 / math.e)
+
+
 def _csv_row(path):
     with open(path, newline="") as fh:
         (row,) = csv.DictReader(fh)

@@ -347,6 +347,80 @@ def test_br_ces_checks_rho_and_is_br_linear_at_rho_one():
             (lin.utility, lin.iterations, lin.converged)
 
 
+@pytest.mark.parametrize("kind, gain", [("linear", 1.0), ("leontief", 0.5)])
+def test_verify_tp_ne_monopoly_supremum_is_exact(kind, gain):
+    # agent 0 alone demands good 0: a vanishing bid wins it whole, and its
+    # whole budget against agent 1's unit bid on good 1 wins half of that,
+    # so the supremum is 1 + 1/2 (linear) or min(1, 1/2) (Leontief) against
+    # the profile's 1/2 or 0
+    inst = mg.make_instance(kind, [[1.0, 1.0], [0.0, 1.0]], [1.0, 1.0])
+    rep = mg.verify_tp_ne(inst, [[0.0, 1.0], [0.0, 1.0]], 0.0)
+    assert rep.gains[0] == gain
+    assert rep.gains[1] == 0.0
+    assert rep.note == "some best responses are unattained suprema (delta=0 monopoly)"
+
+
+def test_verify_tp_ne_monopolist_of_every_demanded_good(monkeypatch):
+    # agent 0 alone demands both goods it values: its supremum is the whole
+    # bundle, (1 + 2)^-1 against the profile's 0, and only agent 1 asks the oracle
+    calls = []
+
+    def counted(values, budget, opp, rho, delta=0.0):
+        calls.append(values)
+        return real(values, budget, opp, rho, delta)
+
+    real = trading_post.br_ces
+    monkeypatch.setattr(trading_post, "br_ces", counted)
+    inst = mg.make_instance("ces", [[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 1.0],
+                            rho=-1.0)
+    rep = mg.verify_tp_ne(inst, [[0.5, 0.0, 0.5], [0.0, 0.0, 1.0]], 0.0)
+    assert rep.gains[0] == pytest.approx(1 / 3, rel=1e-15)
+    assert rep.gains[1] == 0.0
+    assert [c.tolist() for c in calls] == [[0.0, 0.0, 1.0]]
+
+
+def test_verify_tp_ne_runs_no_fee_search_at_delta_zero(monkeypatch):
+    # every agent of the lower-bound profile monopolizes a good; its
+    # certificate takes no stand-in fee, so the toggle search never runs
+    def refuse(*args):
+        raise AssertionError("fee search at delta = 0")
+
+    monkeypatch.setattr(trading_post, "_fee_search", refuse)
+    inst, _, spends = mg.lb_construction(14)
+    rep = mg.verify_tp_ne(inst, spends, 0.0, 1e-5)
+    assert rep.converged and rep.note.startswith("some best responses are unattained")
+
+
+_FEE_ORACLES = {
+    "linear": lambda inst, i, opp: mg.br_linear(inst.matrix[i], inst.budgets[i], opp, 1e-12),
+    "leontief": lambda inst, i, opp: mg.br_leontief(inst.matrix[i], inst.budgets[i], opp,
+                                                    1e-12),
+    "ces": lambda inst, i, opp: mg.br_ces(inst.matrix[i], inst.budgets[i], opp,
+                                          inst.valuations.rho, 1e-12),
+}
+
+
+@given(st.sampled_from([("linear", None), ("leontief", None), ("ces", 0.5),
+                        ("ces", -1.0), ("ces", -3.0)]),
+       st.integers(2, 5), st.integers(1, 5), st.integers(0, 2 ** 32 - 1), st.data())
+@settings(max_examples=300, deadline=None)
+def test_monopoly_supremum_dominates_a_vanishing_fee(kind_rho, n, m, seed, data):
+    # zeroed bids leave some agents alone on goods they demand; the exact
+    # delta -> 0 supremum is at least what any small fee attains, so each
+    # certified gain is at least the gain of the oracle run at delta = 1e-12
+    kind, rho = kind_rho
+    inst = mg.gen_random(n, m, kind, rho, seed=seed, sparsity=0.3)
+    keep = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=m, max_size=m).filter(any),
+        min_size=n, max_size=n)))
+    bids = np.random.default_rng(seed).uniform(0.1, 1.0, (n, m)) * keep
+    bids *= (inst.budgets / bids.sum(axis=1))[:, None]
+    rep = mg.verify_tp_ne(inst, bids, 0.0)
+    for i in range(n):
+        fee = _FEE_ORACLES[kind](inst, i, bids.sum(axis=0) - bids[i])
+        assert rep.gains[i] >= fee.utility - rep.utilities[i] - 1e-12
+
+
 def test_verify_tp_ne_leo_family():
     inst, bids = mg.gen_example_leo_family(0.3)
     rep = mg.verify_tp_ne(inst, bids, 0.0, 1e-8)
