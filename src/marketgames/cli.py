@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 from . import eq_solvers, fisher_game, instance_lab, trading_post
@@ -336,7 +337,10 @@ REPRODUCE = {
 
 def _cmd_reproduce(args) -> int:
     out = args.out or f"marketgames-{args.id}"
+    t0 = time.perf_counter()
     body, records = REPRODUCE[args.id](args)
+    seconds = time.perf_counter() - t0
+    records = [dataclasses.replace(rec, seconds=seconds) for rec in records]
     report = {"id": args.id, **body}
     _emit(report, out + ".txt")
     records_to_csv(records, out + ".csv")

@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +169,101 @@ def test_br_leontief_meets_optimality_conditions(inputs):
     free = b[demanded] > delta * (1 + 1e-9)
     assert _equal(ratio[free])
     assert (ratio[~free] >= ratio[free].min() * (1 - 1e-9)).all()
+
+
+def _leontief_reference(v, budget, d, delta, t):
+    """The Leontief best response's utility to 50 digits: the common ratio t
+    refined by Newton's method on the exact spending of the contested goods."""
+    with mpmath.workdps(50):
+        v, d = [mpmath.mpf(x) for x in v], [mpmath.mpf(x) for x in d]
+        budget, delta = mpmath.mpf(budget), mpmath.mpf(delta)
+        demanded = [j for j in range(len(v)) if v[j] > 0]
+        comp = [j for j in demanded if d[j] > 0]
+        bids = {j: delta for j in demanded if d[j] == 0}
+        if not comp:
+            bids = {j: budget / len(bids) for j in bids}
+        else:
+            rest, t = budget - delta * len(bids), mpmath.mpf(t)
+            for _ in range(30):
+                raw = [t * v[j] * d[j] / (1 - t * v[j]) for j in comp]
+                spend = sum(max(delta, x) for x in raw)
+                slope = sum(v[j] * d[j] / (1 - t * v[j]) ** 2
+                            for j, x in zip(comp, raw) if x > delta)
+                step = (spend - rest) / slope
+                t -= step
+                if abs(step) <= mpmath.mpf(10) ** -40 * t:
+                    break
+            else:
+                raise AssertionError("the reference did not converge")
+            bids.update((j, max(delta, t * v[j] * d[j] / (1 - t * v[j]))) for j in comp)
+        return min((bids[j] / (bids[j] + d[j]) if d[j] > 0 else 1) / v[j] for j in demanded)
+
+
+def test_br_leontief_utility_matches_a_50_digit_reference():
+    # values, opposing spends and budgets over many orders of magnitude, some
+    # goods undemanded or monopolized, fees up to the whole budget's share
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(300):
+        m = int(rng.integers(1, 7))
+        v = np.where(rng.random(m) < 0.2, 0.0, np.exp(rng.uniform(-8, 8, m)))
+        if not v.any():
+            continue
+        d = np.where(rng.random(m) < 0.15, 0.0, np.exp(rng.uniform(-10, 6, m)))
+        budget = float(np.exp(rng.uniform(-4, 4)))
+        k = int((v > 0).sum())
+        delta = 0.0 if rng.random() < 0.5 else budget / k * float(np.exp(rng.uniform(-12, 0)))
+        if delta == 0 and ((v > 0) & (d == 0)).any():
+            with pytest.raises(ValueError, match="supremum not attained"):
+                mg.br_leontief(v, budget, d, delta)
+            continue
+        r = mg.br_leontief(v, budget, d, delta)
+        assert r.converged
+        # the common ratio at the largest contested bid seeds the reference
+        comp = np.nonzero((v > 0) & (d > 0))[0]
+        j = comp[np.argmax(r.bids[comp])] if comp.size else 0
+        t = r.bids[j] / (r.bids[j] + d[j]) / v[j] if comp.size else 0.0
+        ref = _leontief_reference(v, budget, d, delta, t)
+        assert abs(r.utility - float(ref)) <= 1e-10 * float(ref)
+        checked += 1
+    assert checked >= 200
+
+
+def test_br_leontief_near_the_pole():
+    # t = 1/(1 + 2e-6) sits 2e-6 below the pole at t = 1, where one ulp of t
+    # moves each bid by 2.8e-11; the start is the root when the values are equal
+    r = mg.br_leontief(np.array([1.0, 1.0]), 1.0, np.array([1e-6, 1e-6]))
+    assert r.converged and r.iterations <= 2
+    assert r.bids == pytest.approx([0.5, 0.5], rel=3e-11, abs=0)
+    assert abs(r.utility - 1 / (1 + 2e-6)) <= 1e-15
+
+
+@pytest.mark.parametrize("rho", [0.9, 0.5, -1.0, -3.0, -10.0, -30.0, -300.0])
+def test_br_ces_survives_extreme_inputs(rho):
+    # values and opposing spends over ten orders of magnitude and more: the
+    # Newton loop on Python floats neither overflows nor divides by zero, and
+    # at rho = -300 some trial steps' gains overflow and are rejected
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        m = int(rng.integers(2, 7))
+        v, d = np.exp(rng.uniform(-12, 12, m)), np.exp(rng.uniform(-14, 10, m))
+        budget = float(np.exp(rng.uniform(-4, 4)))
+        r = mg.br_ces(v, budget, d, rho)
+        assert r.converged
+        assert r.bids.sum() == pytest.approx(budget, rel=1e-12) and (r.bids > 0).all()
+
+
+def test_br_ces_clips_marginals_outside_the_double_range():
+    # at rho = -300 with values and opposing spends over e^(+-30) some log
+    # marginals fall below -700: clipped, they neither vanish nor divide by
+    # zero, and a solve that cannot finish returns its bids unconverged
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        m = int(rng.integers(2, 7))
+        v, d = np.exp(rng.uniform(-30, 30, m)), np.exp(rng.uniform(-30, 20, m))
+        budget = float(np.exp(rng.uniform(-4, 4)))
+        r = mg.br_ces(v, budget, d, -300.0)
+        assert r.bids.sum() == pytest.approx(budget, rel=1e-12) and (r.bids >= 0).all()
 
 
 @given(br_inputs(), st.sampled_from([0.5, 0.9, -1.0, -3.0, -10.0]))
