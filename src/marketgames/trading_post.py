@@ -6,6 +6,13 @@ voided.  This module holds the allocation rule, analytic and numeric
 best-response oracles, a brute-force grid oracle, round-robin best-response
 dynamics, Nash-equilibrium verification, and the bid-profile <-> market
 outcome mapping.
+
+The analytic oracles (br_linear, br_leontief, br_ces) run on Python floats
+from input to result: each sees one agent's row, a handful of goods in the
+dynamics, where numpy's per-call cost would dominate.  They check their
+input, take it as lists of floats and index lists of goods, and return the
+bids as a read-only array.  Profiles, the dynamics' bookkeeping, the
+verifier and the reference oracles stay in numpy.
 """
 
 from __future__ import annotations
@@ -120,26 +127,61 @@ def _fractions(bids_row, opp):
 
 
 def _br_inputs(values, budget, opp_spend, delta):
-    """Input checks shared by the best-response oracles.  Returns the values
-    and opposing spend as arrays, the demanded goods, and their split into
-    uncontested (monop) and contested (comp) goods.  With an entrance fee
-    delta > 0 the budget must cover delta on every demanded good."""
+    """Input checks shared by the best-response oracles.  Values and opposing
+    spends must be finite and non-negative, the budget positive and finite,
+    and delta finite and non-negative.  Returns the values and opposing spend
+    as lists of floats, the demanded goods, and their split into uncontested
+    (monop) and contested (comp) goods, each as an ascending index list.  With
+    an entrance fee delta > 0 the budget must cover delta on every demanded
+    good."""
     v = np.asarray(values, dtype=float)
     d = np.asarray(opp_spend, dtype=float)
-    if v.shape != d.shape:
-        raise ValueError("values and opp_spend must have the same length")
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    demanded = v > 0
-    if not demanded.any():
+    if v.ndim != 1 or v.shape != d.shape:
+        raise ValueError("values and opp_spend must be rows of the same length")
+    v, d = v.tolist(), d.tolist()
+    for name, row in (("values", v), ("opp_spend", d)):
+        if not all([0.0 <= x < math.inf for x in row]):
+            raise ValueError(f"{name} must be finite and non-negative")
+    if not 0.0 < budget < math.inf:
+        raise ValueError("budget must be positive and finite")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError("delta must be finite and non-negative")
+    demanded = [j for j, vj in enumerate(v) if vj > 0]
+    if not demanded:
         raise ValueError("agent demands no goods")
-    if delta > 0 and budget < delta * float(demanded.sum()) * (1 - 1e-12):
+    if delta > 0 and budget < delta * float(len(demanded)) * (1 - 1e-12):
         raise ValueError("infeasible floors: budget below delta times demanded goods")
-    monop = demanded & (d <= 0)
-    comp = demanded & (d > 0)
-    if delta == 0 and monop.any():
+    monop = [j for j in demanded if d[j] == 0]
+    comp = [j for j in demanded if d[j] > 0]
+    if delta == 0 and monop:
         raise ValueError("supremum not attained: demanded good has no opposing spend")
     return v, d, demanded, monop, comp
+
+
+def _pairwise_sum(xs, lo=0, n=None):
+    """The sum of xs[lo:lo + n] in numpy's pairwise order: a run of more than
+    128 entries is split in two, a run of 8 to 128 is summed by eight
+    interleaved accumulators, and a shorter run in turn.  Its rounding error
+    grows as log n, not n, and the oracles' bids on wide rows keep the bits
+    that numpy's sums gave them."""
+    if n is None:
+        n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs[lo:lo + n]:
+            total += x
+        return total
+    if n <= 128:
+        acc, end = xs[lo:lo + 8], lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            acc = [a + x for a, x in zip(acc, xs[i:i + 8])]
+        total = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
+                 + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
+        for x in xs[end:lo + n]:
+            total += x
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(xs, lo, half) + _pairwise_sum(xs, lo + half, n - half)
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +193,25 @@ def _waterfill(values, opp, budget, floor):
 
     With s_j = sqrt(v_j D_j) and r = sqrt(lam), good j sits above the floor
     iff r < s_j / (D_j + floor), so the goods above the floor are a prefix in
-    that order.  Each prefix fixes r by budget exhaustion through one
-    cumulative sum; every prefix's r is at most the true one (the floors only
-    add spending) and the true active prefix attains it, so r is their
-    maximum.  Requires floor * len(values) <= budget and opp > 0 everywhere.
+    that order.  Each prefix fixes r by budget exhaustion through running
+    sums; every prefix's r is at most the true one (the floors only add
+    spending) and the true active prefix attains it, so r is their maximum.
+    Takes and returns lists of floats.  Requires floor * len(values) <=
+    budget and opp > 0 everywhere.
     """
-    s = np.sqrt(values * opp)
-    order = np.argsort(-s / (opp + floor))
-    k = np.arange(1, values.size + 1)
-    roots = np.cumsum(s[order]) / (budget - floor * (values.size - k)
-                                   + np.cumsum(opp[order]))
-    bids = np.maximum(s / roots.max() - opp, floor)
-    bids[np.argmax(bids)] += budget - bids.sum()
+    n = len(values)
+    s = [math.sqrt(vj * dj) for vj, dj in zip(values, opp)]
+    key = [-sj / (dj + floor) for sj, dj in zip(s, opp)]
+    root = s_sum = d_sum = 0.0
+    for k, j in enumerate(sorted(range(n), key=key.__getitem__), 1):
+        s_sum += s[j]
+        d_sum += opp[j]
+        r = s_sum / (budget - floor * (n - k) + d_sum)
+        if r > root:
+            root = r
+    bids = [sj / root - dj for sj, dj in zip(s, opp)]
+    bids = [bj if bj >= floor else floor for bj in bids]
+    bids[bids.index(max(bids))] += budget - _pairwise_sum(bids)
     return bids
 
 
@@ -181,29 +230,25 @@ def br_linear(values, budget: float, opp_spend, delta: float = 0.0) -> BRResult:
     ``iterations`` counts the water-fill solves (1 at delta = 0).
     """
     v, d, _, monop, comp = _br_inputs(values, budget, opp_spend, delta)
-
-    if delta == 0:
-        wb = _waterfill(v[comp], d[comp], budget, 0.0)
-        bids = np.zeros_like(v)
-        bids[comp] = wb
-        utility = float(v[comp] @ _fractions(wb, d[comp]))
-        return BRResult(_readonly(bids), utility, 1)
-
     iters = 0
 
-    def fill(mask, rest):
+    def fill(goods, rest, floor=delta):
         nonlocal iters
         iters += 1
-        return _waterfill(v[mask], d[mask], rest, delta)
+        return _waterfill([v[j] for j in goods], [d[j] for j in goods], rest, floor)
 
-    support = comp.copy()
-    if comp.any():
-        wb = _waterfill(v[comp], d[comp], max(budget - delta * float(monop.sum()),
-                                              budget * 1e-12), 0.0)
-        iters += 1
-        support[comp] = wb > delta * 0.5
-    bids, utility = _fee_search(budget, delta, monop, comp, support, fill,
-                                lambda b: float(v @ _fractions(b, d)))
+    def payoff(bids):
+        return sum([vj * (bj / (bj + dj)) for vj, dj, bj in zip(v, d, bids) if bj > 0])
+
+    if delta == 0:
+        bids = _fee_config(budget, 0.0, len(v), [], comp, fill)
+        return BRResult(_readonly(bids), payoff(bids), iters)
+
+    support = comp
+    if comp:
+        wb = fill(comp, max(budget - delta * float(len(monop)), budget * 1e-12), 0.0)
+        support = [j for j, bj in zip(comp, wb) if bj > delta * 0.5]
+    bids, utility = _fee_search(budget, delta, len(v), monop, comp, support, fill, payoff)
     return BRResult(_readonly(bids), utility, iters)
 
 
@@ -211,48 +256,57 @@ def br_linear(values, budget: float, opp_spend, delta: float = 0.0) -> BRResult:
 # Entrance-fee support search (shared by the linear and CES best responses)
 
 
-def _fee_config(budget, delta, claims, support, fill):
-    """Bids that claim the goods in ``claims`` at the fee and spend the rest
-    on ``support`` through ``fill(mask, rest)`` (the claims share it when the
-    support is empty); None when the fees are unaffordable."""
-    k_floors = float(claims.sum() + support.sum())
-    if not (claims.any() or support.any()) or delta * k_floors > budget * (1 + 1e-12):
+def _fee_config(budget, delta, m, claims, support, fill):
+    """A row of m bids that claims the goods in ``claims`` at the fee and
+    spends the rest on ``support`` through ``fill(goods, rest)`` (the claims
+    share it when the support is empty); None when the fees are
+    unaffordable.  Both are ascending index lists."""
+    k_floors = float(len(claims) + len(support))
+    if not k_floors or delta * k_floors > budget * (1 + 1e-12):
         return None
-    bids = np.zeros(claims.size)
-    bids[claims] = delta
-    rest = budget - delta * float(claims.sum())
-    if support.any():
-        bids[support] = fill(support, rest)
+    bids = [0.0] * m
+    for j in claims:
+        bids[j] = delta
+    rest = budget - delta * float(len(claims))
+    if support:
+        for j, bj in zip(support, fill(support, rest)):
+            bids[j] = bj
     else:
-        bids[claims] += rest / float(claims.sum())
+        share = rest / float(len(claims))
+        for j in claims:
+            bids[j] += share
     return bids
 
 
-def _fee_search(budget, delta, monop, comp, support, fill, payoff):
+def _toggled(goods, j):
+    """The ascending index list ``goods`` with good j added or removed."""
+    return [k for k in goods if k != j] if j in goods else sorted(goods + [j])
+
+
+def _fee_search(budget, delta, m, monop, comp, support, fill, payoff):
     """Which goods are worth the entrance fee delta > 0, by a deterministic
     toggle search.
 
     Monopolized goods are claimed at the fee and the contested goods in
-    ``support`` are bought through ``fill``; single-good toggles of both sets
-    are kept while ``payoff(bids)`` improves.  The budget covers the fee on
-    every demanded good (``_br_inputs``), so the start is affordable.
-    Returns (bids, utility).
+    ``support`` are bought through ``fill``; single-good toggles of both sets,
+    in ascending order of the goods, are kept while ``payoff(bids)``
+    improves.  The budget covers the fee on every demanded good
+    (``_br_inputs``), so the start is affordable.  Returns (bids, utility).
     """
-    demanded = monop | comp
-
     def config(claims, support):
-        bids = _fee_config(budget, delta, claims, support, fill)
+        bids = _fee_config(budget, delta, m, claims, support, fill)
         return None if bids is None else (bids, payoff(bids))
 
-    claims, best = monop.copy(), config(monop, support)
-    for _ in range(2 * demanded.size + 2):
+    demanded = sorted(monop + comp)
+    claims, best = monop, config(monop, support)
+    for _ in range(2 * m + 2):
         improved = False
-        for j in np.nonzero(demanded)[0]:
-            cl, su = claims.copy(), support.copy()
-            if monop[j]:
-                cl[j] = ~cl[j]
+        for j in demanded:
+            cl, su = claims, support
+            if j in monop:
+                cl = _toggled(claims, j)
             else:
-                su[j] = ~su[j]
+                su = _toggled(support, j)
             cand = config(cl, su)
             if cand is not None and cand[1] > best[1] + 1e-15:
                 claims, support, best = cl, su, cand
@@ -280,21 +334,22 @@ def br_leontief(values, budget: float, opp_spend, delta: float = 0.0) -> BRResul
     when the log is at most 4e-16, when a step no longer moves t, or when
     the bracket is a few ulps wide.  ``iterations`` counts the spending
     evaluations (3 to 6 on most rows), and ``converged`` is False only if
-    100 of them did not stop.  The loop runs on Python floats, since a row
-    has a handful of goods.  Goods the agent does not demand get bid zero,
-    never the floor.
+    100 of them did not stop.  Goods the agent does not demand get bid
+    zero, never the floor.
     """
     v, d, demanded, monop, comp = _br_inputs(values, budget, opp_spend, delta)
-    bids = np.zeros_like(v)
-    bids[monop] = delta
-    if not comp.any():
-        bids[demanded] += (budget - bids.sum()) / demanded.sum()
-        fr = _fractions(bids, d)
-        utility = float((fr[demanded] / v[demanded]).min())
-        return BRResult(_readonly(bids), utility, 0)
+    bids = [0.0] * len(v)
+    for j in monop:
+        bids[j] = delta
+    if not comp:
+        # every demanded good is won whole: its ratio is 1 / v_j
+        share = (budget - _pairwise_sum(bids)) / len(demanded)
+        for j in demanded:
+            bids[j] += share
+        return BRResult(_readonly(bids), min([1.0 / v[j] for j in demanded]), 0)
 
-    vc, dc = v[comp].tolist(), d[comp].tolist()
-    rest = budget - delta * float(monop.sum())
+    vc, dc = [v[j] for j in comp], [d[j] for j in comp]
+    rest = budget - delta * float(len(monop))
 
     def comp_bids(t):
         """The contested goods' bids at ratio t and the slope of their sum."""
@@ -331,10 +386,11 @@ def br_leontief(values, budget: float, opp_spend, delta: float = 0.0) -> BRResul
         # the root is bracketed, so the residual may have either sign
         free = cb.index(max(cb))
         cb[free] += rest - sum(cb)
-    bids[comp] = cb
+    for j, bj in zip(comp, cb):
+        bids[j] = bj
     # a monopolized good is won whole: its ratio is 1 / v_j
     utility = min([bj / (bj + dj) / vj for bj, dj, vj in zip(cb, dc, vc)]
-                  + [1.0 / vj for vj in v[monop].tolist()])
+                  + [1.0 / v[j] for j in monop])
     return BRResult(_readonly(bids), utility, iters, converged)
 
 
@@ -359,15 +415,14 @@ def _ces_newton(v, d, rho, total):
     good's share of S, and a step's gain from the exact change of log f_j,
     so neither extreme rho nor d overflows and tiny gains are not rounded
     away.  The start b_j ~ (v_j d_j^-rho)^(1/(1-rho)) is the optimum when
-    every f_j is small, and exact at rho = -1.  Returns (bids, steps,
-    converged); it stops when no bid moves by more than 1e-9 of itself.
-    The loop runs on Python floats, since a row has a handful of goods; the
-    marginals stay clipped to e^(+-700), and a trial step whose gain
-    overflows is rejected like any step without enough ascent.
+    every f_j is small, and exact at rho = -1.  Takes v and d as lists of
+    floats and returns (bids as a list, steps, converged); it stops when no
+    bid moves by more than 1e-9 of itself.  The marginals stay clipped to
+    e^(+-700), and a trial step whose gain overflows is rejected like any
+    step without enough ascent.
     """
-    if v.size == 1:
-        return np.array([total]), 0, True
-    v, d = v.tolist(), d.tolist()
+    if len(v) == 1:
+        return [total], 0, True
     log_v = [math.log(vj) for vj in v]
     log_d = [math.log(dj) for dj in d]
     w = [(lv - rho * ld) / (1.0 - rho) for lv, ld in zip(log_v, log_d)]
@@ -420,7 +475,7 @@ def _ces_newton(v, d, rho, total):
                 break  # no ascent left to find
         b = [bj + alpha * xj for bj, xj in zip(b, dx)]
     b[b.index(max(b))] += total - sum(b)
-    return np.array(b), step, converged
+    return b, step, converged
 
 
 def br_ces(values, budget: float, opp_spend, rho: float,
@@ -437,41 +492,55 @@ def br_ces(values, budget: float, opp_spend, rho: float,
     the toggle search br_linear uses.  rho = 1 is linear and returns
     br_linear's answer.  ``iterations`` counts Newton steps, and
     ``converged`` is False if a solve hit its step cap or found no ascent.
+    The utility is evaluated in logs with core's CES conventions: a zero
+    amount of a demanded good at rho < 0 gives utility 0.
     """
     if not (rho <= 1.0 and rho != 0.0):
         raise ValueError("rho must be nonzero and at most 1")
     if rho == 1.0:
         return br_linear(values, budget, opp_spend, delta)
-    v, d, _, monop, comp = _br_inputs(values, budget, opp_spend, delta)
+    v, d, demanded, monop, comp = _br_inputs(values, budget, opp_spend, delta)
+    log_v = {j: math.log(v[j]) for j in demanded}
     steps, converged = 0, True
 
-    def fill(mask, rest):
+    def fill(goods, rest):
         nonlocal steps, converged
-        idx = np.nonzero(mask)[0]
-        free = np.ones(idx.size, dtype=bool)
+        free = goods
         while True:
             # the goods floored so far stay floored at the optimum: freeing
             # budget from them only raises the common marginal
-            b, k, ok = _ces_newton(v[idx[free]], d[idx[free]], rho,
-                                   rest - delta * float((~free).sum()))
+            b, k, ok = _ces_newton([v[j] for j in free], [d[j] for j in free], rho,
+                                   rest - delta * float(len(goods) - len(free)))
             steps += k
             converged &= ok
-            low = b < delta
-            if not low.any() or low.all():
+            low = [bj < delta for bj in b]
+            if not any(low) or all(low):
                 break
-            free[np.nonzero(free)[0][low]] = False
-        out = np.full(idx.size, delta, dtype=float)
-        out[free] = b
-        return out
+            free = [j for j, lj in zip(free, low) if not lj]
+        won = dict(zip(free, b))
+        return [won.get(j, delta) for j in goods]
 
     def payoff(bids):
-        return float(_ces_eval(v[None, :], _fractions(bids, d)[None, :], rho)[0])
+        terms = []
+        for j in demanded:
+            f = bids[j] / (bids[j] + d[j]) if bids[j] > 0 else 0.0
+            if f > 0:
+                terms.append(log_v[j] + rho * math.log(f))
+            elif rho < 0:
+                return 0.0
+        if not terms:
+            return 0.0
+        peak = max(terms)
+        log_sum = peak + math.log(math.fsum([math.exp(t - peak) for t in terms]))
+        try:
+            return math.exp(log_sum / rho)
+        except OverflowError:  # core's _ces_eval gives inf here
+            return math.inf
 
     if delta > 0 and rho > 0:
-        bids, utility = _fee_search(budget, delta, monop, comp, comp.copy(), fill,
-                                    payoff)
+        bids, utility = _fee_search(budget, delta, len(v), monop, comp, comp, fill, payoff)
     else:
-        bids = _fee_config(budget, delta, monop, comp, fill)
+        bids = _fee_config(budget, delta, len(v), monop, comp, fill)
         utility = payoff(bids)
     return BRResult(_readonly(bids), utility, steps, converged)
 
@@ -551,7 +620,9 @@ def br_concave_numeric(profile: ValuationProfile, agent: int, budget: float,
     reference for the tests: it agrees with br_linear, br_leontief and
     br_ces, which the dynamics and the verifier use.
     """
-    v, d, demanded, _, _ = _br_inputs(profile.matrix[agent], budget, opp_spend, delta)
+    _br_inputs(profile.matrix[agent], budget, opp_spend, delta)
+    v, d = profile.matrix[agent], np.asarray(opp_spend, dtype=float)
+    demanded = v > 0
     lb = np.where(demanded, delta, 0.0)
     if profile.kind == LEONTIEF:
         cap = 400 * v.size

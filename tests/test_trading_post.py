@@ -109,6 +109,29 @@ def test_br_floor_feasibility(oracle):
             oracle(np.array([1.0, 1.0]), 0.05, np.array(opp), 0.2)
 
 
+@pytest.mark.parametrize("oracle", [mg.br_linear, mg.br_leontief,
+                                    lambda v, b, d, delta: mg.br_ces(v, b, d, -1.0, delta)],
+                         ids=["br_linear", "br_leontief", "br_ces"])
+@pytest.mark.parametrize("values, budget, opp, delta, bad", [
+    ([1.0, 1.0], 1.0, [np.nan, 1.0], 0.0, "opp_spend"),
+    ([1.0, 1.0], 1.0, [np.inf, 1.0], 0.0, "opp_spend"),
+    ([1.0, 1.0], 1.0, [1.0, -0.5], 0.1, "opp_spend"),
+    ([1.0, np.nan], 1.0, [1.0, 1.0], 0.0, "values"),
+    ([np.inf, 1.0], 1.0, [1.0, 1.0], 0.0, "values"),
+    ([1.0, -1.0], 1.0, [1.0, 1.0], 0.0, "values"),
+    ([1.0, 1.0], np.nan, [1.0, 1.0], 0.0, "budget"),
+    ([1.0, 1.0], np.inf, [1.0, 1.0], 0.0, "budget"),
+    ([1.0, 1.0], 1.0, [1.0, 1.0], np.nan, "delta"),
+    ([1.0, 1.0], 1.0, [1.0, 1.0], np.inf, "delta"),
+    ([1.0, 1.0], 1.0, [1.0, 1.0], -1e-3, "delta"),
+])
+def test_br_oracles_reject_malformed_input(oracle, values, budget, opp, delta, bad):
+    # a NaN, an infinity or a negative entry would otherwise drop a good or
+    # return NaN bids with converged=True
+    with pytest.raises(ValueError, match=f"^{bad} must be"):
+        oracle(np.array(values), budget, np.array(opp), delta)
+
+
 def test_verify_tp_ne_refuses_fees_a_budget_cannot_cover():
     # agent 0 cannot pay the fee on both goods it demands, and claiming
     # good 0 alone would gain it 0.225: no certificate can be given
@@ -132,14 +155,11 @@ def _equal(xs):
     return np.ptp(xs) <= 1e-9 * xs.max()
 
 
-@given(br_inputs())
-@settings(max_examples=200, deadline=None)
-def test_br_linear_meets_optimality_conditions(inputs):
+def _assert_linear_kkt(v, d, budget, delta):
     # KKT of max sum_j v_j b_j / (b_j + D_j) on the budget simplex: goods bid
     # above their floor share the marginal v_j D_j / (b_j + D_j)^2 = lambda,
     # and no good left at its floor (0, or delta on the chosen support) has a
     # larger one
-    v, d, budget, delta = inputs
     b = mg.br_linear(v, budget, d, delta).bids
     assert b.sum() == pytest.approx(budget, rel=1e-12)
     assert (b[v == 0] == 0).all()
@@ -153,6 +173,23 @@ def test_br_linear_meets_optimality_conditions(inputs):
     else:
         assert (b[~above & (b > 0)] >= delta * (1 - 1e-12)).all()
         assert (marginal[~above & (b > 0)] <= lam.max() * (1 + 1e-9)).all()
+
+
+@given(br_inputs())
+@settings(max_examples=200, deadline=None)
+def test_br_linear_meets_optimality_conditions(inputs):
+    _assert_linear_kkt(*inputs)
+
+
+@pytest.mark.parametrize("m", [300, 1001])
+@pytest.mark.parametrize("delta", [0.0, 1e-4])
+def test_br_linear_meets_optimality_conditions_on_wide_rows(m, delta):
+    # rows as wide as the lower-bound certificate's, about a third of the
+    # goods undemanded, at budgets that leave tens or hundreds of goods bid
+    rng = np.random.default_rng(m)
+    for budget in (1.0, m / 10):
+        v = np.where(rng.random(m) < 1 / 3, 0.0, rng.uniform(0.05, 2.0, m))
+        _assert_linear_kkt(v, rng.uniform(0.05, 3.0, m), budget, delta)
 
 
 @given(br_inputs())
@@ -289,6 +326,24 @@ def test_br_ces_meets_optimality_conditions(inputs, rho):
     assert _equal(lam)
     assert (b[bid][~above] >= delta * (1 - 1e-12)).all()
     assert (marginal[~above] <= lam.max() * (1 + 1e-9)).all()
+
+
+@given(br_inputs(), st.sampled_from([0.5, -1.0, -3.0]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_br_ces_utility_matches_the_matrix_evaluator(inputs, rho, data):
+    # br_ces evaluates its payoff on floats; core's numpy evaluator, given the
+    # same fractions, agrees.  Opposing spends up to 1e12 give tiny fractions,
+    # a fee lets rho = 0.5 drop goods, with fraction zero, and monopolized
+    # goods are won whole
+    v, d, budget, delta = inputs
+    scales = [0.0, 1.0, 1e6, 1e12] if delta > 0 else [1.0, 1e6, 1e12]
+    d = d * np.array(data.draw(st.lists(st.sampled_from(scales), min_size=d.size,
+                                        max_size=d.size)))
+    r = mg.br_ces(v, budget, d, rho, delta)
+    fractions = trading_post._fractions(r.bids, d)
+    ref = mg.eval_valuation_matrix(mg.ValuationProfile("ces", v[None, :], rho),
+                                   fractions[None, :])[0]
+    assert r.utility == pytest.approx(ref, rel=1e-14, abs=0)
 
 
 def test_br_concave_numeric_ces_symmetric():
