@@ -592,8 +592,9 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
     init = None
     if init_bids is not None:
         init = np.asarray(init_bids, dtype=float)
-        if init.shape != (instance.n, instance.m) or not (init >= 0).all():
-            raise ValueError("init_bids must be a non-negative n x m matrix")
+        if init.shape != (instance.n, instance.m) or not (
+                np.isfinite(init) & (init >= 0)).all():
+            raise ValueError("init_bids must be a finite, non-negative n x m matrix")
     return _solve_linear_stack([instance], tol, max_iter, [init])[0]
 
 

@@ -11,8 +11,9 @@ The analytic oracles (br_linear, br_leontief, br_ces) run on Python floats
 from input to result: each sees one agent's row, a handful of goods in the
 dynamics, where numpy's per-call cost would dominate.  They check their
 input, take it as lists of floats and index lists of goods, and return the
-bids as a read-only array.  Profiles, the dynamics' bookkeeping, the
-verifier and the reference oracles stay in numpy.
+bids as a read-only array, settled once by _settle: they sum to the budget
+within one ulp and no positive bid is below delta.  Profiles, the dynamics'
+bookkeeping, the verifier and the reference oracles stay in numpy.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def _br_inputs(values, budget, opp_spend, delta):
     demanded = [j for j, vj in enumerate(v) if vj > 0]
     if not demanded:
         raise ValueError("agent demands no goods")
-    if delta > 0 and budget < delta * float(len(demanded)) * (1 - 1e-12):
+    if delta > 0 and budget < delta * float(len(demanded)):
         raise ValueError("infeasible floors: budget below delta times demanded goods")
     monop = [j for j in demanded if d[j] == 0]
     comp = [j for j in demanded if d[j] > 0]
@@ -158,30 +159,18 @@ def _br_inputs(values, budget, opp_spend, delta):
     return v, d, demanded, monop, comp
 
 
-def _pairwise_sum(xs, lo=0, n=None):
-    """The sum of xs[lo:lo + n] in numpy's pairwise order: a run of more than
-    128 entries is split in two, a run of 8 to 128 is summed by eight
-    interleaved accumulators, and a shorter run in turn.  Its rounding error
-    grows as log n, not n, and the oracles' bids on wide rows keep the bits
-    that numpy's sums gave them."""
-    if n is None:
-        n = len(xs)
-    if n < 8:
-        total = 0.0
-        for x in xs[lo:lo + n]:
-            total += x
-        return total
-    if n <= 128:
-        acc, end = xs[lo:lo + 8], lo + n - n % 8
-        for i in range(lo + 8, end, 8):
-            acc = [a + x for a, x in zip(acc, xs[i:i + 8])]
-        total = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
-                 + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
-        for x in xs[end:lo + n]:
-            total += x
-        return total
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(xs, lo, half) + _pairwise_sum(xs, lo + half, n - half)
+def _settle(bids, total, floor):
+    """Make the float row ``bids``, its positive bids at least the fee
+    ``floor``, sum to ``total`` within one ulp: the largest bid takes what
+    the exactly rounded math.fsum finds missing.  It falls below the fee only
+    if the fees take all of total up to rounding; then every positive bid is
+    held at the fee, the largest taking the rest (_br_inputs keeps it >= 0)."""
+    top = bids.index(max(bids))
+    bids[top] += total - math.fsum(bids)
+    if bids[top] < floor:
+        bids = [floor if bj > 0.0 else 0.0 for bj in bids]
+        bids[top] += total - math.fsum(bids)
+    return bids
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +180,17 @@ def _pairwise_sum(xs, lo=0, n=None):
 def _waterfill(values, opp, budget, floor):
     """Exhaust budget over a fixed support: b_j = max(floor, sqrt(v_j D_j/lam) - D_j).
 
-    With s_j = sqrt(v_j D_j) and r = sqrt(lam), good j sits above the floor
-    iff r < s_j / (D_j + floor), so the goods above the floor are a prefix in
-    that order.  Each prefix fixes r by budget exhaustion through running
-    sums; every prefix's r is at most the true one (the floors only add
-    spending) and the true active prefix attains it, so r is their maximum.
-    Takes and returns lists of floats.  Requires floor * len(values) <=
-    budget and opp > 0 everywhere.
+    With s_j = sqrt(v_j) sqrt(D_j) (two roots, so v_j D_j cannot underflow)
+    and r = sqrt(lam), good j sits above the floor iff r < s_j / (D_j +
+    floor), so the goods above the floor are a prefix in that order.  Each
+    prefix fixes r by budget exhaustion through running sums; every prefix's
+    r is at most the true one (the floors only add spending) and the true
+    active prefix attains it, so r is their maximum.  Takes and returns lists
+    of floats, the bids exhausting budget up to rounding (_fee_config settles
+    the row).  Requires floor * len(values) <= budget and opp > 0 everywhere.
     """
     n = len(values)
-    s = [math.sqrt(vj * dj) for vj, dj in zip(values, opp)]
+    s = [math.sqrt(vj) * math.sqrt(dj) for vj, dj in zip(values, opp)]
     key = [-sj / (dj + floor) for sj, dj in zip(s, opp)]
     root = s_sum = d_sum = 0.0
     for k, j in enumerate(sorted(range(n), key=key.__getitem__), 1):
@@ -210,9 +200,7 @@ def _waterfill(values, opp, budget, floor):
         if r > root:
             root = r
     bids = [sj / root - dj for sj, dj in zip(s, opp)]
-    bids = [bj if bj >= floor else floor for bj in bids]
-    bids[bids.index(max(bids))] += budget - _pairwise_sum(bids)
-    return bids
+    return [bj if bj >= floor else floor for bj in bids]
 
 
 def br_linear(values, budget: float, opp_spend, delta: float = 0.0) -> BRResult:
@@ -259,10 +247,10 @@ def br_linear(values, budget: float, opp_spend, delta: float = 0.0) -> BRResult:
 def _fee_config(budget, delta, m, claims, support, fill):
     """A row of m bids that claims the goods in ``claims`` at the fee and
     spends the rest on ``support`` through ``fill(goods, rest)`` (the claims
-    share it when the support is empty); None when the fees are
-    unaffordable.  Both are ascending index lists."""
+    share it when the support is empty), settled to the budget; None when
+    the fees are unaffordable.  Both are ascending index lists."""
     k_floors = float(len(claims) + len(support))
-    if not k_floors or delta * k_floors > budget * (1 + 1e-12):
+    if not k_floors or delta * k_floors > budget:
         return None
     bids = [0.0] * m
     for j in claims:
@@ -275,7 +263,7 @@ def _fee_config(budget, delta, m, claims, support, fill):
         share = rest / float(len(claims))
         for j in claims:
             bids[j] += share
-    return bids
+    return _settle(bids, budget, delta)
 
 
 def _toggled(goods, j):
@@ -337,17 +325,12 @@ def br_leontief(values, budget: float, opp_spend, delta: float = 0.0) -> BRResul
     100 of them did not stop.  Goods the agent does not demand get bid
     zero, never the floor.
     """
-    v, d, demanded, monop, comp = _br_inputs(values, budget, opp_spend, delta)
+    v, d, _, monop, comp = _br_inputs(values, budget, opp_spend, delta)
+    # a monopolized good is won whole at any bid: it gets the fee, or an
+    # equal share of the budget when no good is contested
     bids = [0.0] * len(v)
     for j in monop:
-        bids[j] = delta
-    if not comp:
-        # every demanded good is won whole: its ratio is 1 / v_j
-        share = (budget - _pairwise_sum(bids)) / len(demanded)
-        for j in demanded:
-            bids[j] += share
-        return BRResult(_readonly(bids), min([1.0 / v[j] for j in demanded]), 0)
-
+        bids[j] = delta if comp else budget / len(monop)
     vc, dc = [v[j] for j in comp], [d[j] for j in comp]
     rest = budget - delta * float(len(monop))
 
@@ -362,10 +345,10 @@ def br_leontief(values, budget: float, opp_spend, delta: float = 0.0) -> BRResul
             out.append(max(bj, delta))
         return out, slope
 
-    # t stays 0 when the floors alone exhaust the budget
-    t, iters, converged = 0.0, 0, True
+    # the contested goods stay at the fee when the fees exhaust the budget
+    iters, converged = 0, True
     cb = [delta] * len(vc)
-    if delta * len(vc) < rest:
+    if comp and delta * len(vc) < rest:
         lo, hi = 0.0, min(1.0 / vj for vj in vc) * (1.0 - 1e-14)
         t = min(rest / (sum(vj * dj for vj, dj in zip(vc, dc)) + rest * max(vc)), hi)
         converged = False
@@ -382,14 +365,11 @@ def br_leontief(values, budget: float, opp_spend, delta: float = 0.0) -> BRResul
                 converged = True
                 break
             t = step if lo < step < hi else 0.5 * (lo + hi)
-    if t > 0:
-        # the root is bracketed, so the residual may have either sign
-        free = cb.index(max(cb))
-        cb[free] += rest - sum(cb)
     for j, bj in zip(comp, cb):
         bids[j] = bj
+    bids = _settle(bids, budget, delta)
     # a monopolized good is won whole: its ratio is 1 / v_j
-    utility = min([bj / (bj + dj) / vj for bj, dj, vj in zip(cb, dc, vc)]
+    utility = min([bids[j] / (bids[j] + d[j]) / v[j] for j in comp]
                   + [1.0 / v[j] for j in monop])
     return BRResult(_readonly(bids), utility, iters, converged)
 
@@ -416,10 +396,10 @@ def _ces_newton(v, d, rho, total):
     so neither extreme rho nor d overflows and tiny gains are not rounded
     away.  The start b_j ~ (v_j d_j^-rho)^(1/(1-rho)) is the optimum when
     every f_j is small, and exact at rho = -1.  Takes v and d as lists of
-    floats and returns (bids as a list, steps, converged); it stops when no
-    bid moves by more than 1e-9 of itself.  The marginals stay clipped to
-    e^(+-700), and a trial step whose gain overflows is rejected like any
-    step without enough ascent.
+    floats and returns (bids as a list, steps, converged), the bids summing
+    to total up to rounding; it stops when no bid moves by more than 1e-9 of
+    itself.  The marginals stay clipped to e^(+-700), and a trial step whose
+    gain overflows is rejected like any step without enough ascent.
     """
     if len(v) == 1:
         return [total], 0, True
@@ -474,7 +454,6 @@ def _ces_newton(v, d, rho, total):
             else:
                 break  # no ascent left to find
         b = [bj + alpha * xj for bj, xj in zip(b, dx)]
-    b[b.index(max(b))] += total - sum(b)
     return b, step, converged
 
 
@@ -506,17 +485,18 @@ def br_ces(values, budget: float, opp_spend, rho: float,
     def fill(goods, rest):
         nonlocal steps, converged
         free = goods
-        while True:
+        while free:
             # the goods floored so far stay floored at the optimum: freeing
             # budget from them only raises the common marginal
             b, k, ok = _ces_newton([v[j] for j in free], [d[j] for j in free], rho,
                                    rest - delta * float(len(goods) - len(free)))
             steps += k
             converged &= ok
-            low = [bj < delta for bj in b]
-            if not any(low) or all(low):
+            kept = [j for j, bj in zip(free, b) if bj >= delta]
+            if len(kept) == len(free):
                 break
-            free = [j for j, lj in zip(free, low) if not lj]
+            # rest covers every fee: if no bid clears it, rounding is why
+            free = kept
         won = dict(zip(free, b))
         return [won.get(j, delta) for j in goods]
 
@@ -834,7 +814,7 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
         raise ValueError("delta=0 linear dynamics require perfect competition")
     if delta > 0:
         need = delta * support.sum(axis=1)
-        if (instance.budgets < need * (1 - 1e-12)).any():
+        if (instance.budgets < need).any():
             raise ValueError("some budget cannot cover the entrance fees")
 
     if init is None:

@@ -139,10 +139,12 @@ def test_linear_init_bids_selects_tied_equilibrium():
 
 
 def test_linear_rejects_malformed_init_bids():
-    inst = mg.gen_example_3_1()
-    for init in (np.ones((2, 3)), [[1.0, -0.5], [0.0, 1.0]]):
+    # an infinite entry once returned converged=True through solve_eg
+    inst = mg.make_instance("linear", [[1.0, 0.5], [0.5, 1.0]])
+    for init in (np.ones((2, 3)), [[1.0, -0.5], [0.0, 1.0]],
+                 [[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]):
         with pytest.raises(ValueError, match="init_bids"):
-            mg.solve_linear_eg(inst, init_bids=init)
+            mg.solve_eg(inst, init_bids=init)
 
 
 def test_linear_polish_spends_by_projection_without_lp(monkeypatch):

@@ -108,6 +108,13 @@ def test_fisher_outcome_rejects_bad_reports(bad):
         mg.fisher_outcome(inst, [[bad, 0.0], [0.5, 0.5]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fisher_outcome_rejects_bad_init_spending(bad):
+    inst = mg.make_instance("linear", [[1.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(ValueError, match="init_bids"):
+        mg.fisher_outcome(inst, inst.matrix, init_spending=[[bad, 0.0], [0.0, 1.0]])
+
+
 def test_falsifier_confirms_uniform_ne():
     inst = mg.gen_identity_leontief(3)
     reports, _ = mg.uniform_leontief_ne(inst)

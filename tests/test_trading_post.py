@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import mpmath
@@ -107,6 +108,65 @@ def test_br_floor_feasibility(oracle):
     for opp in ([1.0, 1.0], [0.0, 1.0]):
         with pytest.raises(ValueError, match="infeasible floors"):
             oracle(np.array([1.0, 1.0]), 0.05, np.array(opp), 0.2)
+
+
+@pytest.mark.parametrize("oracle", [
+    mg.br_linear, mg.br_leontief, lambda v, b, d, delta: mg.br_ces(v, b, d, 0.5, delta),
+], ids=["br_linear", "br_leontief", "br_ces"])
+def test_br_fee_check_is_strict_in_floating_point(oracle):
+    # a budget short of the fees only by rounding (3 * 0.1 exceeds 0.3) would
+    # leave a bid below delta, where the fee rule voids it
+    for values, budget, delta in (([1.0, 1.0], 0.0019999999999998, 1e-3),
+                                  ([1.0, 1.0, 1.0], 0.3, 0.1)):
+        with pytest.raises(ValueError, match="infeasible floors"):
+            oracle(np.array(values), budget, np.ones(len(values)), delta)
+    # a budget the fees take exactly buys every good at the fee
+    for values, budget, delta in (([1.0, 1.0], 2e-3, 1e-3), ([1.0, 1.0, 1.0], 3e-3, 1e-3)):
+        bids = oracle(np.array(values), budget, np.ones(len(values)), delta).bids
+        assert bids.tolist() == [delta] * len(values)
+
+
+_SETTLED_ORACLES = {
+    "br_linear": mg.br_linear,
+    "br_leontief": mg.br_leontief,
+    **{f"br_ces_rho{rho:g}": lambda v, b, d, delta, rho=rho: mg.br_ces(v, b, d, rho, delta)
+       for rho in (0.5, -1.0, -3.0)},
+}
+
+
+@pytest.mark.parametrize("oracle", _SETTLED_ORACLES.values(), ids=_SETTLED_ORACLES.keys())
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["no fee", "fee", "fee band"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_br_bids_sum_to_the_budget_within_an_ulp(oracle, seed, fee, data):
+    # every oracle settles its row by math.fsum: the bids sum to the budget
+    # within one ulp of it, and no positive bid is below delta, even when the
+    # fees take the budget up to rounding ("fee band"); rows hold undemanded
+    # goods and, with a fee, monopolized ones
+    sizes = [1, 2, 8, 30, 300] if fee == "no fee" else [1, 2, 3, 5, 8, 12]
+    m = data.draw(st.sampled_from(sizes))
+    rng = np.random.default_rng(seed)
+    v = np.where(rng.random(m) < 0.2, 0.0, rng.uniform(0.05, 2.0, m))
+    v[rng.integers(m)] = 1.0
+    d = np.exp(rng.uniform(-3.0, 2.0, m))
+    budget, delta = float(np.exp(rng.uniform(-2.0, 2.0))), 0.0
+    if fee != "no fee":
+        d[rng.random(m) < 0.25] = 0.0
+        k = np.count_nonzero(v)
+        delta = budget / k * (1.0 if fee == "fee band" else rng.uniform(0.01, 0.99))
+        if fee == "fee band":
+            budget = delta * k
+            for _ in range(data.draw(st.integers(0, 2))):
+                budget = math.nextafter(budget, math.inf)
+    bids = oracle(v, budget, d, delta).bids
+    assert abs(math.fsum(bids.tolist()) - budget) <= math.ulp(budget)
+    assert not ((bids > 0) & (bids < delta)).any()
+
+
+def test_br_linear_survives_underflowing_products():
+    # every v_j D_j underflows to 0: the water-fill must not divide by it
+    bids = mg.br_linear([1e-200, 2e-200], 1.0, [1e-200, 1e-200]).bids
+    assert bids == pytest.approx([0.41421356, 0.58578644])
+    assert math.fsum(bids.tolist()) == 1.0
 
 
 @pytest.mark.parametrize("oracle", [mg.br_linear, mg.br_leontief,
@@ -465,10 +525,13 @@ def test_br_dynamics_requires_competition_for_linear_delta0():
 
 
 def test_br_dynamics_refuses_fees_a_budget_cannot_cover():
-    # three demanded goods at fee 0.5 cost 1.5, above the unit budget
-    inst = mg.make_instance("linear", np.ones((2, 3)))
-    with pytest.raises(ValueError, match="cannot cover the entrance fees"):
-        mg.br_dynamics(inst, 0.5)
+    # three demanded goods at fee 0.5 cost 1.5, above the unit budget; at fee
+    # 0.1 they cost 3 * 0.1, which exceeds 0.3 in floating point: every bid
+    # would fall below the fee, and the dynamics would certify the voided bids
+    for budget, delta in ((1.0, 0.5), (0.3, 0.1)):
+        inst = mg.make_instance("linear", np.ones((2, 3)), [budget, budget])
+        with pytest.raises(ValueError, match="cannot cover the entrance fees"):
+            mg.br_dynamics(inst, delta)
 
 
 def test_br_dynamics_stops_an_oscillation(monkeypatch):
