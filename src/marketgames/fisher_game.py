@@ -65,6 +65,8 @@ def _fisher_outcomes(instance: Instance, profiles, tol: float,
         eqs = solve_eg_many(subs, tol)
     else:
         init = np.asarray(init_spending, float)
+        if init.shape != (instance.n, instance.m):
+            raise ValueError("init_spending must be an n x m matrix")
         eqs = [solve_eg(sub, tol, init_bids=init[live]) for sub, live in zip(subs, lives)]
     outcomes = []
     for live, eq in zip(lives, eqs):

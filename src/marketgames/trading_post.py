@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -596,9 +597,13 @@ def br_concave_numeric(profile: ValuationProfile, agent: int, budget: float,
     Linear and CES payoffs are smooth in own bids and solved by projected
     gradient ascent with backtracking; the Leontief min is handled by the
     leveling scheme.  Stops on an init-independent criterion (the unit-step
-    gradient mapping), so independent restarts land on the same bids.  A
-    reference for the tests: it agrees with br_linear, br_leontief and
-    br_ces, which the dynamics and the verifier use.
+    gradient mapping), so independent restarts land on the same bids.  With
+    an entrance fee delta > 0 a linear or CES (rho > 0) bidder may drop a
+    good rather than pay its fee, so every nonempty support of the demanded
+    goods is solved (init starts the full one) and the best kept: exact, but
+    2^k solves for k demanded goods, so k > 10 raises ValueError.  A
+    reference for the tests, sharing no search with br_linear, br_leontief
+    and br_ces, which the dynamics and the verifier use.
     """
     _br_inputs(profile.matrix[agent], budget, opp_spend, delta)
     v, d = profile.matrix[agent], np.asarray(opp_spend, dtype=float)
@@ -610,6 +615,12 @@ def br_concave_numeric(profile: ValuationProfile, agent: int, budget: float,
         return BRResult(_readonly(bids), util, steps, steps < cap)
 
     rho = profile.rho
+    # with an entrance fee, dropping a good entirely can beat paying its fee,
+    # unless losing it zeroes the utility (CES with rho < 0)
+    droppable = delta > 0 and (profile.kind == LINEAR or rho > 0)
+    goods = np.nonzero(demanded)[0]
+    if droppable and goods.size > 10:
+        raise ValueError("fee supports are enumerated for at most 10 demanded goods")
 
     # for 0 < rho < 1 the marginal is unbounded at f = 0; it is taken at
     # this bid instead, so that the iterate can leave that face
@@ -642,8 +653,6 @@ def br_concave_numeric(profile: ValuationProfile, agent: int, budget: float,
 
     def solve_on_support(mask, start):
         floors = np.where(mask, delta, 0.0)
-        if floors.sum() > budget * (1 + 1e-12):
-            return None
 
         def proj(b):
             out = np.zeros_like(b)
@@ -682,27 +691,16 @@ def br_concave_numeric(profile: ValuationProfile, agent: int, budget: float,
 
     best = solve_on_support(demanded, init)
     iters = best[2]
-    # with an entrance fee, dropping a good entirely can beat paying its
-    # floor; search single-good support toggles (Leontief never drops --
-    # every demanded good is needed -- and neither does CES with rho < 0)
-    droppable = delta > 0 and (profile.kind == LINEAR or (rho is not None and rho > 0))
     if droppable:
-        support = demanded.copy()
-        for _ in range(2 * int(demanded.sum()) + 2):
-            improved = False
-            for j in np.nonzero(demanded)[0]:
-                cand_mask = support.copy()
-                cand_mask[j] = ~cand_mask[j]
-                if not cand_mask.any():
-                    continue
-                cand = solve_on_support(cand_mask, None)
-                if cand is None:
-                    continue
+        # every smaller support, each affordable (_br_inputs), by size
+        for size in range(1, goods.size):
+            for subset in combinations(goods, size):
+                mask = np.zeros_like(demanded)
+                mask[list(subset)] = True
+                cand = solve_on_support(mask, None)
                 iters += cand[2]
                 if cand[1] > best[1] + 1e-12:
-                    support, best, improved = cand_mask, cand, True
-            if not improved:
-                break
+                    best = cand
     bids, util, _, converged = best
     return BRResult(_readonly(bids), util, iters, converged)
 
@@ -741,7 +739,7 @@ def br_grid_oracle(profile: ValuationProfile, agent: int, budget: float,
         counts = np.concatenate([flat, (k - flat.sum(axis=1))[:, None]], axis=1)
 
     bids = counts * (budget / k)
-    eff = np.where(bids >= delta, bids, 0.0) if delta > 0 else bids
+    eff = effective_bids(bids, delta)
     denom = eff + d[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.where(eff > 0, eff / np.where(denom > 0, denom, 1.0), 0.0)
@@ -798,10 +796,13 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
     """Round-robin best-response dynamics for the entrance-fee game.
 
     Agents update in index order, each replacing its bids by a best response
-    to the current profile.  Convergence means the largest bid change over a
-    full round fell below tol while no demanded bid is collapsing
-    geometrically toward zero (the signature of the no-equilibrium boundary
-    escape); converged profiles are certified with verify_tp_ne.
+    to the current profile.  Only the starting profile has its bids below
+    delta voided: every best response bids zero or at least delta, so its
+    row enters the profile as returned.  Convergence means the largest bid
+    change over a full round fell below tol while no demanded bid is
+    collapsing geometrically toward zero (the signature of the
+    no-equilibrium boundary escape); converged profiles are certified with
+    verify_tp_ne.
     Non-convergence, including best-response breakdown when a bid hits zero
     at delta = 0 and a best response that did not converge, is a reported
     outcome, not an error.  ``trace``, if given, is called after every
@@ -827,27 +828,23 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
     best_change = math.inf
     stall = 0
     note = ""
-    converged = False
     max_change = math.inf
     rounds = 0
+    eff = effective_bids(b, delta)
     for rounds in range(1, max_rounds + 1):
         prev = b.copy()
-        failed = ""
-        eff = effective_bids(b, delta)
         for i in range(n):
             opp = eff.sum(axis=0) - eff[i]
             try:
                 br = _best_response(instance, i, opp, delta)
             except ValueError as exc:
-                failed = f"best response broke down for agent {i}: {exc}"
+                note = f"best response broke down for agent {i}: {exc}"
                 break
             if not br.converged:
-                failed = f"best response did not converge for agent {i}"
+                note = f"best response did not converge for agent {i}"
                 break
-            b[i] = br.bids
-            eff[i] = effective_bids(b[i], delta)
-        if failed:
-            note = failed
+            b[i] = eff[i] = br.bids
+        if note:
             break
         max_change = float(np.abs(b - prev).max())
         dec = support & (b < prev) & (b > 0)
@@ -861,17 +858,13 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
         else:
             stall += 1
         if max_change < tol and not collapsing:
-            converged = True
-            break
+            # at tol = inf, converged means that every best response converged
+            return replace(verify_tp_ne(instance, b, delta, math.inf),
+                           rounds=rounds, max_change=max_change)
         if stall >= 50:
             note = "oscillation detected: no new best profile in 50 rounds"
             break
 
-    if converged:
-        # at tol = inf, converged means that every best response converged
-        rep = verify_tp_ne(instance, b, delta, math.inf)
-        return NEReport(rep.bids, rep.gains, rep.max_gain, rep.converged, rep.prices,
-                        rep.allocation, rep.utilities, rounds, max_change, rep.note)
     prices, allocation = ne_to_market(b, delta)
     return NEReport(_readonly(b), _readonly(np.full(n, np.nan)), math.nan, False,
                     _readonly(prices), _readonly(allocation),

@@ -115,6 +115,16 @@ def test_fisher_outcome_rejects_bad_init_spending(bad):
         mg.fisher_outcome(inst, inst.matrix, init_spending=[[bad, 0.0], [0.0, 1.0]])
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (1, 2), (2, 3)])
+def test_init_spending_shape_is_checked(shape):
+    # a wrong shape is named, not an IndexError from the live-agent mask
+    inst = mg.make_instance("linear", [[1.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(ValueError, match="init_spending"):
+        mg.fisher_outcome(inst, inst.matrix, init_spending=np.ones(shape))
+    with pytest.raises(ValueError, match="init_spending"):
+        mg.fisher_ne_falsify(inst, inst.matrix, trials=2, init_spending=np.ones(shape))
+
+
 def test_falsifier_confirms_uniform_ne():
     inst = mg.gen_identity_leontief(3)
     reports, _ = mg.uniform_leontief_ne(inst)

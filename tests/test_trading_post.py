@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -453,6 +454,60 @@ def test_br_concave_numeric_ces_vs_grid():
         assert numeric.utility >= grid.utility * (1 - 1e-9)
         exact = mg.br_ces(v, budget, d, rho)
         assert exact.utility == pytest.approx(numeric.utility, rel=1e-9)
+
+
+def test_br_concave_numeric_swaps_goods_a_toggle_cannot():
+    # a single-good toggle search stops on goods {1, 2, 4, 5} (15.3078); the
+    # best support swaps good 2 for good 0
+    v = np.array([0.805, 0.985, 1.397, 0.0, 14.19, 2.248])
+    d = np.array([0.0233, 0.0328, 0.392, 2.667, 0.138, 0.0585])
+    r = mg.br_concave_numeric(mg.ValuationProfile("linear", v[None, :]), 0, 1.6085, d,
+                              0.28953, tol=1e-10)
+    assert np.nonzero(r.bids)[0].tolist() == [0, 1, 4, 5]
+    assert r.utility == pytest.approx(15.459398306635, abs=1e-9)
+
+
+def test_br_concave_numeric_finds_the_best_fee_support():
+    # the exact optimum is the best water-fill, with the fee as its floor,
+    # over every support (each affordable, since the budget is 1)
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        k = int(rng.integers(2, 6))
+        v, d = rng.uniform(0.01, 1.0, size=k), rng.uniform(0.01, 1.0, size=k)
+        delta = float(rng.uniform(0.05, 0.9)) / k
+        best = 0.0
+        for size in range(1, k + 1):
+            for goods in itertools.combinations(range(k), size):
+                bids = trading_post._waterfill(v[list(goods)].tolist(),
+                                               d[list(goods)].tolist(), 1.0, delta)
+                best = max(best, sum(v[j] * bj / (bj + d[j]) for j, bj in zip(goods, bids)))
+        r = mg.br_concave_numeric(mg.ValuationProfile("linear", v[None, :]), 0, 1.0, d,
+                                  delta, tol=1e-10)
+        assert r.utility >= best * (1 - 1e-9)
+
+
+def test_br_concave_numeric_bounds_br_ces_with_a_fee():
+    rng = np.random.default_rng(2)
+    for case in range(30):
+        rho = (0.5, 0.9)[case % 2]
+        k = int(rng.integers(2, 5))
+        v, d = rng.uniform(0.01, 1.0, size=k), rng.uniform(0.01, 1.0, size=k)
+        delta = float(rng.uniform(0.05, 0.9)) / k
+        r = mg.br_concave_numeric(mg.ValuationProfile("ces", v[None, :], rho), 0, 1.0, d,
+                                  delta, tol=1e-10)
+        assert r.utility >= mg.br_ces(v, 1.0, d, rho, delta).utility * (1 - 1e-9)
+
+
+def test_br_concave_numeric_caps_the_fee_supports():
+    v, d = np.ones(11), np.ones(11)
+    for kind, rho in (("linear", None), ("ces", 0.5)):
+        prof = mg.ValuationProfile(kind, v[None, :], rho)
+        with pytest.raises(ValueError, match="at most 10 demanded goods"):
+            mg.br_concave_numeric(prof, 0, 1.0, d, 0.05)
+        assert mg.br_concave_numeric(prof, 0, 1.0, d).converged
+    for kind, rho in (("leontief", None), ("ces", -1.0)):
+        prof = mg.ValuationProfile(kind, v[None, :], rho)
+        assert mg.br_concave_numeric(prof, 0, 1.0, d, 0.05).converged
 
 
 def test_br_grid_oracle_shape_rules():
