@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
-from scipy.optimize import linprog
+from scipy.linalg import get_lapack_funcs
 
 from .core import (CES, DEFAULT_TOL, LEONTIEF, LINEAR, Instance,
                    ValuationProfile, _readonly)
@@ -35,7 +34,11 @@ MAX_NEWTON_STEPS = 100
 POLISH_GAP = 1e-2
 
 #: Most entries in one K x n x m array of a stacked solve (``solve_eg_many``).
-STACK_ENTRIES = 2 ** 16
+STACK_ENTRIES = 2 ** 14
+
+#: An agent's budget or a good's price, relative to itself, that the tie flow
+#: (``linprog``) may leave unrouted and still carry the spending.
+FLOW_TOL = 1e-9
 
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
@@ -321,12 +324,14 @@ def _linear_ipm(v, budgets, max_iter, accept):
 
     ``v`` is K x n x m and ``budgets`` K x n; one loop advances every member
     k by its own Newton steps.  Once a step brings the gap sum x_ij s_ij /
-    sum B_i to at most POLISH_GAP with a clean ``_tie_split``, ``accept(k,
-    prices, allocation, theta)`` gets the iterate.  Members leave the stack
-    in one place, the top of an iteration: when ``accept`` returned True,
-    after ``max_iter`` steps, or when they broke down: no step in the last
-    iteration (no descent, or a Newton matrix Cholesky rejects), or, before
-    the cap, a gap at rounding level (or nan) or a slack rounded to zero.
+    sum B_i to at most POLISH_GAP with a clean ``_tie_split``, the member
+    goes to ``accept(ks, prices, allocations, thetas)`` with every other
+    member that did at the same iteration, and ``accept`` returns the mask
+    of those it takes.  Members leave the stack in one place, the top of an
+    iteration: when ``accept`` took them, after ``max_iter`` steps, or when
+    they broke down: no step in the last iteration (no descent, or a Newton
+    matrix Cholesky rejects), or, before the cap, a gap at rounding level
+    (or nan) or a slack rounded to zero.
     Returns per member its steps, last prices and allocation (zero before
     the first step) and, if it broke down after a step, that iterate's
     theta, taken whether or not the split was clean (else nan).
@@ -365,8 +370,9 @@ def _linear_ipm(v, budgets, max_iter, accept):
                 split = ((p, x, s, edge) if near.size == ids.size
                          else _take(near, p, x, s, edge))
                 theta, clean = _tie_split(*split)
-                for j, th in zip(near[clean], theta[clean]):
-                    done[j] = accept(ids[j], p[j] * total[j], x[j], th)
+                if clean.any():
+                    j = near[clean]
+                    done[j] = accept(ids[j], p[j] * total[j, None], x[j], theta[clean])
             # at the cap only a member that took no step has broken down
             broke = ~done & ~(moved if it == max_iter else ok)
             gone = done | broke | (it == max_iter)
@@ -424,61 +430,172 @@ def _linear_ipm(v, budgets, max_iter, accept):
     return steps, last_p, last_x, last_theta
 
 
-def _project_spending(ii, jj, s0, budgets, p_hat, keep_good):
-    """Least-squares correction of the spending ``s0`` on the edges (ii, jj)
-    onto row sums B_i and the column sums p_hat_j of the ``keep_good`` goods.
+def _project_spending(kk, ii, jj, s0, budgets, p_hat, keep_good):
+    """Least-squares correction of the spending ``s0`` on the edges (kk, ii,
+    jj), each a member, agent and good of a stack, onto each member's row
+    sums B_i and the column sums p_hat_j of its ``keep_good`` goods.
 
-    That is s0 + A^T y with A A^T y = b - A s0, A the edge incidence.  The
-    agent block of A A^T is diagonal (the degrees), so the agents are
+    That is s0 + A^T y with A A^T y = b - A s0, A a member's edge incidence.
+    The agent block of A A^T is diagonal (the degrees), so the agents are
     eliminated; left is the goods' Laplacian, each agent i joining its goods
     with weight 1 / deg_i, grounded at the goods not kept (one per
-    component): one m x m Cholesky solve gives the goods' part z of y.
+    component): one m x m Cholesky solve per member gives the goods' part z
+    of y.  A member whose grounded Laplacian Cholesky rejects gets nan.
     """
-    n, m = budgets.size, p_hat.size
-    deg = np.bincount(ii, minlength=n)
-    res_a = (budgets - np.bincount(ii, s0, n)) / deg
-    res_g = p_hat - np.bincount(jj, s0, m) - np.bincount(jj, res_a[ii], m)
+    K, n = budgets.shape
+    m = p_hat.shape[1]
+    a, g = kk * n + ii, kk * m + jj
+    deg = np.bincount(a, minlength=K * n)
+    res_a = (budgets.ravel() - np.bincount(a, s0, K * n)) / deg
+    res_g = (p_hat.ravel() - np.bincount(g, s0, K * m)
+             - np.bincount(g, res_a[a], K * m)).reshape(K, m)
     # an agent with one edge adds as much to the Laplacian's diagonal as it
     # takes off: only agents that split their budget couple goods
-    w = np.zeros((n, m))
-    w[ii, jj] = 1.0
-    w, split_deg = w[deg > 1], deg[deg > 1]
-    lap = np.diag(w.sum(axis=0)) - (w.T / split_deg) @ w
-    fac = cho_factor(lap[np.ix_(keep_good, keep_good)], check_finite=False)
-    z = np.zeros(m)
-    z[keep_good] = cho_solve(fac, res_g[keep_good], check_finite=False)
-    return s0 + (res_a - np.bincount(ii, z[jj], n) / deg)[ii] + z[jj]
+    split = deg.reshape(K, n) > 1
+    rows = split.any(axis=0)
+    w = np.zeros((K, n, m))
+    w[kk, ii, jj] = 1.0
+    w = w[:, rows] * split[:, rows, None]
+    lap = -((w.transpose(0, 2, 1) / deg.reshape(K, n)[:, None, rows]) @ w)
+    lap.reshape(K, m * m)[:, ::m + 1] += w.sum(axis=1)
+    z = np.zeros((K, m))
+    for k, keep in enumerate(keep_good):
+        if keep.any():
+            fac, info = _POTRF(lap[k][np.ix_(keep, keep)], lower=False, clean=False)
+            z[k, keep] = math.nan if info else _POTRS(fac, res_g[k, keep], lower=False)[0]
+    z = z.ravel()
+    return s0 + (res_a - np.bincount(a, z[g], K * n) / deg)[a] + z[g]
 
 
-def _linear_structure_polish(v, budgets, prices, start, theta, tried):
-    """Try to read off the exact equilibrium from the near-converged iterate.
+@dataclass(frozen=True)
+class TieFlow:
+    """A spending ``x`` on the tie edges, one entry per edge, and whether it
+    carries every budget and price."""
 
-    Kruskal's algorithm takes a minimum spanning forest, by slack, of the
-    edges within bang-per-buck tolerance theta; its union-find carries
-    potentials q (log a_i for agents, -log p_j for goods), each forest edge
-    fixing q_i - q_j = log v_ij, exact in the valuation data.  So one pass
-    gives the components and exact log-prices; edges that disagree with
-    them by over 1e-8 are dropped.  The kept edges' spending is
-    ``_project_spending`` of ``start``, or a feasible LP vertex when that
-    has a negative entry.  Returns (allocation, prices) or None; the caller
-    verifies it.  ``tried`` holds the edge sets already solved.
+    x: np.ndarray
+    success: bool
+
+
+def linprog(ii, jj, budgets, prices) -> TieFlow:
+    """Whether the tie edges (ii, jj) carry the budgets to the prices: a
+    non-negative spending on them whose row sums are ``budgets`` and column
+    sums ``prices``, found as a max flow from the agents (supplying B_i) over
+    the edges (unbounded) to the goods (demanding p_j).
+
+    A node with one edge left fixes that edge's spending, all of the node's
+    remainder, so leaves are peeled first and a forest is settled with no
+    search.  What is left goes to Dinic's algorithm: a breadth-first search
+    levels the nodes from the agents with budget left to the nearest goods
+    with price left, and a depth-first search, on an explicit stack, moves
+    spending along level paths until none is left; then it levels again.  A
+    remainder at most FLOW_TOL of its budget or price counts as zero.  The
+    polish's fallback; its name is the one the benchmark's tracer times.
     """
-    n, m = v.shape
-    bpb = v / prices  # interior prices are positive
-    slack = 1.0 - bpb / bpb.max(axis=1, keepdims=True)
-    edges = (v > 0) & (slack <= theta)
-    if not edges.any(axis=0).all():
-        return None
+    n = len(budgets)
+    left = budgets.tolist() + prices.tolist()  # agents are nodes 0..n-1, goods n..
+    floor = [FLOW_TOL * r for r in left]
+    ends = list(zip(ii.tolist(), (n + jj).tolist()))
+    adj = [[] for _ in left]
+    for e, (a, g) in enumerate(ends):
+        adj[a].append(e)
+        adj[g].append(e)
+    flow, live = [0.0] * len(ends), [True] * len(ends)
+    deg, done = [len(es) for es in adj], [False] * len(left)
 
-    # agents are nodes 0..n-1 and goods n..n+m-1; a union joins the smaller
-    # component to the larger, shifting the joined nodes' potentials
-    ii, jj = np.nonzero(edges)
-    log_v = np.log(v[ii, jj])
-    label, q = list(range(n + m)), [0.0] * (n + m)
+    # a node whose remainder is spent drops its edges; a leaf sends (agent)
+    # or takes (good) its whole remainder over its one edge first
+    queue = [u for u in range(len(left)) if deg[u] <= 1 or left[u] <= floor[u]]
+    while queue:
+        u = queue.pop()
+        if done[u] or (deg[u] > 1 and left[u] > floor[u]):
+            continue
+        if left[u] > floor[u]:
+            if not deg[u]:
+                return TieFlow(np.array(flow), False)
+            e = next(e for e in adj[u] if live[e])
+            w = sum(ends[e]) - u
+            flow[e] += left[u]
+            left[w] -= left[u]
+            left[u] = 0.0
+            if left[w] < -floor[w]:
+                return TieFlow(np.array(flow), False)
+        done[u] = True
+        for e in adj[u]:
+            if live[e]:
+                live[e] = False
+                w = sum(ends[e]) - u
+                deg[w] -= 1
+                queue.append(w)
+
+    while True:
+        # levels: agents with budget left first, then breadth first over the
+        # moves that can shift spending (from an agent along an edge, from a
+        # good back along an edge that carries spending), down to the first
+        # level with a good whose price is left
+        level = [-1] * len(left)
+        sources = frontier = [a for a in range(n) if not done[a] and left[a] > floor[a]]
+        for a in sources:
+            level[a] = 0
+        depth = 0
+        while frontier and not any(u >= n and left[u] > floor[u] for u in frontier):
+            depth += 1
+            reached = []
+            for u in frontier:
+                for e in adj[u]:
+                    w = sum(ends[e]) - u
+                    if live[e] and level[w] < 0 and (u < n or flow[e] > 0.0):
+                        level[w] = depth
+                        reached.append(w)
+            frontier = reached
+        if not frontier:
+            break
+        # a blocking flow: depth-first on an explicit stack, one level down
+        # per move; a node found to lead nowhere leaves the levels
+        nxt = [0] * len(left)
+        for src in sources:
+            path, via = [src], []
+            while path and left[src] > floor[src]:
+                u = path[-1]
+                if level[u] == depth and left[u] > floor[u]:
+                    # even moves go forward along an edge, odd ones back
+                    t = min([left[src], left[u]] + [flow[e] for e in via[1::2]])
+                    for k, e in enumerate(via):
+                        flow[e] += -t if k % 2 else t
+                    left[src] -= t
+                    left[u] -= t
+                    path, via = [src], []
+                    continue
+                while level[u] < depth and nxt[u] < len(adj[u]):
+                    e = adj[u][nxt[u]]
+                    w = sum(ends[e]) - u
+                    if live[e] and level[w] == level[u] + 1 and (u < n or flow[e] > 0.0):
+                        path.append(w)
+                        via.append(e)
+                        break
+                    nxt[u] += 1
+                else:
+                    level[u] = -1
+                    path.pop()
+                    if via:
+                        via.pop()
+                        nxt[path[-1]] += 1
+    return TieFlow(np.array(flow), all(r <= f for r, f in zip(left, floor)))
+
+
+def _spans(kk, count):
+    """Each member's slice of edge arrays ordered by member ``kk``."""
+    cuts = np.searchsorted(kk, np.arange(count + 1)).tolist()
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _spanning_potentials(size, agents, goods, log_v):
+    """Kruskal's union-find over one member's tie edges, taken in order:
+    a union joins the smaller component to the larger, shifting the joined
+    nodes' potentials so that each forest edge has q_agent - q_good = log
+    v.  Returns the nodes' component labels and potentials."""
+    label, q = list(range(size)), [0.0] * size
     members = [[node] for node in label]
-    order = np.argsort(slack[ii, jj], kind="stable")
-    for a, g, w in zip(ii[order].tolist(), (n + jj[order]).tolist(),
-                       log_v[order].tolist()):
+    for a, g, w in zip(agents, goods, log_v):
         keep, join, shift = label[a], label[g], q[a] - w - q[g]
         if keep == join:
             continue
@@ -488,46 +605,94 @@ def _linear_structure_polish(v, budgets, prices, start, theta, tried):
             label[node] = keep
             q[node] += shift
         members[keep] += members[join]
-    label = np.unique(label, return_inverse=True)[1]
-    q = np.array(q)
-    consistent = np.abs(log_v - q[ii] + q[n + jj]) <= 1e-8
-    ii, jj = ii[consistent], jj[consistent]
+    return label, q
 
-    comp = label[n:]
-    p_hat = np.exp(-q[n:])
-    p_hat *= (np.bincount(label[:n], budgets) / np.bincount(comp, p_hat))[comp]
+
+def _linear_structure_polish(v, budgets, prices, starts, theta, tried):
+    """Try to read off the exact equilibria from the near-converged iterates
+    of a stack: member k's valuations v_k, budgets, positive prices,
+    spending ``starts[k]`` and bang-per-buck tolerance theta_k.
+
+    Kruskal's algorithm takes a minimum spanning forest, by slack, of the
+    edges within theta; its union-find carries potentials q (log a_i for
+    agents, -log p_j for goods), each forest edge fixing q_i - q_j = log
+    v_ij, exact in the valuation data.  So one pass gives the components and
+    exact log-prices; edges that disagree with them by over 1e-8 are
+    dropped.  The kept edges' spending is ``_project_spending`` of the
+    start, or a feasible flow (``linprog``) when that has a negative entry.
+    Only the union-find runs member by member.  Returns per member
+    (allocation, prices) or None; the caller verifies it.  ``tried[k]``
+    holds the edge sets member k has already solved.
+    """
+    K, n, m = v.shape
+    out = [None] * K
+    bpb = v / prices[:, None, :]
+    slack = 1.0 - bpb / bpb.max(axis=2, keepdims=True)
+    edges = (v > 0) & (slack <= theta[:, None, None])
+    live = np.nonzero(edges.any(axis=1).all(axis=1))[0]
+    if not live.size:
+        return out
+    v, budgets, starts, slack, edges = _take(live, v, budgets, starts, slack, edges)
+    L, size = live.size, n + m
+
+    # agents are nodes 0..n-1 and goods n..n+m-1 of each member
+    kk, ii, jj = np.nonzero(edges)
+    log_v = np.log(v[kk, ii, jj])
+    order = np.lexsort((slack[kk, ii, jj], kk))
+    agents, goods, weights = (ii[order].tolist(), (n + jj[order]).tolist(),
+                              log_v[order].tolist())
+    label, q = np.empty((L, size), dtype=int), np.empty((L, size))
+    for k, span in enumerate(_spans(kk, L)):
+        label[k], q[k] = _spanning_potentials(size, agents[span], goods[span],
+                                              weights[span])
+    comp = np.unique(label + size * np.arange(L)[:, None], return_inverse=True)[1]
+    comp = comp.reshape(L, size)
+    consistent = np.abs(log_v - q[kk, ii] + q[kk, n + jj]) <= 1e-8
+    kk, ii, jj = kk[consistent], ii[consistent], jj[consistent]
+
+    n_comp = int(comp.max()) + 1
+    agent_comp, good_comp = comp[:, :n], comp[:, n:]
+    p_hat = np.exp(-q[:, n:])
+    p_hat *= (np.bincount(agent_comp.ravel(), budgets.ravel(), n_comp)
+              / np.bincount(good_comp.ravel(), p_hat.ravel(), n_comp))[good_comp]
 
     # every agent spends on its kept edges, so they must be its best buys
-    bpb_hat = np.where(v > 0, v / p_hat, 0.0)
-    if (bpb_hat[ii, jj] < bpb_hat.max(axis=1)[ii] * (1.0 - 1e-6)).any():
-        return None
-    key = (ii.tobytes(), jj.tobytes())
-    if key in tried:
-        return None
-    tried.add(key)
+    bpb_hat = np.where(v > 0, v / p_hat[:, None, :], 0.0)
+    ok = np.ones(L, dtype=bool)
+    ok[kk[bpb_hat[kk, ii, jj] < bpb_hat.max(axis=2)[kk, ii] * (1.0 - 1e-6)]] = False
+    for k, span in enumerate(_spans(kk, L)):
+        if ok[k]:
+            key = (ii[span].tobytes(), jj[span].tobytes())
+            ok[k] = key not in tried[live[k]]
+            tried[live[k]].add(key)
+    if not ok.any():
+        return out
 
     # one clearing equation per component is redundant; the one dropped is
     # the dearest good's, least hurt by its rounding
-    by_price = np.argsort(-p_hat, kind="stable")
-    keep_good = np.ones(m, dtype=bool)
-    keep_good[by_price[np.unique(comp[by_price], return_index=True)[1]]] = False
-    s = _project_spending(ii, jj, start[ii, jj], budgets, p_hat, keep_good)
-    if not (s >= 0).all():
-        # each row divided by its right-hand side, so that the LP's
-        # feasibility tolerance is relative
-        nnz, cleared = ii.size, keep_good[jj]
-        a_eq = np.zeros((n + int(keep_good.sum()), nnz))
-        a_eq[ii, np.arange(nnz)] = 1.0 / budgets[ii]
-        a_eq[n + np.cumsum(keep_good)[jj[cleared]] - 1,
-             np.nonzero(cleared)[0]] = 1.0 / p_hat[jj[cleared]]
-        res = linprog(np.zeros(nnz), A_eq=a_eq, b_eq=np.ones(a_eq.shape[0]),
-                      bounds=(0, None), method="highs")
-        if not res.success:
-            return None
-        s = np.maximum(res.x, 0.0)
-    spend = np.zeros((n, m))
-    spend[ii, jj] = s
-    return spend / p_hat, p_hat
+    by_price = np.argsort(-p_hat, axis=1, kind="stable")
+    first = np.unique(np.take_along_axis(good_comp, by_price, axis=1),
+                      return_index=True)[1]
+    keep_good = np.ones((L, m), dtype=bool)
+    keep_good[first // m, by_price.ravel()[first]] = False
+    kept = ok[kk]
+    kk, ii, jj = np.cumsum(ok)[kk[kept]] - 1, ii[kept], jj[kept]
+    ks = np.nonzero(ok)[0]
+    budgets, p_hat = budgets[ks], p_hat[ks]
+    s = _project_spending(kk, ii, jj, starts[ks][kk, ii, jj], budgets, p_hat,
+                          keep_good[ks])
+    for k, span in enumerate(_spans(kk, ks.size)):
+        if not (s[span] >= 0).all():
+            res = linprog(ii[span], jj[span], budgets[k], p_hat[k])
+            ok[ks[k]] = res.success
+            s[span] = res.x
+    spend = np.zeros((ks.size, n, m))
+    spend[kk, ii, jj] = s
+    x = spend / p_hat[:, None, :]
+    for k, j in enumerate(ks):
+        if ok[j]:
+            out[live[j]] = (x[k], p_hat[k])
+    return out
 
 
 def _solve_linear_stack(instances, tol, max_iter, inits):
@@ -539,30 +704,39 @@ def _solve_linear_stack(instances, tol, max_iter, inits):
     tried = [set() for _ in instances]
     found = [None] * len(instances)
 
-    def polish(k, p, x, theta):
-        """The polished candidate of member k's iterate, if it verifies."""
-        start = x * p if inits[k] is None else inits[k][:, kept]
-        polished = _linear_structure_polish(v[k], budgets[k], p, start, theta, tried[k])
-        if polished is None:
-            return None
-        x_full, p_full = _embed(instances[k], kept, *polished)
-        report = verify_kkt_linear(instances[k], x_full, p_full, tol)
-        return (x_full, p_full, report) if report.passed else None
+    def polish(ks, p, x, theta):
+        """Polish the iterates (prices p, allocations x, splits theta) of
+        the members ``ks`` together; a candidate that verifies becomes the
+        member's result.  Returns the mask of those that did."""
+        starts = x * p[:, None, :]
+        for j, k in enumerate(ks):
+            if inits[k] is not None:
+                starts[j] = inits[k][:, kept]
+        cands = _linear_structure_polish(v[ks], budgets[ks], p, starts, theta,
+                                         [tried[k] for k in ks])
+        passed = np.zeros(len(ks), dtype=bool)
+        for j, (k, cand) in enumerate(zip(ks, cands)):
+            if cand is not None:
+                x_full, p_full = _embed(instances[k], kept, *cand)
+                report = verify_kkt_linear(instances[k], x_full, p_full, tol)
+                if report.passed:
+                    found[k], passed[j] = (x_full, p_full, report), True
+        return passed
 
-    def accept(k, p, x, theta):
-        found[k] = polish(k, p, x, theta)
-        return found[k] is not None
-
-    steps, last_p, last_x, last_theta = _linear_ipm(v, budgets, max_iter, accept)
-    out = []
+    steps, last_p, last_x, last_theta = _linear_ipm(v, budgets, max_iter, polish)
+    broke = []
     for k, inst in enumerate(instances):
         if found[k] is None:
             x_full, p_full = _embed(inst, kept, last_x[k], last_p[k])
             found[k] = (x_full, p_full, verify_kkt_linear(inst, x_full, p_full, tol))
             if not found[k][2].passed and not np.isnan(last_theta[k]):
-                # the interior point broke down: polish its last iterate
-                # once, split at its theta whether or not the split was clean
-                found[k] = polish(k, last_p[k], last_x[k], last_theta[k]) or found[k]
+                broke.append(k)
+    if broke:
+        # the interior point broke down: polish its last iterate once, split
+        # at its theta whether or not the split was clean
+        polish(np.array(broke), last_p[broke], last_x[broke], last_theta[broke])
+    out = []
+    for k, inst in enumerate(instances):
         x_full, p_full, report = found[k]
         out.append(_equilibrium(x_full, p_full, inst.utilities(x_full), report.residuals,
                                 int(steps[k]), report.passed, dropped))
@@ -584,8 +758,9 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
     ties; among tied equilibria it returns the spending closest in least
     squares to ``init_bids`` (a spending matrix) or, without it, to the
     iterate's spending x_ij p_j, found by one m x m Cholesky solve; where
-    that has a negative entry, a feasible LP vertex instead.  This is a
-    stack of one in the loop ``solve_eg_many`` runs.
+    that has a negative entry, a max flow over the ties that carries the
+    budgets to the prices instead, if one exists.  This is a stack of one
+    in the loop ``solve_eg_many`` runs.
     """
     if instance.kind != LINEAR:
         raise ValueError("solve_linear_eg requires linear valuations")
@@ -799,10 +974,11 @@ def solve_eg_many(instances, tol: float = DEFAULT_TOL,
 
     Linear and Leontief markets of one kind, agent count and set of demanded
     goods share one interior-point loop, in stacks of at most STACK_ENTRIES
-    entries per K x n x m array; each member takes its own Newton steps, is
-    polished and verified alone and leaves the stack when it stops, so its
-    result is the one ``solve_eg`` gives.  CES markets are solved one at a
-    time.
+    entries per K x n x m array; each member takes its own Newton steps and
+    leaves the stack when it stops.  The linear members that reach the
+    polish at the same iteration are polished in one pass, each verified
+    alone, so a member's result is the one ``solve_eg`` gives.  CES markets
+    are solved one at a time.
     """
     out = [None] * len(instances)
     groups: dict = {}

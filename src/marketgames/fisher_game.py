@@ -194,24 +194,28 @@ def fisher_ne_falsify(instance: Instance, reports, trials: int = 100,
                       init_spending=None) -> FalsifierReport:
     """Search for profitable unilateral report deviations by sampling.
 
-    Per agent, up to ``trials`` deviations are tried: the truthful report, a
-    deterministic grid of single-coordinate rescalings (the spend-shift
-    deviations of the lower-bound analysis expressed in report space), and
-    seeded random deviations (log-uniform coordinate rescalings in
-    [1e-3, 1e3] and sparsified reports).  A max gain at or below tolerance is
-    evidence of equilibrium, not proof.  Each agent's deviation markets are
-    solved together (``solve_eg_many``), and a profile that repeats within
-    the call is solved once.  A deviation whose solve did not converge, or
-    whose agent's solves raised, is counted in ``failures`` and its gain
-    left out.
+    Per agent, ``trials`` (at least 1) deviations are tried: the truthful
+    report, a deterministic grid of single-coordinate rescalings (the
+    spend-shift deviations of the lower-bound analysis expressed in report
+    space), and seeded random deviations (log-uniform coordinate rescalings
+    in [1e-3, 1e3] and sparsified reports), drawn agent by agent.  A max
+    gain at or below tolerance is evidence of equilibrium, not proof.  Every
+    agent's deviation markets are solved in one ``_fisher_outcomes`` call
+    (one ``solve_eg_many``), and a profile that repeats within the call is
+    solved once.  A deviation whose solve did not converge, or raised (then
+    every deviation), or whose rescaled report overflowed, is counted in
+    ``failures`` and its gain left out.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     base_reports = _check_reports(instance, reports)
     base = fisher_outcome(instance, reports, tol, init_spending=init_spending)
     rng = np.random.default_rng(seed)
     lo, hi = math.log(1e-3), math.log(1e3)
-    gains = np.zeros(instance.n)
-    failures = 0
-    solved: dict = {}  # profile bytes -> outcome, None if it raised or did not converge
+    # keys[i] lists agent i's deviation profiles as bytes; each distinct
+    # one is solved once, and the base outcome is not reused, since it may
+    # have been selected by init_spending
+    keys, batch, outcomes = [], {}, {}
     for i in range(instance.n):
         with np.errstate(over="ignore"):  # an overflowed rescaling fails below
             devs = [instance.matrix[i].copy()]
@@ -240,32 +244,29 @@ def fisher_ne_falsify(instance: Instance, reports, trials: int = 100,
                         mask[pos[keep]] = True
                         d = np.where(mask, d, 0.0)
                 devs.append(d)
-        # each distinct profile is solved once per call, the agent's new
-        # ones in one batch; the base outcome is not reused, since it may
-        # have been selected by init_spending
-        keys, batch = [], {}
+        keys.append([])
         for d in devs[:trials]:
             profile = base_reports.copy()
             profile[i] = d
             key = profile.tobytes()
-            keys.append(key)
-            if key in solved or key in batch:
-                continue
+            keys[i].append(key)
             if np.isfinite(profile).all():
-                batch[key] = profile
+                batch.setdefault(key, profile)
             else:  # a rescaling overflowed
-                solved[key] = None
-        try:
-            outs = _fisher_outcomes(instance, list(batch.values()), tol)
-        except (ValueError, FloatingPointError):
-            outs = [None] * len(batch)
-        for key, out in zip(batch, outs):
-            solved[key] = out if out is not None and out.equilibrium.converged else None
-        best = 0.0
-        for key in keys:
-            if solved[key] is None:
+                outcomes[key] = None
+    try:
+        outs = _fisher_outcomes(instance, list(batch.values()), tol)
+    except (ValueError, FloatingPointError):
+        outs = [None] * len(batch)
+    for key, out in zip(batch, outs):
+        outcomes[key] = out if out is not None and out.equilibrium.converged else None
+    gains = np.zeros(instance.n)
+    failures = 0
+    for i, agent_keys in enumerate(keys):
+        for key in agent_keys:
+            if outcomes[key] is None:
                 failures += 1
-                continue
-            best = max(best, float(solved[key].true_utilities[i] - base.true_utilities[i]))
-        gains[i] = best
+            else:
+                gains[i] = max(gains[i], float(outcomes[key].true_utilities[i]
+                                               - base.true_utilities[i]))
     return FalsifierReport(_readonly(gains), float(gains.max()), trials, failures)

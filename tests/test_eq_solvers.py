@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,7 +231,7 @@ def test_spending_projection_is_the_minimum_norm_correction(graph):
     n, m, nnz = budgets.size, prices.size, ii.size
     keep = np.ones(m, dtype=bool)
     keep[np.argmax(prices)] = False
-    s = eq_solvers._project_spending(ii, jj, s0, budgets, prices, keep)
+    s = eq_solvers._project_spending(0 * ii, ii, jj, s0, budgets[None], prices[None], keep[None])
     # the same equations, dense, each row divided by its right-hand side
     a = np.zeros((n + m, nnz))
     a[ii, np.arange(nnz)] = 1.0 / budgets[ii]
@@ -237,6 +241,78 @@ def test_spending_projection_is_the_minimum_norm_correction(graph):
     assert np.abs(s - ref).max() <= 1e-10 * np.abs(ref).max()
     assert (np.abs(np.bincount(ii, s, n) - budgets) <= 1e-12 * budgets).all()
     assert (np.abs(np.bincount(jj, s, m) - prices) <= 1e-12 * prices).all()
+
+
+@st.composite
+def tie_flows(draw):
+    """A ``tie_graphs`` graph with budgets and the goods' demands: its drawn
+    prices, which the edges may or may not carry, or the row and column
+    sums of a positive spending on its edges, which they carry."""
+    ii, jj, s0, budgets, prices = draw(tie_graphs())
+    if draw(st.booleans()):
+        spend = s0 + 0.01 * budgets[ii]
+        budgets = np.bincount(ii, spend, budgets.size)
+        prices = np.bincount(jj, spend, prices.size)
+    return ii, jj, budgets, prices
+
+
+def _check_tie_flow(ii, jj, budgets, prices):
+    """The max flow is feasible exactly when HiGHS finds the LP feasible,
+    and then spends every budget and price."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    n, m, nnz = budgets.size, prices.size, ii.size
+    # the equations of a connected graph, each row divided by its right-hand
+    # side, less the dearest good's, which is redundant
+    keep = np.ones(m, dtype=bool)
+    keep[np.argmax(prices)] = False
+    a = csr_matrix((np.r_[1.0 / budgets[ii], 1.0 / prices[jj]],
+                    (np.r_[ii, n + jj], np.r_[np.arange(nnz), np.arange(nnz)])),
+                   shape=(n + m, nnz))[np.r_[np.ones(n, dtype=bool), keep]]
+    lp = linprog(np.zeros(nnz), A_eq=a, b_eq=np.ones(a.shape[0]), bounds=(0, None),
+                 method="highs")
+    flow = eq_solvers.linprog(ii, jj, budgets, prices)
+    assert flow.success == lp.success
+    if flow.success:
+        assert (flow.x >= 0).all()
+        assert (np.abs(np.bincount(ii, flow.x, n) - budgets) <= 1e-12 * budgets).all()
+        assert (np.abs(np.bincount(jj, flow.x, m) - prices) <= 1e-12 * prices).all()
+
+
+@given(tie_flows())
+@settings(max_examples=300, deadline=None)
+def test_tie_flow_is_feasible_exactly_when_the_lp_is(graph):
+    _check_tie_flow(*graph)
+
+
+def test_tie_flow_on_a_large_graph():
+    # each agent of a 2000 x 500 market tied to its two most valued goods:
+    # a connected graph whose augmenting paths run deep
+    v = mg.gen_random(2000, 500, "linear", seed=1).matrix
+    ii = np.repeat(np.arange(2000), 2)
+    jj = np.sort(np.argsort(-v, axis=1, kind="stable")[:, :2], axis=1).ravel()
+    spend = np.random.default_rng(0).uniform(0.01, 1.0, ii.size)
+    budgets, prices = np.bincount(ii, spend, 2000), np.bincount(jj, spend, 500)
+    _check_tie_flow(ii, jj, budgets, prices)
+    # a good demanding more than its agents' budgets: no spending carries it
+    short = prices.copy()
+    short[0] = 1.5 * budgets[ii[jj == 0]].sum()
+    short[1:] *= (prices.sum() - short[0]) / prices[1:].sum()
+    assert not eq_solvers.linprog(ii, jj, budgets, short).success
+    _check_tie_flow(ii, jj, budgets, short)
+
+
+def test_importing_the_package_leaves_scipy_optimize_out():
+    # the solvers need only scipy.linalg, so a run does not pay for loading
+    # scipy.optimize
+    src = str(Path(mg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, marketgames; print('scipy.optimize' in sys.modules)"],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_no_solve_converges_to_a_non_finite_utility():

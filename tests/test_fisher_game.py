@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import marketgames as mg
-from marketgames import fisher_game
+from marketgames import eq_solvers, fisher_game
 from marketgames.instance_lab import run_experiment
 
 
@@ -137,6 +137,28 @@ def test_falsifier_detects_example_31_deviation():
     inst = mg.gen_example_3_1()
     rep = mg.fisher_ne_falsify(inst, inst.matrix, trials=40, seed=1)
     assert rep.gains[1] > 1e-3
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_falsifier_rejects_fewer_than_one_trial(trials):
+    # with no deviations tried, a max gain of 0 would certify nothing
+    inst = mg.gen_example_3_1()
+    with pytest.raises(ValueError, match="trials"):
+        mg.fisher_ne_falsify(inst, inst.matrix, trials=trials)
+
+
+@pytest.mark.parametrize("case", ["lb-construction-14", "identity-leontief-5"])
+def test_falsifier_does_not_depend_on_stacking(case, monkeypatch):
+    if case == "lb-construction-14":
+        inst, reports, spends = mg.lb_construction(14)
+    else:
+        inst, spends = mg.gen_identity_leontief(5), None
+        reports, _ = mg.uniform_leontief_ne(inst)
+    stacked = mg.fisher_ne_falsify(inst, reports, trials=16, init_spending=spends)
+    monkeypatch.setattr(eq_solvers, "STACK_ENTRIES", 1)  # one market per stack
+    alone = mg.fisher_ne_falsify(inst, reports, trials=16, init_spending=spends)
+    assert alone.failures == stacked.failures
+    assert np.abs(alone.gains - stacked.gains).max() <= 1e-12
 
 
 def test_falsifier_structured_on_lb_profile():
