@@ -208,20 +208,21 @@ def make_instance(kind: str, matrix, budgets=None, rho: float | None = None) -> 
 
 
 def eval_valuation_matrix(profile: ValuationProfile, allocation: np.ndarray) -> np.ndarray:
-    """Evaluate every agent's utility for its row of ``allocation``."""
+    """Evaluate every agent's utility for its row of ``allocation``: an n x m
+    matrix, or a stack of them along leading axes, which the result keeps."""
     x = np.asarray(allocation, dtype=float)
-    if x.shape != profile.matrix.shape:
+    if x.shape[-2:] != profile.matrix.shape:
         raise ValueError(
             f"allocation shape {x.shape} does not match valuations {profile.matrix.shape}")
     if (x < 0).any():
         raise ValueError("bundle entries must be non-negative")
     v = profile.matrix
     if profile.kind == LINEAR:
-        return (v * x).sum(axis=1)
+        return (v * x).sum(axis=-1)
     if profile.kind == LEONTIEF:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(v > 0, x / np.where(v > 0, v, 1.0), np.inf)
-        return ratios.min(axis=1)
+        return ratios.min(axis=-1)
     return _ces_eval(v, x, profile.rho)
 
 
@@ -230,12 +231,12 @@ def _ces_eval(v: np.ndarray, x: np.ndarray, rho: float) -> np.ndarray:
     # conventions fall out of the arithmetic: for rho < 0 a zero amount of a
     # demanded good yields a +inf term and hence utility 0.
     if rho == 1.0:
-        return (v * x).sum(axis=1)
+        return (v * x).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = np.where(v > 0, np.log(np.where(v > 0, v, 1.0)) + rho * np.log(x), -np.inf)
-        peak = terms.max(axis=1)
+        peak = terms.max(axis=-1)
         safe_peak = np.where(np.isfinite(peak), peak, 0.0)
-        ls = safe_peak + np.log(np.exp(terms - safe_peak[:, None]).sum(axis=1))
+        ls = safe_peak + np.log(np.exp(terms - safe_peak[..., None]).sum(axis=-1))
         ls = np.where(np.isfinite(peak), ls, peak)
         return np.exp(ls / rho)
 

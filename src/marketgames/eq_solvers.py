@@ -99,17 +99,75 @@ class EpsEquilibriumReport:
 
 
 def _market_residuals(budgets, allocation, prices, tol):
-    """Budget, clearing, and complementarity residuals shared by both kinds."""
-    spend = allocation @ prices
-    budget = float(np.abs(spend - budgets).max())
-    colsum = allocation.sum(axis=0)
-    oversell = float(np.maximum(colsum - 1.0, 0.0).max())
-    ptol = tol * max(1.0, float(prices.sum()))
-    priced = prices > ptol
-    unsold = float(np.abs(colsum[priced] - 1.0).max()) if priced.any() else 0.0
-    clearing = float(np.maximum(oversell, unsold))  # NaN propagates
-    complementarity = float((prices * np.maximum(1.0 - colsum, 0.0)).max())
+    """Budget, clearing, and complementarity residuals shared by both kinds:
+    of one market, or of each member of a stack (K x n budgets, K x n x m
+    allocations, K x m prices, ``tol`` a scalar or one per member)."""
+    spend = (allocation @ prices[..., None])[..., 0]
+    budget = np.abs(spend - budgets).max(axis=-1)
+    colsum = allocation.sum(axis=-2)
+    # fmax: a NaN price sum leaves the threshold at tol
+    priced = prices > (tol * np.fmax(1.0, prices.sum(axis=-1)))[..., None]
+    # every good may not be oversold, a priced one must also be sold out
+    clearing = np.where(priced, np.abs(colsum - 1.0),
+                        np.maximum(colsum - 1.0, 0.0)).max(axis=-1)  # NaN propagates
+    complementarity = (prices * np.maximum(1.0 - colsum, 0.0)).max(axis=-1)
     return budget, clearing, complementarity
+
+
+def _kkt_reports(stationarity, budget, clearing, complementarity, tol):
+    """Each member's K x 4 residuals, in ``Residuals`` field order, and
+    whether it passes: its worst residual at most tol (a NaN fails)."""
+    res = np.array((stationarity, complementarity, budget, clearing)).T
+    return res, res.max(axis=1) <= tol
+
+
+def _kkt_linear_many(v, budgets, x, p, tol):
+    """``verify_kkt_linear`` of each member of a stack: K x n x m
+    valuations and allocations, K x n budgets, K x m prices, ``tol`` a
+    scalar or one per member.  Returns ``_kkt_reports``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bpb = np.where(v > 0, v / np.where(p > 0, p, 0.0)[:, None, :], 0.0)
+        alpha = bpb.max(axis=2, keepdims=True)
+        shortfall = (alpha - bpb) / np.maximum(alpha, 1e-300)
+    # where a demanded good is free, any finite-bpb purchase is suboptimal
+    rel = np.where(np.isfinite(alpha), shortfall, np.where(np.isinf(bpb), 0.0, 1.0))
+    stationarity = np.where(x > 1e-9, rel, 0.0).max(axis=(1, 2))
+    return _kkt_reports(stationarity, *_market_residuals(budgets, x, p, tol), tol)
+
+
+def _kkt_leontief_many(v, budgets, x, p, tol):
+    """``verify_kkt_leontief`` of each member of a stack, shaped as for
+    ``_kkt_linear_many``."""
+    phi = _matvec(v, p)
+    nonpos = phi <= 0
+    # a member with phi_i <= 0 fails at infinite stationarity, so its
+    # ratios are taken at phi_i = 1 only to keep the division quiet
+    u_star = (budgets / np.where(nonpos, 1.0, phi))[:, :, None]
+    dev = np.abs(x / np.where(v > 0, v, 1.0) - u_star) / np.maximum(u_star, 1e-300)
+    stationarity = np.where(nonpos.any(axis=1), math.inf,
+                            np.where(v > 0, dev, 0.0).max(axis=(1, 2)))
+    return _kkt_reports(stationarity, *_market_residuals(budgets, x, p, tol), tol)
+
+
+def _checked_point(instance: Instance, allocation, prices):
+    """The allocation and prices as float arrays, checked to be n x m and of
+    length m: numpy would broadcast a misshapen one into residuals."""
+    x = np.asarray(allocation, dtype=float)
+    p = np.asarray(prices, dtype=float)
+    if x.shape != (instance.n, instance.m):
+        raise ValueError(f"allocation must be an n x m = {instance.n} x {instance.m} "
+                         f"matrix, not of shape {x.shape}")
+    if p.shape != (instance.m,):
+        raise ValueError(f"prices must be a length-m = {instance.m} vector, "
+                         f"not of shape {p.shape}")
+    return x, p
+
+
+def _verify_one(many, instance: Instance, allocation, prices, tol) -> KKTReport:
+    """A stack of one through ``many``."""
+    x, p = _checked_point(instance, allocation, prices)
+    res, passed = many(instance.matrix[None], instance.budgets[None], x[None], p[None], tol)
+    return KKTReport(Residuals(*res[0].tolist()), bool(passed[0]))
 
 
 def verify_kkt_linear(instance: Instance, allocation, prices,
@@ -118,46 +176,23 @@ def verify_kkt_linear(instance: Instance, allocation, prices,
 
     Stationarity is the worst relative bang-per-buck shortfall over goods the
     agent actually buys (entries above 1e-9); budget and clearing residuals
-    are absolute.  Passing means every residual is at most tol.
+    are absolute.  Passing means every residual is at most tol.  An
+    allocation that is not n x m, or prices not of length m, raise
+    ValueError.  The solvers check whole stacks by the same code.
     """
     if instance.kind != LINEAR:
         raise ValueError("verify_kkt_linear requires linear valuations")
-    x = np.asarray(allocation, dtype=float)
-    p = np.asarray(prices, dtype=float)
-    v = instance.matrix
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bpb = np.where(v > 0, v / np.where(p > 0, p, 0.0), 0.0)
-        alpha = bpb.max(axis=1, keepdims=True)
-        shortfall = (alpha - bpb) / np.maximum(alpha, 1e-300)
-    # where a demanded good is free, any finite-bpb purchase is suboptimal
-    rel = np.where(np.isfinite(alpha), shortfall, np.where(np.isinf(bpb), 0.0, 1.0))
-    rel = np.where(x > 1e-9, rel, 0.0)
-    stationarity = float(rel.max()) if x.size else 0.0
-    budget, clearing, complementarity = _market_residuals(instance.budgets, x, p, tol)
-    res = Residuals(stationarity, complementarity, budget, clearing)
-    return KKTReport(res, res.worst <= tol)
+    return _verify_one(_kkt_linear_many, instance, allocation, prices, tol)
 
 
 def verify_kkt_leontief(instance: Instance, allocation, prices,
                         tol: float = DEFAULT_TOL) -> KKTReport:
     """Check the Leontief conditions: equal consumption ratios matching
-    B_i / phi_i(p), exhausted budgets, and market clearing."""
+    B_i / phi_i(p), exhausted budgets, and market clearing.  Shapes are
+    checked as in ``verify_kkt_linear``."""
     if instance.kind != LEONTIEF:
         raise ValueError("verify_kkt_leontief requires Leontief valuations")
-    x = np.asarray(allocation, dtype=float)
-    p = np.asarray(prices, dtype=float)
-    v = instance.matrix
-    phi = v @ p
-    if (phi <= 0).any():
-        stationarity = math.inf
-    else:
-        u_star = instance.budgets / phi
-        ratios = x / np.where(v > 0, v, 1.0)
-        dev = np.abs(ratios - u_star[:, None]) / np.maximum(u_star[:, None], 1e-300)
-        stationarity = float(np.where(v > 0, dev, 0.0).max())
-    budget, clearing, complementarity = _market_residuals(instance.budgets, x, p, tol)
-    res = Residuals(stationarity, complementarity, budget, clearing)
-    return KKTReport(res, res.worst <= tol)
+    return _verify_one(_kkt_leontief_many, instance, allocation, prices, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +206,13 @@ def _drop_undemanded(v: np.ndarray):
     return kept, dropped
 
 
-def _embed(instance: Instance, kept, x, p):
-    """Put the kept goods' allocation and prices back into n x m arrays."""
-    x_full = np.zeros((x.shape[0], instance.m))
-    x_full[:, kept] = x
-    p_full = np.zeros(instance.m)
-    p_full[kept] = p
+def _embed(m: int, kept, x, p):
+    """Put the kept goods' allocations and prices back among all m goods:
+    n x m and length m for one market, K x n x m and K x m for a stack."""
+    x_full = np.zeros(x.shape[:-1] + (m,))
+    x_full[..., kept] = x
+    p_full = np.zeros(p.shape[:-1] + (m,))
+    p_full[..., kept] = p
     return x_full, p_full
 
 
@@ -293,8 +329,10 @@ def _safeguarded_steps(point, direction, max_step, merit, merit0, slope, centre,
 
 
 def _stack(instances, kept):
-    """The kept goods' valuations and the budgets of same-shape markets."""
-    return (np.stack([inst.matrix[:, kept] for inst in instances]),
+    """The valuations of same-shape markets, all goods and the kept ones,
+    and their budgets."""
+    return (np.stack([inst.matrix for inst in instances]),
+            np.stack([inst.matrix[:, kept] for inst in instances]),
             np.stack([inst.budgets for inst in instances]))
 
 
@@ -620,18 +658,19 @@ def _linear_structure_polish(v, budgets, prices, starts, theta, tried):
     exact log-prices; edges that disagree with them by over 1e-8 are
     dropped.  The kept edges' spending is ``_project_spending`` of the
     start, or a feasible flow (``linprog``) when that has a negative entry.
-    Only the union-find runs member by member.  Returns per member
-    (allocation, prices) or None; the caller verifies it.  ``tried[k]``
-    holds the edge sets member k has already solved.
+    Only the union-find runs member by member.  Returns the members with a
+    candidate, in order, and their stacked allocations and prices; the
+    caller verifies them.  ``tried[k]`` holds the edge sets member k has
+    already solved.
     """
     K, n, m = v.shape
-    out = [None] * K
+    none = (np.zeros(0, dtype=int), np.zeros((0, n, m)), np.zeros((0, m)))
     bpb = v / prices[:, None, :]
     slack = 1.0 - bpb / bpb.max(axis=2, keepdims=True)
     edges = (v > 0) & (slack <= theta[:, None, None])
     live = np.nonzero(edges.any(axis=1).all(axis=1))[0]
     if not live.size:
-        return out
+        return none
     v, budgets, starts, slack, edges = _take(live, v, budgets, starts, slack, edges)
     L, size = live.size, n + m
 
@@ -666,7 +705,7 @@ def _linear_structure_polish(v, budgets, prices, starts, theta, tried):
             ok[k] = key not in tried[live[k]]
             tried[live[k]].add(key)
     if not ok.any():
-        return out
+        return none
 
     # one clearing equation per component is redundant; the one dropped is
     # the dearest good's, least hurt by its rounding
@@ -688,21 +727,34 @@ def _linear_structure_polish(v, budgets, prices, starts, theta, tried):
             s[span] = res.x
     spend = np.zeros((ks.size, n, m))
     spend[kk, ii, jj] = s
-    x = spend / p_hat[:, None, :]
-    for k, j in enumerate(ks):
-        if ok[j]:
-            out[live[j]] = (x[k], p_hat[k])
-    return out
+    hit = ok[ks]
+    return live[ks[hit]], spend[hit] / p_hat[hit, None, :], p_hat[hit]
 
 
 def _solve_linear_stack(instances, tol, max_iter, inits):
     """``solve_linear_eg`` of same-shape markets with the same demanded
     goods, their interior points advanced in one loop; ``inits`` holds each
-    member's ``init_bids`` (a checked n x m matrix) or None."""
+    member's ``init_bids`` (a checked n x m matrix) or None.  Every check of
+    a candidate is one ``_kkt_linear_many`` call over the members that have
+    one."""
     kept, dropped = _drop_undemanded(instances[0].matrix)
-    v, budgets = _stack(instances, kept)
+    v_full, v, budgets = _stack(instances, kept)
+    K, n, m = v_full.shape
     tried = [set() for _ in instances]
-    found = [None] * len(instances)
+    # each member's result so far: allocation, prices, residuals, passed
+    x_out, p_out, res_out = np.zeros((K, n, m)), np.zeros((K, m)), np.zeros((K, 4))
+    passed = np.zeros(K, dtype=bool)
+
+    def check(ks, x, p, take):
+        """Verify the members ``ks`` at their kept goods' allocations x and
+        prices p; keep the result of each that passes, or of every member
+        if ``take``.  Returns the mask of those that pass."""
+        x, p = _embed(m, kept, x, p)
+        res, ok = _kkt_linear_many(v_full[ks], budgets[ks], x, p, tol)
+        keep = ok | take
+        j = ks[keep]
+        x_out[j], p_out[j], res_out[j], passed[j] = x[keep], p[keep], res[keep], ok[keep]
+        return ok
 
     def polish(ks, p, x, theta):
         """Polish the iterates (prices p, allocations x, splits theta) of
@@ -712,35 +764,26 @@ def _solve_linear_stack(instances, tol, max_iter, inits):
         for j, k in enumerate(ks):
             if inits[k] is not None:
                 starts[j] = inits[k][:, kept]
-        cands = _linear_structure_polish(v[ks], budgets[ks], p, starts, theta,
-                                         [tried[k] for k in ks])
-        passed = np.zeros(len(ks), dtype=bool)
-        for j, (k, cand) in enumerate(zip(ks, cands)):
-            if cand is not None:
-                x_full, p_full = _embed(instances[k], kept, *cand)
-                report = verify_kkt_linear(instances[k], x_full, p_full, tol)
-                if report.passed:
-                    found[k], passed[j] = (x_full, p_full, report), True
-        return passed
+        hit, x, p = _linear_structure_polish(v[ks], budgets[ks], p, starts, theta,
+                                             [tried[k] for k in ks])
+        done = np.zeros(len(ks), dtype=bool)
+        if hit.size:
+            done[hit] = check(ks[hit], x, p, False)
+        return done
 
     steps, last_p, last_x, last_theta = _linear_ipm(v, budgets, max_iter, polish)
-    broke = []
-    for k, inst in enumerate(instances):
-        if found[k] is None:
-            x_full, p_full = _embed(inst, kept, last_x[k], last_p[k])
-            found[k] = (x_full, p_full, verify_kkt_linear(inst, x_full, p_full, tol))
-            if not found[k][2].passed and not np.isnan(last_theta[k]):
-                broke.append(k)
-    if broke:
+    rest = np.nonzero(~passed)[0]
+    if rest.size:
+        ok = check(rest, last_x[rest], last_p[rest], True)
         # the interior point broke down: polish its last iterate once, split
         # at its theta whether or not the split was clean
-        polish(np.array(broke), last_p[broke], last_x[broke], last_theta[broke])
-    out = []
-    for k, inst in enumerate(instances):
-        x_full, p_full, report = found[k]
-        out.append(_equilibrium(x_full, p_full, inst.utilities(x_full), report.residuals,
-                                int(steps[k]), report.passed, dropped))
-    return out
+        broke = rest[~ok & ~np.isnan(last_theta[rest])]
+        if broke.size:
+            polish(broke, last_p[broke], last_x[broke], last_theta[broke])
+    utilities = (v_full * x_out).sum(axis=2)
+    return [_equilibrium(x_out[k], p_out[k], utilities[k], Residuals(*res), int(steps[k]),
+                         ok, dropped)
+            for k, (res, ok) in enumerate(zip(res_out.tolist(), passed.tolist()))]
 
 
 def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
@@ -749,8 +792,9 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
     """Linear Eisenberg-Gale equilibrium by an interior point on the price dual.
 
     The iterates of at most ``max_iter`` Newton steps (``iterations``) go to
-    ``_linear_structure_polish``; the first candidate ``verify_kkt_linear``
-    passes is returned, else the last iterate, converged if that passes;
+    ``_linear_structure_polish``; the first candidate that passes the
+    checks of ``verify_kkt_linear`` is returned, else the last iterate,
+    converged if that passes;
     failing that, if the interior point broke down before ``max_iter``, the
     last iterate is polished at its own split, clean or not, and returned
     if it passes.
@@ -782,9 +826,11 @@ def _solve_leontief_stack(instances, tol, max_iter):
     goods, their interior points advanced in one loop.  A member leaves the
     stack only at the top of an iteration: once verified, after ``max_iter``
     steps, or after an iteration without a step (no descent, or a Newton
-    matrix Cholesky rejects)."""
+    matrix Cholesky rejects).  The members worth checking at an iteration,
+    and all of them at the end, are verified by one ``_kkt_leontief_many``
+    call."""
     kept, dropped = _drop_undemanded(instances[0].matrix)
-    v_all, budgets = _stack(instances, kept)
+    v_full, v_all, budgets = _stack(instances, kept)
     K, n, m = v_all.shape
     total = budgets.sum(axis=1)
     b = budgets / total[:, None]
@@ -814,11 +860,13 @@ def _solve_leontief_stack(instances, tol, max_iter):
         # the one exit: a member leaves here, whatever the reason; at the
         # cap a check could change nothing
         gone = ~moved | (it == max_iter)
-        for j in np.nonzero(~gone & (cheap <= margin))[0]:
-            k = ids[j]
-            x_full, p_full = _embed(instances[k], kept, u[j][:, None] * v[j],
-                                    cut[j] * total[k])
-            gone[j] = verify_kkt_leontief(instances[k], x_full, p_full, margin[j]).passed
+        check = np.nonzero(~gone & (cheap <= margin))[0]
+        if check.size:
+            k = ids[check]
+            x_full, p_full = _embed(v_full.shape[2], kept, u[check][:, :, None] * v[check],
+                                    cut[check] * total[k, None])
+            gone[check] = _kkt_leontief_many(v_full[k], budgets[k], x_full, p_full,
+                                             margin[check])[1]
         if gone.any():
             k = ids[gone]
             steps[k], last_u[k], last_cut[k] = it - ~moved[gone], u[gone], cut[gone]
@@ -846,14 +894,12 @@ def _solve_leontief_stack(instances, tol, max_iter):
                                            r_norm + gap, -r_norm - (1.0 - sigma) * gap,
                                            centre, centre - dp * dz)
 
-    out = []
-    for k, inst in enumerate(instances):
-        u = last_u[k]
-        x_full, p_full = _embed(inst, kept, u[:, None] * v_all[k], last_cut[k] * total[k])
-        report = verify_kkt_leontief(inst, x_full, p_full, tol)
-        out.append(_equilibrium(x_full, p_full, u, report.residuals, int(steps[k]),
-                                report.passed, dropped))
-    return out
+    x_full, p_full = _embed(v_full.shape[2], kept, last_u[:, :, None] * v_all,
+                            last_cut * total[:, None])
+    res, passed = _kkt_leontief_many(v_full, budgets, x_full, p_full, tol)
+    return [_equilibrium(x_full[k], p_full[k], last_u[k], Residuals(*r), int(steps[k]),
+                         ok, dropped)
+            for k, (r, ok) in enumerate(zip(res.tolist(), passed.tolist()))]
 
 
 def solve_leontief_dual(instance: Instance, tol: float = DEFAULT_TOL,
@@ -866,8 +912,9 @@ def solve_leontief_dual(instance: Instance, tol: float = DEFAULT_TOL,
     sum p z; each direction is one m x m Cholesky solve.  After each of at
     most ``max_iter`` Newton steps (``iterations``), prices below
     ZERO_PRICE_FRACTION of the budget are cut to zero and u_i = B_i /
-    phi_i(p), x_ij = u_i v_ij read off the rest.  The solve stops once
-    ``verify_kkt_leontief`` passes that point at a margin below tol:
+    phi_i(p), x_ij = u_i v_ij read off the rest.  The solve stops once the
+    checks of ``verify_kkt_leontief`` (run only where the goods' excess
+    supply is already within the margin) pass that point at a margin below tol:
     min(1e-10, tol / 100), raised to the rounding of the total budget's
     spending (64 machine epsilons of it, since the budget residual is in
     money) but never above tol.  Converged means it passes at ``tol``.
@@ -942,8 +989,9 @@ def solve_ces_eg(instance: Instance, tol: float = DEFAULT_TOL,
         if t < 1e-12:
             break
         p, q, f = cand, q_new, f_new
-    x_full, p_full = _embed(instance, kept, b[:, None] * q / p, p * total)
-    budget, clearing, comp = _market_residuals(instance.budgets, x_full, p_full, tol)
+    x_full, p_full = _embed(instance.m, kept, b[:, None] * q / p, p * total)
+    budget, clearing, comp = map(float, _market_residuals(instance.budgets, x_full,
+                                                          p_full, tol))
     # stationarity is exact: each bundle is the agent's CES demand at p
     return _equilibrium(x_full, p_full, instance.utilities(x_full),
                         Residuals(0.0, comp, budget, clearing), it,
@@ -976,9 +1024,12 @@ def solve_eg_many(instances, tol: float = DEFAULT_TOL,
     goods share one interior-point loop, in stacks of at most STACK_ENTRIES
     entries per K x n x m array; each member takes its own Newton steps and
     leaves the stack when it stops.  The linear members that reach the
-    polish at the same iteration are polished in one pass, each verified
-    alone, so a member's result is the one ``solve_eg`` gives.  CES markets
-    are solved one at a time.
+    polish at the same iteration are polished in one pass, and the
+    candidates of a pass, like every stack's final points, are verified in
+    one ``_kkt_linear_many`` or ``_kkt_leontief_many`` call, the code of
+    ``verify_kkt_linear`` and ``verify_kkt_leontief``, which checks each
+    member as it checks that market alone.  So a member's result is the one
+    ``solve_eg`` gives.  CES markets are solved one at a time.
     """
     out = [None] * len(instances)
     groups: dict = {}
@@ -1049,10 +1100,10 @@ def verify_eps_market_eq(instance: Instance, allocation, prices, eps: float,
     Checks that positively priced goods are fully sold, budgets are
     exhausted, and each agent's affordable optimum exceeds its utility by at
     most a factor (1 + eps).  Also reports the smallest eps that would pass.
+    Shapes are checked as in ``verify_kkt_linear``.
     """
-    x = np.asarray(allocation, dtype=float)
-    p = np.asarray(prices, dtype=float)
-    budget, clearing, _ = _market_residuals(instance.budgets, x, p, tol)
+    x, p = _checked_point(instance, allocation, prices)
+    budget, clearing, _ = map(float, _market_residuals(instance.budgets, x, p, tol))
     budget_ok = budget <= tol * max(1.0, float(instance.budgets.max()))
     clearing_ok = clearing <= tol
     u_cur = instance.utilities(x)

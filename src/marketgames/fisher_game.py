@@ -48,16 +48,18 @@ def _check_reports(instance: Instance, reports) -> np.ndarray:
     return r
 
 
-def _fisher_outcomes(instance: Instance, profiles, tol: float,
-                     init_spending=None) -> list[GameOutcome]:
-    """The mechanism's outcome of each checked report profile.
+def _fisher_outcomes(instance: Instance, profiles, tol: float, init_spending=None):
+    """The mechanism's outcome of each of K checked report profiles.
 
     Each reported market keeps its live agents (a positive report) and all
     goods; the markets are solved by one ``solve_eg_many`` call, or, given
     ``init_spending`` (its rows for the live agents are each market's
-    ``init_bids``), by ``solve_eg`` one at a time.
+    ``init_bids``), by ``solve_eg`` one at a time.  Returns the reported
+    markets' equilibria, the K x n mask of live agents, the K x n x m
+    allocations to all agents and their K x n true utilities, evaluated in
+    one stacked call.
     """
-    lives = [(r > 0).any(axis=1) for r in profiles]
+    lives = (np.stack(profiles) > 0).any(axis=2)
     subs = [Instance(int(live.sum()), instance.m, instance.budgets[live],
                      ValuationProfile(instance.kind, r[live], instance.valuations.rho))
             for r, live in zip(profiles, lives)]
@@ -68,20 +70,9 @@ def _fisher_outcomes(instance: Instance, profiles, tol: float,
         if init.shape != (instance.n, instance.m):
             raise ValueError("init_spending must be an n x m matrix")
         eqs = [solve_eg(sub, tol, init_bids=init[live]) for sub, live in zip(subs, lives)]
-    outcomes = []
-    for live, eq in zip(lives, eqs):
-        allocation = np.zeros((instance.n, instance.m))
-        allocation[live] = eq.allocation
-        rep_utilities = np.zeros(instance.n)
-        rep_utilities[live] = eq.utilities
-        full_eq = MarketEquilibrium(_readonly(allocation), eq.prices,
-                                    _readonly(rep_utilities), eq.residuals,
-                                    eq.iterations, eq.converged, eq.dropped_goods)
-        true_u = instance.utilities(allocation)
-        outcomes.append(GameOutcome(full_eq, _readonly(true_u),
-                                    nsw(true_u, instance.budgets),
-                                    tuple(int(i) for i in np.nonzero(~live)[0])))
-    return outcomes
+    allocations = np.zeros(lives.shape + (instance.m,))
+    allocations[lives] = np.concatenate([eq.allocation for eq in eqs])
+    return eqs, lives, allocations, instance.utilities(allocations)
 
 
 def fisher_outcome(instance: Instance, reports, tol: float = DEFAULT_TOL,
@@ -96,7 +87,14 @@ def fisher_outcome(instance: Instance, reports, tol: float = DEFAULT_TOL,
     or not finite raise ValueError.
     """
     r = _check_reports(instance, reports)
-    return _fisher_outcomes(instance, [r], tol, init_spending)[0]
+    (eq,), (live,), (allocation,), (true_u,) = _fisher_outcomes(instance, [r], tol,
+                                                                init_spending)
+    rep_utilities = np.zeros(instance.n)
+    rep_utilities[live] = eq.utilities
+    full_eq = MarketEquilibrium(_readonly(allocation), eq.prices, _readonly(rep_utilities),
+                                eq.residuals, eq.iterations, eq.converged, eq.dropped_goods)
+    return GameOutcome(full_eq, _readonly(true_u), nsw(true_u, instance.budgets),
+                       tuple(int(i) for i in np.nonzero(~live)[0]))
 
 
 def uniform_leontief_ne(instance: Instance, tol: float = DEFAULT_TOL):
@@ -189,35 +187,14 @@ def lb_profile_stats(n: int) -> dict:
 _STRUCTURED_SCALES = (0.25, 0.5, 0.9, 1.1, 2.0, 4.0)
 
 
-def fisher_ne_falsify(instance: Instance, reports, trials: int = 100,
-                      seed: int = 0, tol: float = DEFAULT_TOL,
-                      init_spending=None) -> FalsifierReport:
-    """Search for profitable unilateral report deviations by sampling.
-
-    Per agent, ``trials`` (at least 1) deviations are tried: the truthful
-    report, a deterministic grid of single-coordinate rescalings (the
-    spend-shift deviations of the lower-bound analysis expressed in report
-    space), and seeded random deviations (log-uniform coordinate rescalings
-    in [1e-3, 1e3] and sparsified reports), drawn agent by agent.  A max
-    gain at or below tolerance is evidence of equilibrium, not proof.  Every
-    agent's deviation markets are solved in one ``_fisher_outcomes`` call
-    (one ``solve_eg_many``), and a profile that repeats within the call is
-    solved once.  A deviation whose solve did not converge, or raised (then
-    every deviation), or whose rescaled report overflowed, is counted in
-    ``failures`` and its gain left out.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    base_reports = _check_reports(instance, reports)
-    base = fisher_outcome(instance, reports, tol, init_spending=init_spending)
+def _deviations(instance: Instance, base_reports, trials: int, seed: int):
+    """Each agent's ``trials`` deviation reports, drawn agent by agent (see
+    ``fisher_ne_falsify``); a rescaling may overflow to infinity."""
     rng = np.random.default_rng(seed)
     lo, hi = math.log(1e-3), math.log(1e3)
-    # keys[i] lists agent i's deviation profiles as bytes; each distinct
-    # one is solved once, and the base outcome is not reused, since it may
-    # have been selected by init_spending
-    keys, batch, outcomes = [], {}, {}
+    out = []
     for i in range(instance.n):
-        with np.errstate(over="ignore"):  # an overflowed rescaling fails below
+        with np.errstate(over="ignore"):  # an overflowed rescaling is a failure
             devs = [instance.matrix[i].copy()]
             # smallest report coordinates first: they carry the fragile
             # near-monopoly spending the spend-shift deviations target
@@ -244,29 +221,64 @@ def fisher_ne_falsify(instance: Instance, reports, trials: int = 100,
                         mask[pos[keep]] = True
                         d = np.where(mask, d, 0.0)
                 devs.append(d)
-        keys.append([])
-        for d in devs[:trials]:
+        out.append(devs[:trials])
+    return out
+
+
+def _row_scaled(reports) -> np.ndarray:
+    """Each row of a report profile divided by its max; a zero row stays."""
+    top = reports.max(axis=-1, keepdims=True)
+    return np.divide(reports, top, out=np.zeros_like(reports), where=top > 0)
+
+
+def fisher_ne_falsify(instance: Instance, reports, trials: int = 100,
+                      seed: int = 0, tol: float = DEFAULT_TOL,
+                      init_spending=None) -> FalsifierReport:
+    """Search for profitable unilateral report deviations by sampling.
+
+    Per agent, ``trials`` (at least 1) deviations are tried: the truthful
+    report, a deterministic grid of single-coordinate rescalings (the
+    spend-shift deviations of the lower-bound analysis expressed in report
+    space), and seeded random deviations (log-uniform coordinate rescalings
+    in [1e-3, 1e3] and sparsified reports), drawn agent by agent.  A max
+    gain at or below tolerance is evidence of equilibrium, not proof.  Every
+    agent's deviation markets are solved in one ``_fisher_outcomes`` call
+    (one ``solve_eg_many``).  Scaling one agent's whole report by c > 0
+    shifts the Eisenberg-Gale objective by B_i log c and leaves its
+    allocations alone, so deviation profiles are keyed by their rows divided
+    by their max, and each key's first profile, as drawn, is solved for all
+    of them (every structured rescaling by an agent with one positive report
+    is the profile it already plays).  A deviation whose solve did not converge, or raised
+    (then every deviation), or whose rescaled report overflowed, is counted
+    in ``failures`` and its gain left out.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    base_reports = _check_reports(instance, reports)
+    base = fisher_outcome(instance, reports, tol, init_spending=init_spending)
+    # solved[i, t] indexes agent i's t-th deviation market in ``batch``, or
+    # is -1 where the rescaling overflowed; the base outcome is not reused,
+    # since it may have been selected by init_spending
+    solved, batch = np.empty((instance.n, trials), dtype=int), {}
+    base_key = _row_scaled(base_reports)
+    for i, devs in enumerate(_deviations(instance, base_reports, trials, seed)):
+        for t, d in enumerate(devs):
+            if not np.isfinite(d).all():
+                solved[i, t] = -1
+                continue
+            key = base_key.copy()
+            key[i] = _row_scaled(d)
             profile = base_reports.copy()
             profile[i] = d
-            key = profile.tobytes()
-            keys[i].append(key)
-            if np.isfinite(profile).all():
-                batch.setdefault(key, profile)
-            else:  # a rescaling overflowed
-                outcomes[key] = None
+            solved[i, t] = batch.setdefault(key.tobytes(), (len(batch), profile))[0]
     try:
-        outs = _fisher_outcomes(instance, list(batch.values()), tol)
+        eqs, _, _, true_u = _fisher_outcomes(instance, [p for _, p in batch.values()], tol)
+        converged = np.array([eq.converged for eq in eqs] + [False])
     except (ValueError, FloatingPointError):
-        outs = [None] * len(batch)
-    for key, out in zip(batch, outs):
-        outcomes[key] = out if out is not None and out.equilibrium.converged else None
-    gains = np.zeros(instance.n)
-    failures = 0
-    for i, agent_keys in enumerate(keys):
-        for key in agent_keys:
-            if outcomes[key] is None:
-                failures += 1
-            else:
-                gains[i] = max(gains[i], float(outcomes[key].true_utilities[i]
-                                               - base.true_utilities[i]))
-    return FalsifierReport(_readonly(gains), float(gains.max()), trials, failures)
+        true_u, converged = np.zeros((len(batch), instance.n)), np.zeros(len(batch) + 1, bool)
+    ok = converged[solved]  # solved == -1 reads the appended False
+    gain = true_u[solved, np.arange(instance.n)[:, None]] - base.true_utilities[:, None]
+    # fmax skips a NaN gain, and a gain that is not positive counts as 0
+    gains = np.fmax.reduce(np.where(ok, gain, 0.0), axis=1)
+    gains = np.where(gains > 0, gains, 0.0)
+    return FalsifierReport(_readonly(gains), float(gains.max()), trials, int((~ok).sum()))

@@ -82,6 +82,17 @@ def test_verify_kkt_and_eps(ex31_file, tmp_path):
     assert main(["verify", "--kind", "kkt", str(payload), str(ces)]) == 2
 
 
+@pytest.mark.parametrize("kind", ["linear", "leontief"])
+def test_verify_kkt_exits_2_on_a_misshapen_allocation(kind, tmp_path, capsys):
+    # a one-row allocation once broadcast against both agents and printed
+    # passed = true at prices (0.5, 0.5); the equilibrium's are (1, 1)
+    inst, payload = tmp_path / "inst.json", tmp_path / "eq.json"
+    mg.save_instance(mg.make_instance(kind, [[1.0, 1.0], [1.0, 1.0]]), inst)
+    payload.write_text(json.dumps({"prices": [0.5, 0.5], "allocation": [[1.0, 1.0]]}))
+    assert main(["verify", "--kind", "kkt", str(payload), str(inst)]) == 2
+    assert "allocation must be an n x m" in capsys.readouterr().err
+
+
 def test_verify_tp_ne_exits_2_when_a_budget_cannot_cover_the_fees(tmp_path, capsys):
     inst, bids = tmp_path / "lin.json", tmp_path / "bids.json"
     mg.save_instance(mg.make_instance("linear", [[0.397, 0.949], [0.0, 1.0]],

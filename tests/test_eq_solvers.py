@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -466,6 +467,67 @@ def test_verify_kkt_leontief_cases():
     inst = mg.gen_random(4, 3, "leontief", seed=17)
     eq = mg.solve_leontief_dual(inst, 1e-9)
     assert mg.verify_kkt_leontief(inst, eq.allocation, eq.prices, 1e-7).passed
+
+
+@pytest.mark.parametrize("kind", ["linear", "leontief"])
+def test_kkt_verifiers_reject_a_misshapen_point(kind):
+    # the one-row allocation once broadcast against both agents and passed
+    # with every residual 0, at prices (0.5, 0.5) where the equilibrium's
+    # are (1, 1)
+    inst = mg.make_instance(kind, [[1.0, 1.0], [1.0, 1.0]])
+    verify = mg.verify_kkt_linear if kind == "linear" else mg.verify_kkt_leontief
+    with pytest.raises(ValueError, match="allocation"):
+        verify(inst, [[1.0, 1.0]], [0.5, 0.5])
+    half = np.full((2, 2), 0.5)
+    for prices in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]):
+        with pytest.raises(ValueError, match="prices"):
+            verify(inst, half, prices)
+        with pytest.raises(ValueError, match="prices"):
+            mg.verify_eps_market_eq(inst, half, prices, 0.0)
+    assert verify(inst, half, [1.0, 1.0]).passed
+
+
+@st.composite
+def kkt_stacks(draw):
+    """A kind and one to five points of one n x m shape to check: per
+    member valuations (every agent demanding a good), budgets, allocations
+    with NaN entries, prices with zeros, and a tolerance."""
+    kind = draw(st.sampled_from(["linear", "leontief"]))
+    n, m, size = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def stack(shape, entry):
+        flat = draw(st.lists(entry, min_size=math.prod(shape), max_size=math.prod(shape)))
+        return np.array(flat, dtype=float).reshape(shape)
+
+    v = stack((size, n, m), st.one_of(st.just(0.0), st.floats(0.05, 2.0)))
+    for k, i in zip(*np.nonzero(~(v > 0).any(axis=2))):
+        v[k, i, draw(st.integers(0, m - 1))] = 1.0
+    budgets = stack((size, n), st.floats(0.1, 5.0))
+    x = stack((size, n, m), st.one_of(st.sampled_from([0.0, 1e-10, 0.5, 1.0, np.nan]),
+                                      st.floats(0.0, 2.0)))
+    p = stack((size, m), st.one_of(st.just(0.0), st.floats(0.01, 3.0)))
+    tol = stack((size,), st.sampled_from([1e-12, 1e-8, 1e-2, 0.5, 2.0]))
+    return kind, v, budgets, x, p, tol
+
+
+@given(kkt_stacks())
+# a Leontief agent whose demanded goods are all free (phi_i = 0)
+@example(("leontief", np.array([[[1.0, 0.0], [0.5, 1.0]]]), np.ones((1, 2)),
+          np.array([[[1.0, 0.0], [0.0, 1.0]]]), np.array([[0.0, 2.0]]), np.array([1e-8])))
+# a linear agent buying a free demanded good (infinite bang per buck)
+@example(("linear", np.array([[[1.0, 1.0]]] * 2), np.ones((2, 1)),
+          np.array([[[1.0, 0.0]], [[0.0, 1.0]]]), np.array([[0.0, 1.0]] * 2),
+          np.array([1e-8, 0.5])))
+@settings(max_examples=200, deadline=None)
+def test_stacked_kkt_checks_match_single_checks(stack):
+    kind, v, budgets, x, p, tol = stack
+    many, verify = ((eq_solvers._kkt_linear_many, mg.verify_kkt_linear) if kind == "linear"
+                    else (eq_solvers._kkt_leontief_many, mg.verify_kkt_leontief))
+    res, passed = many(v, budgets, x, p, tol)
+    for k in range(len(v)):
+        alone = verify(mg.make_instance(kind, v[k], budgets[k]), x[k], p[k], tol[k])
+        assert np.array(dataclasses.astuple(alone.residuals)).tobytes() == res[k].tobytes()
+        assert alone.passed == passed[k]
 
 
 def test_optimal_bundle_leontief_identity():

@@ -161,6 +161,49 @@ def test_falsifier_does_not_depend_on_stacking(case, monkeypatch):
     assert np.abs(alone.gains - stacked.gains).max() <= 1e-12
 
 
+@pytest.mark.parametrize("c", [1e-3, 0.5, 7.0])
+@pytest.mark.parametrize("kind, rho", [("linear", None), ("leontief", None), ("ces", 0.5)])
+def test_a_rescaled_report_is_the_same_market(kind, rho, c):
+    # scaling agent i's report by c shifts the EG objective by B_i log c
+    inst = mg.gen_random(4, 3, kind, rho=rho, seed=5)
+    scaled = inst.matrix.copy()
+    scaled[1] *= c
+    base = mg.fisher_outcome(inst, inst.matrix)
+    out = mg.fisher_outcome(inst, scaled)
+    assert base.equilibrium.converged and out.equilibrium.converged
+    assert np.abs(out.equilibrium.allocation - base.equilibrium.allocation).max() <= 1e-9
+
+
+def test_falsifier_solves_each_rescaled_market_once(monkeypatch):
+    # every deviation solved alone by fisher_outcome against the falsifier,
+    # which solves one market per rescaling class
+    inst, reports, spends = mg.lb_construction(14)
+    trials, seed = 16, 0
+    base = mg.fisher_outcome(inst, reports, init_spending=spends)
+    gains, failures = np.zeros(inst.n), 0
+    devs = fisher_game._deviations(inst, reports, trials, seed)
+    for i, rows in enumerate(devs):
+        for d in rows:
+            profile = reports.copy()
+            profile[i] = d
+            out = mg.fisher_outcome(inst, profile)
+            if out.equilibrium.converged:
+                gains[i] = max(gains[i], out.true_utilities[i] - base.true_utilities[i])
+            else:
+                failures += 1
+    real, solved = fisher_game.solve_eg_many, []
+
+    def counting(instances, *args, **kwargs):
+        solved.extend(instances)
+        return real(instances, *args, **kwargs)
+
+    monkeypatch.setattr(fisher_game, "solve_eg_many", counting)
+    rep = mg.fisher_ne_falsify(inst, reports, trials=trials, seed=seed, init_spending=spends)
+    assert len(solved) < inst.n * trials
+    assert rep.failures == failures
+    assert np.abs(rep.gains - gains).max() <= 1e-12
+
+
 def test_falsifier_structured_on_lb_profile():
     inst, reports, spends = mg.lb_construction(14)
     rep = mg.fisher_ne_falsify(inst, reports, trials=20, seed=3,
