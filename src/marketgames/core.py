@@ -220,7 +220,7 @@ def eval_valuation_matrix(profile: ValuationProfile, allocation: np.ndarray) -> 
     if profile.kind == LINEAR:
         return (v * x).sum(axis=-1)
     if profile.kind == LEONTIEF:
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratios = np.where(v > 0, x / np.where(v > 0, v, 1.0), np.inf)
         return ratios.min(axis=-1)
     return _ces_eval(v, x, profile.rho)

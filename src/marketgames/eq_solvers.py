@@ -10,16 +10,17 @@ Every kind is solved on the price-space Eisenberg-Gale dual
 min_p sum_j p_j - sum_i B_i log e_i(p), e_i the unit-expenditure function
 (v_i . p for Leontief), by Newton steps that each solve one m x m system by
 Cholesky: an interior point for linear and Leontief markets, damped Newton
-for CES.
+for CES.  The Cholesky routines are LAPACK's, bound from scipy.linalg at the
+first factorization (``_lapack``), so importing the package loads numpy only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .core import (CES, DEFAULT_TOL, LEONTIEF, LINEAR, Instance,
                    ValuationProfile, _readonly)
@@ -40,7 +41,14 @@ STACK_ENTRIES = 2 ** 14
 #: (``linprog``) may leave unrouted and still carry the spending.
 FLOW_TOL = 1e-9
 
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+@functools.cache
+def _lapack():
+    """LAPACK's double ``potrf`` and ``potrs``, bound at the first Newton
+    factorization: importing scipy.linalg takes longer than most small
+    solves, and a process that solves nothing never pays for it."""
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -260,9 +268,10 @@ def _newton_factors(d, w, c):
     a = (w.transpose(0, 2, 1) * c[:, None, :]) @ w
     m = a.shape[1]
     a.reshape(-1, m * m)[:, ::m + 1] += d
+    potrf, _ = _lapack()
     factors = []
     for ak in a:
-        fac, info = _POTRF(ak, lower=False, clean=False)
+        fac, info = potrf(ak, lower=False, clean=False)
         factors.append(fac if info == 0 else None)
     return factors
 
@@ -270,9 +279,10 @@ def _newton_factors(d, w, c):
 def _cho_solve(factors, rhs):
     """Each member's Newton system solved by its factor, one ``potrs`` each;
     nan for a member without one, so that it takes no step."""
+    _, potrs = _lapack()
     out = np.empty_like(rhs)
     for k, fac in enumerate(factors):
-        out[k] = math.nan if fac is None else _POTRS(fac, rhs[k], lower=False)[0]
+        out[k] = math.nan if fac is None else potrs(fac, rhs[k], lower=False)[0]
     return out
 
 
@@ -381,7 +391,9 @@ def _linear_ipm(v, budgets, max_iter, accept):
     edge = v > 0
     n_edges = edge.sum(axis=(1, 2))
     p = (b[:, None, :] @ (v / v.sum(axis=2, keepdims=True)))[:, 0]
-    beta = 0.5 * (p[:, None, :] / np.where(edge, v, 1e-300)).min(axis=2)
+    # a subnormal edge's ratio overflows to inf, but each row holds a 1
+    with np.errstate(over="ignore"):
+        beta = 0.5 * (p[:, None, :] / np.where(edge, v, 1e-300)).min(axis=2)
     x = edge / edge.sum(axis=1, keepdims=True)
     # off the edges x = 0 and s = p > 0, so the arrays stay dense
     s = p[:, None, :] - beta[:, :, None] * v
@@ -496,11 +508,12 @@ def _project_spending(kk, ii, jj, s0, budgets, p_hat, keep_good):
     w = w[:, rows] * split[:, rows, None]
     lap = -((w.transpose(0, 2, 1) / deg.reshape(K, n)[:, None, rows]) @ w)
     lap.reshape(K, m * m)[:, ::m + 1] += w.sum(axis=1)
+    potrf, potrs = _lapack()
     z = np.zeros((K, m))
     for k, keep in enumerate(keep_good):
         if keep.any():
-            fac, info = _POTRF(lap[k][np.ix_(keep, keep)], lower=False, clean=False)
-            z[k, keep] = math.nan if info else _POTRS(fac, res_g[k, keep], lower=False)[0]
+            fac, info = potrf(lap[k][np.ix_(keep, keep)], lower=False, clean=False)
+            z[k, keep] = math.nan if info else potrs(fac, res_g[k, keep], lower=False)[0]
     z = z.ravel()
     return s0 + (res_a - np.bincount(a, z[g], K * n) / deg)[a] + z[g]
 

@@ -39,6 +39,14 @@ def test_solve_eg_report(ex31_file, tmp_path, capsys):
     assert "converged = false" in out.read_text()
 
 
+def test_solve_eg_of_a_subnormal_valuation(tmp_path, capsys):
+    path = tmp_path / "subnormal.json"
+    mg.save_instance(mg.make_instance("linear", [[5e-324, 1.0], [1.0, 1.0]]), path)
+    assert main(["solve-eg", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "prices = 1 1" in out and "converged = true" in out
+
+
 def test_verify_tp_ne_pass_and_fail(leo_pair_file, tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"bids": [[0.3, 0.7], [0.3, 0.7]]}))

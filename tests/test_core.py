@@ -26,6 +26,13 @@ def test_eval_leontief_ignores_undemanded():
     assert mg.eval_valuation(prof, 0, [0.25, 0.0]) == pytest.approx(0.25)
 
 
+def test_eval_leontief_of_a_subnormal_valuation():
+    # x / v overflows to inf on the subnormal entry, which the min ignores
+    prof = mg.ValuationProfile("leontief", [[1e-310, 1.0]])
+    assert mg.eval_valuation(prof, 0, [1.0, 0.5]) == 0.5
+    assert mg.eval_valuation_matrix(prof, np.array([[1.0, 0.5]])).tolist() == [0.5]
+
+
 def test_eval_ces_direct_formula():
     prof = mg.ValuationProfile("ces", [[1.0, 1.0]], rho=0.5)
     # (1*sqrt(.25) + 1*sqrt(.25))^2 = 1

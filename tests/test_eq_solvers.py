@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -314,6 +315,69 @@ def test_importing_the_package_leaves_scipy_optimize_out():
                           "import sys, marketgames; print('scipy.optimize' in sys.modules)"],
                          capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _fresh_python(code, *args):
+    """Run ``code`` in a new interpreter on this package; its stdout."""
+    src = str(Path(mg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code,
+                           *args], capture_output=True, text=True, env=env,
+                          check=True).stdout
+
+
+_SCIPY_PROBE = """\
+import contextlib, io, json, sys
+{first}
+import marketgames as mg, marketgames.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out = {{"import": scipy_modules()}}
+inst = mg.gen_random(4, 3, "linear", seed=3)
+dyn = mg.br_dynamics(inst, 1e-4)
+mg.verify_tp_ne(inst, dyn.bids, 1e-4)
+with open(sys.argv[1], "w") as f:
+    f.write(inst.to_json())
+with contextlib.redirect_stdout(io.StringIO()):
+    out["exit"] = marketgames.cli.main(["tp-dynamics", sys.argv[1]])
+out["unsolved"] = scipy_modules()
+eq = mg.solve_eg(inst)
+out["linalg"] = "scipy.linalg" in sys.modules
+out["bytes"] = [eq.allocation.tobytes().hex(), eq.prices.tobytes().hex()]
+print(json.dumps(out))
+"""
+
+
+def test_scipy_loads_at_the_first_factorization(tmp_path):
+    # importing the package, the CLI, and running the Trading Post leave
+    # scipy out; the first Eisenberg-Gale solve binds LAPACK, and binds the
+    # same routines as a process that loaded scipy.linalg up front
+    lazy = json.loads(_fresh_python(_SCIPY_PROBE.format(first=""),
+                                    str(tmp_path / "lazy.json")))
+    eager = json.loads(_fresh_python(_SCIPY_PROBE.format(first="import scipy.linalg"),
+                                     str(tmp_path / "eager.json")))
+    assert lazy["import"] == [] and lazy["unsolved"] == []
+    assert lazy["exit"] == 0
+    assert lazy["linalg"]
+    assert "scipy.linalg" in eager["import"]
+    assert lazy["bytes"] == eager["bytes"]
+
+
+def test_linear_solve_of_subnormal_valuations():
+    # a subnormal valuation's interior-point start overflows to inf, which
+    # the min over the row ignores: each max-normalized row holds a 1
+    eq = mg.solve_eg(mg.make_instance("linear", [[5e-324, 1.0], [1.0, 1.0]]))
+    assert eq.converged and eq.iterations == 3
+    assert eq.prices.tolist() == [1.0, 1.0]
+    inst = mg.make_instance("linear", [[1e-310, 1.0, 0.5], [1.0, 1.0, 0.3],
+                                       [0.2, 0.4, 1.0]])
+    for eq in (mg.solve_eg(inst), mg.solve_eg_many([inst])[0],
+               mg.fisher_outcome(inst, inst.valuations.matrix).equilibrium):
+        assert eq.converged and eq.iterations == 3
+        assert eq.prices.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_no_solve_converges_to_a_non_finite_utility():

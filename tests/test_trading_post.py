@@ -535,6 +535,14 @@ def test_br_dynamics_leontief_pair():
     assert rep.utilities == pytest.approx([0.5, 0.5], abs=1e-9)
 
 
+def test_br_dynamics_leontief_with_a_subnormal_valuation():
+    # verify_tp_ne evaluates the bundles, whose x / v overflows on 1e-310
+    inst = mg.make_instance("leontief", [[1e-310, 1.0, 0.5], [1.0, 1.0, 0.3],
+                                         [0.2, 0.4, 1.0]])
+    rep = mg.br_dynamics(inst, 1e-4)
+    assert rep.converged and rep.rounds == 57
+
+
 def test_br_dynamics_nonexistence_example():
     inst = mg.gen_tp_nonexistence()
     rep = mg.br_dynamics(inst, 0.0, max_rounds=5000, tol=1e-12)
