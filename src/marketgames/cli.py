@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -348,9 +349,14 @@ def _cmd_reproduce(args) -> int:
     return 1 if any(rec.failure for rec in records) else 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()`` once per process; parsing does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "solve-eg": _cmd_solve_eg,
         "tp-dynamics": _cmd_tp_dynamics,

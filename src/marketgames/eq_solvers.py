@@ -309,13 +309,14 @@ def _safeguarded_steps(point, direction, max_step, merit, merit0, slope, centre,
     of K-member arrays).
 
     ``direction(r_c)`` is the Newton direction for complementarity target
-    r_c, aligned with ``point``, and ``max_step`` its largest step keeping
-    each member interior; ``slope`` is the merit's rate along the centred
-    direction.  Mehrotra's corrector need not descend (it can cycle), so its
-    step, 0.995 of the way to the boundary, is taken only if it cuts the
-    merit by 1e-4 of ``slope``; else the centred step backtracks until it
-    does.  Returns the new point and the mask of members that moved; a
-    member where neither step descends keeps its point.
+    r_c, aligned with ``point`` (arrays past the point's go to ``max_step``
+    only), and ``max_step`` its largest step keeping each member interior;
+    ``slope`` is the merit's rate along the centred direction.  Mehrotra's
+    corrector need not descend (it can cycle), so its step, 0.995 of the way
+    to the boundary, is taken only if it cuts the merit by 1e-4 of
+    ``slope``; else the centred step backtracks until it does.  Returns the
+    new point and the mask of members that moved; a member where neither
+    step descends keeps its point.
     """
     delta = direction(corrected)
     alpha = np.minimum(1.0, 0.995 * max_step(*delta))
@@ -395,21 +396,32 @@ def _linear_ipm(v, budgets, max_iter, accept):
     with np.errstate(over="ignore"):
         beta = 0.5 * (p[:, None, :] / np.where(edge, v, 1e-300)).min(axis=2)
     x = edge / edge.sum(axis=1, keepdims=True)
-    # off the edges x = 0 and s = p > 0, so the arrays stay dense
-    s = p[:, None, :] - beta[:, :, None] * v
-    xs = x * s
-    gap = xs.sum(axis=(1, 2))
     steps = np.zeros(K, dtype=int)
     last_p, last_x, last_theta = np.zeros((K, m)), np.zeros((K, n, m)), np.full(K, math.nan)
     ids, moved = np.arange(K), np.ones(K, dtype=bool)
 
-    def merit(p, beta, x):
+    def state(p, beta, x):
+        # u, the slacks s (off the edges x = 0 and s = p > 0, so the arrays
+        # stay dense), x * s and the gap sum x_ij s_ij at a point
+        u = (v * x).sum(axis=2)
+        s = p[:, None, :] - beta[:, :, None] * v
+        xs = x * s
+        return u, s, xs, xs.sum(axis=(1, 2))
+
+    def value(beta, u, gap):
         # sum x_ij s_ij + sum_i B_i (t_i - 1 - log t_i), t_i = beta_i u_i / B_i:
         # the EG duality gap while the goods clear, zero only at the optimum
-        t = beta * (v * x).sum(axis=2) / b
-        return ((x * (p[:, None, :] - beta[:, :, None] * v)).sum(axis=(1, 2))
-                + _rowdot(b, t - 1.0 - np.log(t)))
+        t = beta * u / b
+        return gap + _rowdot(b, t - 1.0 - np.log(t))
 
+    tried = None  # the point merit saw last, and its state
+
+    def merit(p, beta, x):
+        nonlocal tried
+        tried = p, state(p, beta, x)
+        return value(beta, tried[1][0], tried[1][3])
+
+    u, s, xs, gap = state(p, beta, x)
     for it in range(max_iter + 1):
         # the one exit: a member leaves here, whatever the reason
         ok = moved & (gap > 1e-15) & (s.min(axis=(1, 2)) > 0)
@@ -438,9 +450,8 @@ def _linear_ipm(v, budgets, max_iter, accept):
                                                         edge[broke])[0]
                 if gone.all():
                     break
-                v, b, edge, n_edges, total, ids, moved, p, beta, x, s, xs, gap = _take(
-                    ~gone, v, b, edge, n_edges, total, ids, moved, p, beta, x, s, xs, gap)
-        u = (v * x).sum(axis=2)
+                v, b, edge, n_edges, total, ids, moved, p, beta, x, u, s, xs, gap = _take(
+                    ~gone, v, b, edge, n_edges, total, ids, moved, p, beta, x, u, s, xs, gap)
         d = x / s
         w = d * v
         # beta_i u_i = B_i linearized in both factors, like x_ij s_ij = mu
@@ -448,35 +459,34 @@ def _linear_ipm(v, budgets, max_iter, accept):
         factors = _newton_factors(d.sum(axis=1), w, -1.0 / h)
         r_p, r_d = 1.0 - x.sum(axis=1), u - b / beta
         mu = gap / n_edges
+        x_edge = np.where(edge, x, 1.0)
 
         def direction(r_c):
+            # the step in (p, beta, x), then the step ds in the slacks
             t = r_c / s
             a = -r_d - (v * t).sum(axis=2)
             dp = _cho_solve(factors, _rmatvec(w, a / h) - r_p + t.sum(axis=1))
             db = (a + _matvec(w, dp)) / h
-            return dp, db, t - d * (dp[:, None, :] - v * db[:, :, None])
+            ds = dp[:, None, :] - v * db[:, :, None]
+            return dp, db, t - d * ds, ds
 
-        def max_step(dp, db, dx):
+        def max_step(dp, db, dx, ds):
             # largest step keeping beta, s (hence p) and x positive
             return _longest_steps(np.maximum(np.maximum(
-                (-db / beta).max(axis=1),
-                (-(dp[:, None, :] - v * db[:, :, None]) / s).max(axis=(1, 2))),
-                (-dx / np.where(edge, x, 1.0)).max(axis=(1, 2))))
+                (-db / beta).max(axis=1), (-ds / s).max(axis=(1, 2))),
+                (-dx / x_edge).max(axis=(1, 2))))
 
-        dp, db, dx = direction(-xs)
-        ds = dp[:, None, :] - v * db[:, :, None]
-        a_aff = np.minimum(1.0, max_step(dp, db, dx))[:, None, None]
+        dp, db, dx, ds = direction(-xs)
+        a_aff = np.minimum(1.0, max_step(dp, db, dx, ds))[:, None, None]
         sigma = _cubes(((x + a_aff * dx) * (s + a_aff * ds)).sum(axis=(1, 2)) / gap)
         centre = np.where(edge, (sigma * mu)[:, None, None] - xs, 0.0)
         # the merit falls at this rate along the Newton direction to centre
         slope = -(1.0 - sigma) * gap - ((beta * u - b) ** 2 / (beta * u)).sum(axis=1)
-        t = beta * u / b  # the merit at the current point, from its gap and u
         (p, beta, x), moved = _safeguarded_steps(
-            (p, beta, x), direction, max_step, merit, gap + _rowdot(b, t - 1.0 - np.log(t)),
-            slope, centre, centre - np.where(edge, dx * ds, 0.0))
-        s = p[:, None, :] - beta[:, :, None] * v
-        xs = x * s
-        gap = xs.sum(axis=(1, 2))
+            (p, beta, x), direction, max_step, merit, value(beta, u, gap), slope, centre,
+            centre - np.where(edge, dx * ds, 0.0))
+        # where every member took the corrector's step, merit saw that point last
+        u, s, xs, gap = tried[1] if tried[0] is p else state(p, beta, x)
     return steps, last_p, last_x, last_theta
 
 
@@ -821,13 +831,20 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
     """
     if instance.kind != LINEAR:
         raise ValueError("solve_linear_eg requires linear valuations")
-    init = None
-    if init_bids is not None:
-        init = np.asarray(init_bids, dtype=float)
-        if init.shape != (instance.n, instance.m) or not (
-                np.isfinite(init) & (init >= 0)).all():
-            raise ValueError("init_bids must be a finite, non-negative n x m matrix")
-    return _solve_linear_stack([instance], tol, max_iter, [init])[0]
+    return _solve_linear_stack([instance], tol, max_iter,
+                               [_checked_init_bids(instance, init_bids)])[0]
+
+
+def _checked_init_bids(instance: Instance, init_bids):
+    """``init_bids`` as a float matrix, or None; ValueError unless it is a
+    finite, non-negative n x m matrix."""
+    if init_bids is None:
+        return None
+    init = np.asarray(init_bids, dtype=float)
+    if init.shape != (instance.n, instance.m) or not (
+            np.isfinite(init) & (init >= 0)).all():
+        raise ValueError("init_bids must be a finite, non-negative n x m matrix")
+    return init
 
 
 # ---------------------------------------------------------------------------
@@ -1029,9 +1046,14 @@ def solve_eg(instance: Instance, tol: float = DEFAULT_TOL,
 
 
 def solve_eg_many(instances, tol: float = DEFAULT_TOL,
-                  max_iter: int = MAX_NEWTON_STEPS) -> list[MarketEquilibrium]:
+                  max_iter: int = MAX_NEWTON_STEPS, inits=None) -> list[MarketEquilibrium]:
     """``solve_eg`` of each market, in order; the Fisher game solves its
-    report deviations through it.
+    reported markets through it.
+
+    ``inits``, if given, holds each market's ``init_bids`` (or None), in the
+    meaning ``solve_eg`` gives it: a linear market's is checked, raising
+    ValueError before anything is solved, and selects among its tied
+    equilibria; the other kinds ignore theirs.
 
     Linear and Leontief markets of one kind, agent count and set of demanded
     goods share one interior-point loop, in stacks of at most STACK_ENTRIES
@@ -1044,6 +1066,10 @@ def solve_eg_many(instances, tol: float = DEFAULT_TOL,
     member as it checks that market alone.  So a member's result is the one
     ``solve_eg`` gives.  CES markets are solved one at a time.
     """
+    if inits is None:
+        inits = [None] * len(instances)
+    inits = [_checked_init_bids(inst, init) if inst.kind == LINEAR else None
+             for inst, init in zip(instances, inits, strict=True)]
     out = [None] * len(instances)
     groups: dict = {}
     for i, inst in enumerate(instances):
@@ -1059,7 +1085,7 @@ def solve_eg_many(instances, tol: float = DEFAULT_TOL,
             chunk = members[start:start + size]
             stack = [instances[i] for i in chunk]
             if kind == LINEAR:
-                eqs = _solve_linear_stack(stack, tol, max_iter, [None] * len(stack))
+                eqs = _solve_linear_stack(stack, tol, max_iter, [inits[i] for i in chunk])
             else:
                 eqs = _solve_leontief_stack(stack, tol, max_iter)
             for i, eq in zip(chunk, eqs):
@@ -1106,6 +1132,29 @@ def optimal_bundle_utility(profile: ValuationProfile, agent: int, budget: float,
     return float(np.exp(math.log(budget) - log_e))
 
 
+def _optimal_utilities(profile: ValuationProfile, budgets, p) -> np.ndarray:
+    """``optimal_bundle_utility`` of every agent at once, at its positive
+    budget: the same closed forms, each evaluated over the n x m matrix."""
+    v = profile.matrix
+    demanded = v > 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if profile.kind == LEONTIEF:
+            # one dot product per row, as optimal_bundle_utility takes it
+            phi = _rowdot(v, np.broadcast_to(p, v.shape))
+            return np.where(phi <= 0, math.inf, budgets / phi)
+        free = (demanded & (p <= 0)).any(axis=1)
+        if profile.kind == LINEAR or profile.rho == 1.0:
+            best = budgets * np.where(demanded, v / p, 0.0).max(axis=1)
+        else:
+            # undemanded goods are masked to exp(-inf) = 0 in the sum
+            sigma = 1.0 / (1.0 - profile.rho)
+            a = np.where(demanded, sigma * np.log(v) + (1.0 - sigma) * np.log(p), -math.inf)
+            top = a.max(axis=1)
+            log_e = (top + np.log(np.exp(a - top[:, None]).sum(axis=1))) / (1.0 - sigma)
+            best = np.exp(np.log(budgets) - log_e)
+        return np.where(free, math.inf, best)
+
+
 def verify_eps_market_eq(instance: Instance, allocation, prices, eps: float,
                          tol: float = DEFAULT_TOL) -> EpsEquilibriumReport:
     """Certify (allocation, prices) as an eps-approximate market equilibrium.
@@ -1113,16 +1162,16 @@ def verify_eps_market_eq(instance: Instance, allocation, prices, eps: float,
     Checks that positively priced goods are fully sold, budgets are
     exhausted, and each agent's affordable optimum exceeds its utility by at
     most a factor (1 + eps).  Also reports the smallest eps that would pass.
-    Shapes are checked as in ``verify_kkt_linear``.
+    The optima are ``optimal_bundle_utility``'s closed forms, evaluated for
+    all agents in one pass over the n x m matrix.  Shapes are checked as in
+    ``verify_kkt_linear``.
     """
     x, p = _checked_point(instance, allocation, prices)
     budget, clearing, _ = map(float, _market_residuals(instance.budgets, x, p, tol))
     budget_ok = budget <= tol * max(1.0, float(instance.budgets.max()))
     clearing_ok = clearing <= tol
     u_cur = instance.utilities(x)
-    u_opt = np.array([optimal_bundle_utility(instance.valuations, i,
-                                             float(instance.budgets[i]), p)
-                      for i in range(instance.n)])
+    u_opt = _optimal_utilities(instance.valuations, instance.budgets, p)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratios = np.where(u_cur > 0, u_opt / np.where(u_cur > 0, u_cur, 1.0),
                           np.where(u_opt > 0, np.inf, 1.0))

@@ -5,6 +5,10 @@ equilibrium of the reported market and agents experience the resulting
 allocation through their true valuations.  Includes the uniform-report
 Leontief equilibrium, the linear lower-bound construction, and a
 sampling-based equilibrium falsifier (evidence, not proof).
+
+Reports are checked once, where they enter; every reported market is then
+built from the checked instance and rows without checking them again, and
+the markets of a call are solved together by one ``solve_eg_many``.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (LEONTIEF, LINEAR, DEFAULT_TOL, Instance, ValuationProfile,
-                   make_instance, nsw, _readonly)
-from .eq_solvers import MarketEquilibrium, solve_eg, solve_eg_many
+from .core import (LEONTIEF, LINEAR, DEFAULT_TOL, Instance, make_instance, nsw,
+                   _readonly, _sub_market)
+from .eq_solvers import MarketEquilibrium, solve_eg_many
 
 
 @dataclass(frozen=True)
@@ -52,24 +56,23 @@ def _fisher_outcomes(instance: Instance, profiles, tol: float, init_spending=Non
     """The mechanism's outcome of each of K checked report profiles.
 
     Each reported market keeps its live agents (a positive report) and all
-    goods; the markets are solved by one ``solve_eg_many`` call, or, given
-    ``init_spending`` (its rows for the live agents are each market's
-    ``init_bids``), by ``solve_eg`` one at a time.  Returns the reported
-    markets' equilibria, the K x n mask of live agents, the K x n x m
-    allocations to all agents and their K x n true utilities, evaluated in
-    one stacked call.
+    goods, and is built by ``_sub_market`` from ``instance`` and the checked
+    rows, without checking them again.  All of them are solved by one
+    ``solve_eg_many`` call; ``init_spending``, if given, must be n x m, and
+    its rows for each market's live agents are that market's ``init_bids``.
+    Returns the reported markets' equilibria, the K x n mask of live agents,
+    the K x n x m allocations to all agents and their K x n true utilities,
+    evaluated in one stacked call.
     """
     lives = (np.stack(profiles) > 0).any(axis=2)
-    subs = [Instance(int(live.sum()), instance.m, instance.budgets[live],
-                     ValuationProfile(instance.kind, r[live], instance.valuations.rho))
-            for r, live in zip(profiles, lives)]
-    if init_spending is None:
-        eqs = solve_eg_many(subs, tol)
-    else:
+    markets = [_sub_market(instance, live, r) for r, live in zip(profiles, lives)]
+    inits = None
+    if init_spending is not None:
         init = np.asarray(init_spending, float)
         if init.shape != (instance.n, instance.m):
             raise ValueError("init_spending must be an n x m matrix")
-        eqs = [solve_eg(sub, tol, init_bids=init[live]) for sub, live in zip(subs, lives)]
+        inits = [init[live] for live in lives]
+    eqs = solve_eg_many(markets, tol, inits=inits)
     allocations = np.zeros(lives.shape + (instance.m,))
     allocations[lives] = np.concatenate([eq.allocation for eq in eqs])
     return eqs, lives, allocations, instance.utilities(allocations)

@@ -146,7 +146,7 @@ def test_tp_dynamics_exits_1_when_unconverged(tmp_path, capsys):
 
 def test_fisher_outcome_exits_1_when_unconverged(ex31_file, tmp_path, monkeypatch,
                                                  capsys):
-    def unconverged(instances, tol):
+    def unconverged(instances, tol, **kwargs):
         return [dataclasses.replace(eq, converged=False)
                 for eq in mg.solve_eg_many(instances, tol)]
 
@@ -428,3 +428,24 @@ def test_malformed_instance_json_exits_2(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("fuzz") / "inst.json"
     path.write_text(json.dumps(doc))
     assert main(["solve-eg", str(path)]) == 2
+
+
+def test_main_builds_its_parser_once(ex31_file, monkeypatch, capsys):
+    # a process that calls main many times builds the argparse tree once;
+    # a usage error on the reused parser leaves later calls unchanged
+    built, real = [], cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    assert main(["solve-eg", ex31_file]) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["solve-eg", ex31_file, "--max-iter", "0"])
+    capsys.readouterr()
+    assert main(["solve-eg", ex31_file]) == 0
+    assert capsys.readouterr().out == first
+    assert len(built) == 1

@@ -605,6 +605,48 @@ def test_optimal_bundle_linear_best_ratio():
     assert mg.optimal_bundle_utility(prof, 0, 1.0, [0.0, 1.0]) == math.inf
 
 
+@st.composite
+def priced_markets(draw):
+    """A small market of any kind, its prices (some zero or negative, so
+    that demanded goods may be free and a Leontief phi not positive) and
+    its positive budgets."""
+    kind, rho = draw(st.sampled_from([("linear", None), ("leontief", None), ("ces", 1.0),
+                                      ("ces", 0.9), ("ces", 0.5), ("ces", -1.0),
+                                      ("ces", -3.0)]))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 10))
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    v = np.array(draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                               min_size=n, max_size=n)))
+    for i in range(n):
+        v[i, draw(st.integers(0, m - 1))] = draw(st.floats(1e-3, 1e3))
+    price = st.one_of(st.floats(1e-3, 1e3), st.just(0.0), st.floats(-1e3, -1e-3))
+    p = np.array(draw(st.lists(price, min_size=m, max_size=m)))
+    budgets = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    return mg.make_instance(kind, v, budgets, rho), p
+
+
+@given(priced_markets())
+@settings(max_examples=300, deadline=None)
+def test_eps_verifier_optima_are_the_closed_forms(market):
+    # verify_eps_market_eq evaluates every agent's optimum in one pass; each
+    # is optimal_bundle_utility's, infinite where it is.  Linear and
+    # Leontief take the same operations, so they agree exactly.  CES sums
+    # its exponentials with the undemanded goods' zeros among them, which
+    # numpy's pairwise sum may group otherwise: a few ulps per good (m <= 10)
+    # in the log-sum, divided by |1 - sigma| >= 0.5, about 1e-14 relative
+    inst, p = market
+    one_pass = mg.verify_eps_market_eq(inst, np.zeros((inst.n, inst.m)), p,
+                                       0.1).optimal_utilities
+    alone = np.array([mg.optimal_bundle_utility(inst.valuations, i,
+                                                float(inst.budgets[i]), p)
+                      for i in range(inst.n)])
+    assert np.array_equal(np.isinf(one_pass), np.isinf(alone))
+    if inst.kind == "ces" and inst.valuations.rho != 1.0:
+        np.testing.assert_allclose(one_pass, alone, rtol=1e-13, atol=0.0)
+    else:
+        assert one_pass.tobytes() == alone.tobytes()
+
+
 def test_optimal_bundle_ces_matches_budget_line_grid():
     prof = mg.ValuationProfile("ces", [[1.0, 1.0]], rho=0.5)
     val = mg.optimal_bundle_utility(prof, 0, 1.0, [1.0, 1.0])

@@ -1,10 +1,11 @@
+import contextlib
 import dataclasses
 
 import numpy as np
 import pytest
 
 import marketgames as mg
-from marketgames import eq_solvers, fisher_game
+from marketgames import core, eq_solvers, fisher_game
 from marketgames.instance_lab import run_experiment
 
 
@@ -295,7 +296,11 @@ def test_falsifier_counts_an_overflowed_rescaling():
 def test_falsifier_counts_a_batch_whose_solve_raised(monkeypatch):
     # the base outcome is solved alone (init_spending); every deviation batch
     # raises, so each of the n x trials deviations is a failure
-    def broken(instances, *args, **kwargs):
+    real = fisher_game.solve_eg_many
+
+    def broken(instances, *args, inits=None, **kwargs):
+        if inits is not None:  # the base outcome, selected by init_spending
+            return real(instances, *args, inits=inits, **kwargs)
         raise ValueError("degenerate reported market")
 
     inst, reports, spends = mg.lb_construction(8)
@@ -303,3 +308,103 @@ def test_falsifier_counts_a_batch_whose_solve_raised(monkeypatch):
     rep = mg.fisher_ne_falsify(inst, reports, trials=5, init_spending=spends)
     assert rep.failures == inst.n * 5
     assert rep.max_gain == 0.0
+
+
+def test_reported_markets_are_not_checked_again(monkeypatch):
+    # the falsifier's and fisher_outcome's reported markets are built from
+    # the checked instance and reports, without another ValuationProfile or
+    # Instance check
+    inst, reports, spends = mg.lb_construction(8)
+    checks = []
+    for cls in (core.ValuationProfile, core.Instance):
+        def counting(self, real=cls.__post_init__):
+            checks.append(type(self).__name__)
+            real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    rep = mg.fisher_ne_falsify(inst, reports, trials=4, init_spending=spends)
+    out = mg.fisher_outcome(inst, reports, init_spending=spends)
+    assert checks == []
+    assert rep.failures == 0 and out.equilibrium.converged
+
+
+@pytest.mark.parametrize("kind, rho", [("linear", None), ("leontief", None),
+                                       ("ces", 0.5), ("ces", -1.0)])
+def test_outcome_with_init_spending_is_the_eg_solve(kind, rho):
+    # an agent reporting nothing drops out; the rest of init_spending is the
+    # reported market's init_bids, bit for bit as solve_eg takes it (the
+    # tied lower-bound market for linear, ignored by the other kinds)
+    if kind == "linear":
+        inst, reports, spends = mg.lb_construction(14)
+        dead = 0
+    else:
+        inst = mg.gen_random(6, 4, kind, rho=rho, seed=4)
+        reports, dead = inst.matrix.copy(), 2
+        spends = np.random.default_rng(1).uniform(0.0, 1.0, reports.shape)
+    reports = reports.copy()
+    reports[dead] = 0.0
+    live = np.arange(inst.n) != dead
+    sub = mg.make_instance(kind, reports[live], inst.budgets[live], rho)
+    out = mg.fisher_outcome(inst, reports, init_spending=spends)
+    for eq in (mg.solve_eg(sub, init_bids=spends[live]),
+               mg.solve_eg_many([sub], inits=[spends[live]])[0]):
+        got = out.equilibrium
+        assert eq.converged and got.converged
+        assert got.allocation[live].tobytes() == eq.allocation.tobytes()
+        assert not got.allocation[dead].any()
+        assert got.prices.tobytes() == eq.prices.tobytes()
+        assert got.utilities[live].tobytes() == eq.utilities.tobytes()
+        assert (got.residuals, got.iterations) == (eq.residuals, eq.iterations)
+        assert out.flagged_agents == (dead,)
+
+
+@pytest.mark.parametrize("kind, rho", [("linear", None), ("leontief", None),
+                                       ("ces", 0.5)])
+@pytest.mark.parametrize("case", ["shape", "nan", "negative", "dead-row-nan"])
+def test_malformed_init_spending_raises_where_it_did(kind, rho, case):
+    # a wrong shape raises for every kind; a bad entry in a live agent's row
+    # raises as init_bids for linear markets only, which use it; the row of
+    # an agent reporting nothing is not used, so it is not checked
+    inst = mg.gen_random(3, 2, kind, rho=rho, seed=1)
+    reports = inst.matrix.copy()
+    reports[2] = 0.0
+    init = np.ones((3, 2))
+    if case == "shape":
+        init = np.ones((3, 3))
+    elif case == "nan":
+        init[0, 1] = np.nan
+    elif case == "negative":
+        init[1, 0] = -1.0
+    else:
+        init[2, 0] = np.nan
+    if case == "shape":
+        expect = pytest.raises(ValueError, match="init_spending")
+    elif kind == "linear" and case != "dead-row-nan":
+        expect = pytest.raises(ValueError, match="init_bids")
+    else:
+        expect = contextlib.nullcontext()
+    with expect:
+        mg.fisher_outcome(inst, reports, init_spending=init)
+    with expect:
+        mg.fisher_ne_falsify(inst, reports, trials=2, init_spending=init)
+
+
+def test_solve_eg_many_checks_inits_before_solving(monkeypatch):
+    # a linear market's init_bids is checked as solve_eg checks it, before
+    # any market is solved; a Leontief market ignores its own
+    linear = mg.make_instance("linear", [[1.0, 0.5], [0.5, 1.0]])
+    leontief = mg.gen_random(2, 2, "leontief", seed=0)
+    eqs = mg.solve_eg_many([leontief, linear], inits=[[[np.nan] * 2] * 2, None])
+    assert eqs[0].allocation.tobytes() == mg.solve_eg(leontief).allocation.tobytes()
+    with pytest.raises(ValueError):
+        mg.solve_eg_many([leontief, linear], inits=[None])
+    solved = []
+
+    def leontief_stack(stack, *args):
+        solved.append(stack)
+        return []
+
+    monkeypatch.setattr(eq_solvers, "_solve_leontief_stack", leontief_stack)
+    with pytest.raises(ValueError, match="init_bids"):
+        mg.solve_eg_many([leontief, linear], inits=[None, [[np.nan, 0.0], [0.0, 1.0]]])
+    assert solved == []
