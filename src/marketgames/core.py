@@ -151,25 +151,6 @@ class Instance:
         return cls.from_dict(json.loads(text))
 
 
-def _sub_market(instance: Instance, live: np.ndarray, matrix: np.ndarray) -> Instance:
-    """The market of ``instance``'s agents ``live`` (a mask) and all its goods,
-    valued by their rows of ``matrix``, n x m, checked finite and
-    non-negative: the Fisher game's reported market.  Each live row has a
-    positive entry, so ``__post_init__`` is not run again; only a market
-    with no live agent, the one check it could fail, raises ValueError."""
-    if not live.any():
-        raise ValueError("need at least one agent and one good")
-    rows, budgets = matrix[live], instance.budgets[live]  # fresh copies
-    rows.setflags(write=False)
-    budgets.setflags(write=False)
-    profile = object.__new__(ValuationProfile)
-    profile.__dict__.update(kind=instance.kind, matrix=rows, rho=instance.valuations.rho)
-    market = object.__new__(Instance)
-    market.__dict__.update(n=rows.shape[0], m=instance.m, budgets=budgets,
-                           valuations=profile)
-    return market
-
-
 _JSON_KINDS = {"int": "an integer", "number": "a finite number", "str": "a string",
                "vector": "a list of finite numbers",
                "matrix": "a list of lists of finite numbers"}

@@ -19,11 +19,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (CES, DEFAULT_TOL, LEONTIEF, LINEAR, Instance,
-                   ValuationProfile, _readonly)
+                   ValuationProfile, _ces_eval, _readonly)
 
 #: Prices below this fraction of the total budget are reported as zero.
 ZERO_PRICE_FRACTION = 1e-9
@@ -34,7 +35,7 @@ MAX_NEWTON_STEPS = 100
 #: Duality gap, over the total budget, below which the linear polish runs.
 POLISH_GAP = 1e-2
 
-#: Most entries in one K x n x m array of a stacked solve (``solve_eg_many``).
+#: Most entries in one K x n x m array of a stacked solve (``_solve_profiles``).
 STACK_ENTRIES = 2 ** 14
 
 #: An agent's budget or a good's price, relative to itself, that the tie flow
@@ -88,6 +89,31 @@ class MarketEquilibrium:
     iterations: int
     converged: bool
     dropped_goods: tuple[int, ...] = ()
+
+
+class _Solved(NamedTuple):
+    """The results of a stack of P markets over n agents and m goods, member
+    by member: P x n x m allocations and P x n reported utilities (zero for
+    an agent outside the market), P x m prices, P x 4 residuals in
+    ``Residuals`` field order, Newton steps, and whether each converged:
+    passed its verifier with every utility finite."""
+
+    allocations: np.ndarray
+    prices: np.ndarray
+    utilities: np.ndarray
+    residuals: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+
+
+def _member(solved: _Solved, k: int, matrix) -> MarketEquilibrium:
+    """Member k of a stack's results as one market's equilibrium; its goods
+    that no row of ``matrix`` values are the dropped ones."""
+    dropped = tuple(int(j) for j in np.nonzero(~(matrix > 0).any(axis=0))[0])
+    return MarketEquilibrium(_readonly(solved.allocations[k]), _readonly(solved.prices[k]),
+                             _readonly(solved.utilities[k]),
+                             Residuals(*solved.residuals[k].tolist()),
+                             int(solved.iterations[k]), bool(solved.converged[k]), dropped)
 
 
 @dataclass(frozen=True)
@@ -214,6 +240,13 @@ def _drop_undemanded(v: np.ndarray):
     return kept, dropped
 
 
+def _kept_columns(v, kept):
+    """The goods ``kept`` of a stack of valuations, each member laid out
+    column by column as ``matrix[:, kept]`` is: the solves' rounding depends
+    on the layout of their arrays, not only on their values."""
+    return np.ascontiguousarray(v.transpose(0, 2, 1)[:, kept]).transpose(0, 2, 1)
+
+
 def _embed(m: int, kept, x, p):
     """Put the kept goods' allocations and prices back among all m goods:
     n x m and length m for one market, K x n x m and K x m for a stack."""
@@ -224,11 +257,10 @@ def _embed(m: int, kept, x, p):
     return x_full, p_full
 
 
-def _equilibrium(x, p, u, residuals, iterations, passed, dropped):
-    """A solver's result: converged if it passed and every utility is finite."""
-    return MarketEquilibrium(_readonly(x), _readonly(p), _readonly(u), residuals,
-                             iterations, passed and bool(np.isfinite(u).all()),
-                             dropped)
+def _solved(x, p, u, residuals, iterations, passed):
+    """A stack's ``_Solved``: a member converged if it passed and every
+    utility is finite."""
+    return _Solved(x, p, u, residuals, iterations, passed & np.isfinite(u).all(axis=1))
 
 
 def _rowdot(a, b):
@@ -337,14 +369,6 @@ def _safeguarded_steps(point, direction, max_step, merit, merit0, slope, centre,
         alpha = np.where(live, 0.5 * alpha, alpha)
         live &= alpha >= 1e-12
     return new, moved
-
-
-def _stack(instances, kept):
-    """The valuations of same-shape markets, all goods and the kept ones,
-    and their budgets."""
-    return (np.stack([inst.matrix for inst in instances]),
-            np.stack([inst.matrix[:, kept] for inst in instances]),
-            np.stack([inst.budgets for inst in instances]))
 
 
 def _tie_split(p, x, s, edge):
@@ -707,16 +731,17 @@ def _linear_structure_polish(v, budgets, prices, starts, theta, tried):
     for k, span in enumerate(_spans(kk, L)):
         label[k], q[k] = _spanning_potentials(size, agents[span], goods[span],
                                               weights[span])
-    comp = np.unique(label + size * np.arange(L)[:, None], return_inverse=True)[1]
-    comp = comp.reshape(L, size)
+    # a component's id is its root's label, offset by the member's
+    comp = label + size * np.arange(L)[:, None]
     consistent = np.abs(log_v - q[kk, ii] + q[kk, n + jj]) <= 1e-8
     kk, ii, jj = kk[consistent], ii[consistent], jj[consistent]
 
-    n_comp = int(comp.max()) + 1
     agent_comp, good_comp = comp[:, :n], comp[:, n:]
     p_hat = np.exp(-q[:, n:])
-    p_hat *= (np.bincount(agent_comp.ravel(), budgets.ravel(), n_comp)
-              / np.bincount(good_comp.ravel(), p_hat.ravel(), n_comp))[good_comp]
+    # every component holds an agent and a good; an id that is no root's
+    # counts nothing and is not read
+    p_hat *= (np.bincount(agent_comp.ravel(), budgets.ravel(), L * size)[good_comp]
+              / np.bincount(good_comp.ravel(), p_hat.ravel(), L * size)[good_comp])
 
     # every agent spends on its kept edges, so they must be its best buys
     bpb_hat = np.where(v > 0, v / p_hat[:, None, :], 0.0)
@@ -754,16 +779,17 @@ def _linear_structure_polish(v, budgets, prices, starts, theta, tried):
     return live[ks[hit]], spend[hit] / p_hat[hit, None, :], p_hat[hit]
 
 
-def _solve_linear_stack(instances, tol, max_iter, inits):
-    """``solve_linear_eg`` of same-shape markets with the same demanded
-    goods, their interior points advanced in one loop; ``inits`` holds each
-    member's ``init_bids`` (a checked n x m matrix) or None.  Every check of
-    a candidate is one ``_kkt_linear_many`` call over the members that have
-    one."""
-    kept, dropped = _drop_undemanded(instances[0].matrix)
-    v_full, v, budgets = _stack(instances, kept)
+def _solve_linear_stack(v_full, budgets, tol, max_iter, inits):
+    """``solve_linear_eg`` of a stack of markets with the same demanded
+    goods, their interior points advanced in one loop: K x n x m valuations
+    and K x n budgets, both C-contiguous; ``inits`` holds each member's
+    ``init_bids`` (a checked n x m matrix) or None.  Every check of a
+    candidate is one ``_kkt_linear_many`` call over the members that have
+    one.  Returns ``_Solved``."""
+    kept = _drop_undemanded(v_full[0])[0]
+    v = _kept_columns(v_full, kept)
     K, n, m = v_full.shape
-    tried = [set() for _ in instances]
+    tried = [set() for _ in range(K)]
     # each member's result so far: allocation, prices, residuals, passed
     x_out, p_out, res_out = np.zeros((K, n, m)), np.zeros((K, m)), np.zeros((K, 4))
     passed = np.zeros(K, dtype=bool)
@@ -803,10 +829,7 @@ def _solve_linear_stack(instances, tol, max_iter, inits):
         broke = rest[~ok & ~np.isnan(last_theta[rest])]
         if broke.size:
             polish(broke, last_p[broke], last_x[broke], last_theta[broke])
-    utilities = (v_full * x_out).sum(axis=2)
-    return [_equilibrium(x_out[k], p_out[k], utilities[k], Residuals(*res), int(steps[k]),
-                         ok, dropped)
-            for k, (res, ok) in enumerate(zip(res_out.tolist(), passed.tolist()))]
+    return _solved(x_out, p_out, (v_full * x_out).sum(axis=2), res_out, steps, passed)
 
 
 def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
@@ -827,22 +850,22 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
     iterate's spending x_ij p_j, found by one m x m Cholesky solve; where
     that has a negative entry, a max flow over the ties that carries the
     budgets to the prices instead, if one exists.  This is a stack of one
-    in the loop ``solve_eg_many`` runs.
+    in the loop ``_solve_profiles`` runs.
     """
     if instance.kind != LINEAR:
         raise ValueError("solve_linear_eg requires linear valuations")
-    return _solve_linear_stack([instance], tol, max_iter,
-                               [_checked_init_bids(instance, init_bids)])[0]
+    init = _checked_init_bids(init_bids, (instance.n, instance.m))
+    return _member(_solve_linear_stack(instance.matrix[None], instance.budgets[None], tol,
+                                       max_iter, [init]), 0, instance.matrix)
 
 
-def _checked_init_bids(instance: Instance, init_bids):
+def _checked_init_bids(init_bids, shape):
     """``init_bids`` as a float matrix, or None; ValueError unless it is a
-    finite, non-negative n x m matrix."""
+    finite, non-negative matrix of ``shape`` (n x m)."""
     if init_bids is None:
         return None
     init = np.asarray(init_bids, dtype=float)
-    if init.shape != (instance.n, instance.m) or not (
-            np.isfinite(init) & (init >= 0)).all():
+    if init.shape != shape or not (np.isfinite(init) & (init >= 0)).all():
         raise ValueError("init_bids must be a finite, non-negative n x m matrix")
     return init
 
@@ -851,16 +874,17 @@ def _checked_init_bids(instance: Instance, init_bids):
 # Leontief solver: interior point on the price-space dual
 
 
-def _solve_leontief_stack(instances, tol, max_iter):
-    """``solve_leontief_dual`` of same-shape markets with the same demanded
-    goods, their interior points advanced in one loop.  A member leaves the
-    stack only at the top of an iteration: once verified, after ``max_iter``
-    steps, or after an iteration without a step (no descent, or a Newton
-    matrix Cholesky rejects).  The members worth checking at an iteration,
-    and all of them at the end, are verified by one ``_kkt_leontief_many``
-    call."""
-    kept, dropped = _drop_undemanded(instances[0].matrix)
-    v_full, v_all, budgets = _stack(instances, kept)
+def _solve_leontief_stack(v_full, budgets, tol, max_iter):
+    """``solve_leontief_dual`` of a stack of markets with the same demanded
+    goods, shaped as for ``_solve_linear_stack``, their interior points
+    advanced in one loop.  A member leaves the stack only at the top of an
+    iteration: once verified, after ``max_iter`` steps, or after an
+    iteration without a step (no descent, or a Newton matrix Cholesky
+    rejects).  The members worth checking at an iteration, and all of them
+    at the end, are verified by one ``_kkt_leontief_many`` call.  Returns
+    ``_Solved``."""
+    kept = _drop_undemanded(v_full[0])[0]
+    v_all = _kept_columns(v_full, kept)
     K, n, m = v_all.shape
     total = budgets.sum(axis=1)
     b = budgets / total[:, None]
@@ -927,9 +951,7 @@ def _solve_leontief_stack(instances, tol, max_iter):
     x_full, p_full = _embed(v_full.shape[2], kept, last_u[:, :, None] * v_all,
                             last_cut * total[:, None])
     res, passed = _kkt_leontief_many(v_full, budgets, x_full, p_full, tol)
-    return [_equilibrium(x_full[k], p_full[k], last_u[k], Residuals(*r), int(steps[k]),
-                         ok, dropped)
-            for k, (r, ok) in enumerate(zip(res.tolist(), passed.tolist()))]
+    return _solved(x_full, p_full, last_u, res, steps, passed)
 
 
 def solve_leontief_dual(instance: Instance, tol: float = DEFAULT_TOL,
@@ -948,11 +970,12 @@ def solve_leontief_dual(instance: Instance, tol: float = DEFAULT_TOL,
     min(1e-10, tol / 100), raised to the rounding of the total budget's
     spending (64 machine epsilons of it, since the budget residual is in
     money) but never above tol.  Converged means it passes at ``tol``.
-    This is a stack of one in the loop ``solve_eg_many`` runs.
+    This is a stack of one in the loop ``_solve_profiles`` runs.
     """
     if instance.kind != LEONTIEF:
         raise ValueError("solve_leontief_dual requires Leontief valuations")
-    return _solve_leontief_stack([instance], tol, max_iter)[0]
+    return _member(_solve_leontief_stack(instance.matrix[None], instance.budgets[None], tol,
+                                         max_iter), 0, instance.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -979,10 +1002,31 @@ def solve_ces_eg(instance: Instance, tol: float = DEFAULT_TOL,
         linear = Instance(instance.n, instance.m, instance.budgets,
                           ValuationProfile(LINEAR, instance.matrix))
         return solve_linear_eg(linear, tol, max_iter)
-    kept, dropped = _drop_undemanded(instance.matrix)
-    v = instance.matrix[:, kept]
-    total = instance.total_budget
-    b = instance.budgets / total
+    return _member(_solve_ces_stack(instance.matrix[None], instance.budgets[None], rho, tol,
+                                    max_iter), 0, instance.matrix)
+
+
+def _solve_ces_stack(v_full, budgets, rho, tol, max_iter):
+    """``solve_ces_eg`` of each market of a stack at rho < 1, shaped as for
+    ``_solve_linear_stack``, one at a time.  Returns ``_Solved``."""
+    K, n, m = v_full.shape
+    x_out, p_out, u_out = np.zeros((K, n, m)), np.zeros((K, m)), np.zeros((K, n))
+    res_out, steps, passed = np.zeros((K, 4)), np.zeros(K, dtype=int), np.zeros(K, dtype=bool)
+    for k in range(K):
+        x_out[k], p_out[k], res_out[k], steps[k], passed[k] = _ces_newton(
+            v_full[k], budgets[k], rho, tol, max_iter)
+        u_out[k] = _ces_eval(v_full[k], x_out[k], rho)
+    return _solved(x_out, p_out, u_out, res_out, steps, passed)
+
+
+def _ces_newton(v_full, budgets, rho, tol, max_iter):
+    """The damped Newton solve of one CES market at rho < 1: its allocation,
+    prices, residuals in ``Residuals`` field order, steps, and whether the
+    goods clear to tol."""
+    kept = _drop_undemanded(v_full)[0]
+    v = v_full[:, kept]
+    total = float(budgets.sum())
+    b = budgets / total
     sigma = 1.0 / (1.0 - rho)
     with np.errstate(divide="ignore"):
         log_w = sigma * np.log(v)
@@ -1019,13 +1063,10 @@ def solve_ces_eg(instance: Instance, tol: float = DEFAULT_TOL,
         if t < 1e-12:
             break
         p, q, f = cand, q_new, f_new
-    x_full, p_full = _embed(instance.m, kept, b[:, None] * q / p, p * total)
-    budget, clearing, comp = map(float, _market_residuals(instance.budgets, x_full,
-                                                          p_full, tol))
+    x_full, p_full = _embed(v_full.shape[1], kept, b[:, None] * q / p, p * total)
+    budget, clearing, comp = _market_residuals(budgets, x_full, p_full, tol)
     # stationarity is exact: each bundle is the agent's CES demand at p
-    return _equilibrium(x_full, p_full, instance.utilities(x_full),
-                        Residuals(0.0, comp, budget, clearing), it,
-                        bool(np.abs(g).max() <= tol), dropped)
+    return x_full, p_full, (0.0, comp, budget, clearing), it, np.abs(g).max() <= tol
 
 
 def solve_eg(instance: Instance, tol: float = DEFAULT_TOL,
@@ -1045,51 +1086,92 @@ def solve_eg(instance: Instance, tol: float = DEFAULT_TOL,
     return solve_ces_eg(instance, tol, max_iter)
 
 
+def _solve_profiles(kind, v, budgets, live, tol: float = DEFAULT_TOL,
+                    max_iter: int = MAX_NEWTON_STEPS, inits=None, rho=None) -> _Solved:
+    """``solve_eg`` of the markets of P report profiles of one valuation
+    kind (``rho`` for CES), given as arrays: P x n x m valuations ``v``,
+    budgets of length n or P x n, and the P x n mask ``live`` of each
+    market's agents, of whom every market needs one (else ValueError).  An
+    agent outside a market gets nothing and its row is not read.  ``inits``,
+    if given, holds each market's checked n x m ``init_bids`` or None;
+    linear markets read its live rows, the other kinds ignore it.  Returns
+    the members' results as one ``_Solved`` and builds no result object
+    per market.
+
+    Linear and Leontief markets with the same live agents and demanded
+    goods share one interior-point loop, in stacks of at most STACK_ENTRIES
+    entries per K x n x m array.  Each stack is gathered C-contiguous and
+    its kept goods laid out by ``_kept_columns``, whatever the layout of
+    ``v``, since the rounding of a solve depends on the layout of its
+    arrays; each member takes its own Newton steps and leaves the stack
+    when it stops.  The linear members that reach the polish at the same
+    iteration are polished in one pass, and the candidates of a pass, like
+    every stack's final points, are verified in one ``_kkt_linear_many`` or
+    ``_kkt_leontief_many`` call, the code of ``verify_kkt_linear`` and
+    ``verify_kkt_leontief``, which checks each member as it checks that
+    market alone.  So a member's result is the one ``solve_eg`` gives,
+    whatever its stack.  CES markets are solved one at a time.
+    """
+    if not live.any(axis=1).all():
+        raise ValueError("need at least one agent and one good")
+    if kind == CES and rho == 1.0:  # as solve_ces_eg, without init_bids
+        kind, inits = LINEAR, None
+    P, n, m = v.shape
+    budgets = np.broadcast_to(budgets, (P, n))
+    demanded = ((v > 0) & live[:, :, None]).any(axis=1)
+    groups: dict = {}
+    for k, key in enumerate(np.concatenate((live, demanded), axis=1)):
+        groups.setdefault(key.tobytes(), []).append(k)
+    out = _Solved(np.zeros((P, n, m)), np.zeros((P, m)), np.zeros((P, n)), np.zeros((P, 4)),
+                  np.zeros(P, dtype=int), np.zeros(P, dtype=bool))
+    for members in groups.values():
+        rows = np.nonzero(live[members[0]])[0]
+        size = max(1, STACK_ENTRIES // (rows.size * int(demanded[members[0]].sum())))
+        for start in range(0, len(members), size):
+            chunk = np.array(members[start:start + size])
+            at = chunk[:, None], rows
+            stack = np.ascontiguousarray(v[at]), np.ascontiguousarray(budgets[at])
+            if kind == LINEAR:
+                solved = _solve_linear_stack(*stack, tol, max_iter, [
+                    None if inits is None or inits[k] is None else inits[k][rows]
+                    for k in chunk])
+            elif kind == LEONTIEF:
+                solved = _solve_leontief_stack(*stack, tol, max_iter)
+            else:
+                solved = _solve_ces_stack(*stack, rho, tol, max_iter)
+            # per agent for allocations and utilities, per member for the rest
+            for whole, part, where in zip(out, solved, (at, chunk, at, chunk, chunk, chunk)):
+                whole[where] = part
+    return out
+
+
 def solve_eg_many(instances, tol: float = DEFAULT_TOL,
                   max_iter: int = MAX_NEWTON_STEPS, inits=None) -> list[MarketEquilibrium]:
-    """``solve_eg`` of each market, in order; the Fisher game solves its
-    reported markets through it.
+    """``solve_eg`` of each market, in order, a member's result the one
+    ``solve_eg`` gives.
 
     ``inits``, if given, holds each market's ``init_bids`` (or None), in the
     meaning ``solve_eg`` gives it: a linear market's is checked, raising
     ValueError before anything is solved, and selects among its tied
-    equilibria; the other kinds ignore theirs.
-
-    Linear and Leontief markets of one kind, agent count and set of demanded
-    goods share one interior-point loop, in stacks of at most STACK_ENTRIES
-    entries per K x n x m array; each member takes its own Newton steps and
-    leaves the stack when it stops.  The linear members that reach the
-    polish at the same iteration are polished in one pass, and the
-    candidates of a pass, like every stack's final points, are verified in
-    one ``_kkt_linear_many`` or ``_kkt_leontief_many`` call, the code of
-    ``verify_kkt_linear`` and ``verify_kkt_leontief``, which checks each
-    member as it checks that market alone.  So a member's result is the one
-    ``solve_eg`` gives.  CES markets are solved one at a time.
+    equilibria; the other kinds ignore theirs.  The markets of one kind,
+    shape (and rho) are stacked and solved by one ``_solve_profiles`` call,
+    the array entry the Fisher game solves its reported markets through.
     """
     if inits is None:
         inits = [None] * len(instances)
-    inits = [_checked_init_bids(inst, init) if inst.kind == LINEAR else None
+    inits = [_checked_init_bids(init, (inst.n, inst.m)) if inst.kind == LINEAR else None
              for inst, init in zip(instances, inits, strict=True)]
-    out = [None] * len(instances)
     groups: dict = {}
     for i, inst in enumerate(instances):
-        if inst.kind == CES:
-            out[i] = solve_ces_eg(inst, tol, max_iter)
-            continue
-        kept = _drop_undemanded(inst.matrix)[0]
-        key = (inst.kind, inst.n, inst.m, kept.tobytes())
-        groups.setdefault(key, (kept.size, []))[1].append(i)
-    for (kind, n, _, _), (m_kept, members) in groups.items():
-        size = max(1, STACK_ENTRIES // (n * m_kept))
-        for start in range(0, len(members), size):
-            chunk = members[start:start + size]
-            stack = [instances[i] for i in chunk]
-            if kind == LINEAR:
-                eqs = _solve_linear_stack(stack, tol, max_iter, [inits[i] for i in chunk])
-            else:
-                eqs = _solve_leontief_stack(stack, tol, max_iter)
-            for i, eq in zip(chunk, eqs):
-                out[i] = eq
+        groups.setdefault((inst.kind, inst.valuations.rho, inst.n, inst.m), []).append(i)
+    out = [None] * len(instances)
+    for (kind, rho, n, _), members in groups.items():
+        solved = _solve_profiles(kind, np.stack([instances[i].matrix for i in members]),
+                                 np.stack([instances[i].budgets for i in members]),
+                                 np.ones((len(members), n), dtype=bool), tol, max_iter,
+                                 [inits[i] for i in members], rho)
+        for k, i in enumerate(members):
+            out[i] = _member(solved, k, instances[i].matrix)
     return out
 
 

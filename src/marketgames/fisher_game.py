@@ -6,9 +6,12 @@ allocation through their true valuations.  Includes the uniform-report
 Leontief equilibrium, the linear lower-bound construction, and a
 sampling-based equilibrium falsifier (evidence, not proof).
 
-Reports are checked once, where they enter; every reported market is then
-built from the checked instance and rows without checking them again, and
-the markets of a call are solved together by one ``solve_eg_many``.
+Reports are checked once, where they enter.  The reported markets are then
+solved straight from the report arrays, without an ``Instance`` or a result
+object per market: ``fisher_outcome`` solves its one market as a stack of
+one, and ``fisher_ne_falsify`` all its distinct deviation markets in one
+call of ``eq_solvers._solve_profiles``, the array entry ``solve_eg_many``
+wraps.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (LEONTIEF, LINEAR, DEFAULT_TOL, Instance, make_instance, nsw,
-                   _readonly, _sub_market)
-from .eq_solvers import MarketEquilibrium, solve_eg_many
+from .core import LEONTIEF, LINEAR, DEFAULT_TOL, Instance, make_instance, nsw, _readonly
+from .eq_solvers import MarketEquilibrium, _checked_init_bids, _member, _solve_profiles
 
 
 @dataclass(frozen=True)
@@ -52,32 +54,6 @@ def _check_reports(instance: Instance, reports) -> np.ndarray:
     return r
 
 
-def _fisher_outcomes(instance: Instance, profiles, tol: float, init_spending=None):
-    """The mechanism's outcome of each of K checked report profiles.
-
-    Each reported market keeps its live agents (a positive report) and all
-    goods, and is built by ``_sub_market`` from ``instance`` and the checked
-    rows, without checking them again.  All of them are solved by one
-    ``solve_eg_many`` call; ``init_spending``, if given, must be n x m, and
-    its rows for each market's live agents are that market's ``init_bids``.
-    Returns the reported markets' equilibria, the K x n mask of live agents,
-    the K x n x m allocations to all agents and their K x n true utilities,
-    evaluated in one stacked call.
-    """
-    lives = (np.stack(profiles) > 0).any(axis=2)
-    markets = [_sub_market(instance, live, r) for r, live in zip(profiles, lives)]
-    inits = None
-    if init_spending is not None:
-        init = np.asarray(init_spending, float)
-        if init.shape != (instance.n, instance.m):
-            raise ValueError("init_spending must be an n x m matrix")
-        inits = [init[live] for live in lives]
-    eqs = solve_eg_many(markets, tol, inits=inits)
-    allocations = np.zeros(lives.shape + (instance.m,))
-    allocations[lives] = np.concatenate([eq.allocation for eq in eqs])
-    return eqs, lives, allocations, instance.utilities(allocations)
-
-
 def fisher_outcome(instance: Instance, reports, tol: float = DEFAULT_TOL,
                    init_spending=None) -> GameOutcome:
     """Run the mechanism: solve the reported market, evaluate true utilities.
@@ -86,17 +62,26 @@ def fisher_outcome(instance: Instance, reports, tol: float = DEFAULT_TOL,
     is zero and they stay unallocated); agents whose whole report is zero
     receive nothing and are flagged.  The reported market is solved within
     the default Newton-step cap; ``init_spending`` is its ``init_bids``,
-    which selects among tied linear equilibria.  Reports that are negative
-    or not finite raise ValueError.
+    which selects among tied linear equilibria: it must be n x m, and a
+    linear market checks its rows for the live agents as ``init_bids``.
+    Reports that are negative or not finite raise ValueError.  The market
+    is solved from the report array as a stack of one.
     """
     r = _check_reports(instance, reports)
-    (eq,), (live,), (allocation,), (true_u,) = _fisher_outcomes(instance, [r], tol,
-                                                                init_spending)
-    rep_utilities = np.zeros(instance.n)
-    rep_utilities[live] = eq.utilities
-    full_eq = MarketEquilibrium(_readonly(allocation), eq.prices, _readonly(rep_utilities),
-                                eq.residuals, eq.iterations, eq.converged, eq.dropped_goods)
-    return GameOutcome(full_eq, _readonly(true_u), nsw(true_u, instance.budgets),
+    live = (r > 0).any(axis=1)
+    inits = None
+    if init_spending is not None:
+        init = np.asarray(init_spending, float)
+        if init.shape != (instance.n, instance.m):
+            raise ValueError("init_spending must be an n x m matrix")
+        if instance.kind == LINEAR:
+            _checked_init_bids(init[live], (int(live.sum()), instance.m))
+        inits = [init]
+    solved = _solve_profiles(instance.kind, r[None], instance.budgets, live[None], tol,
+                             inits=inits, rho=instance.valuations.rho)
+    eq = _member(solved, 0, r)
+    true_u = instance.utilities(eq.allocation)
+    return GameOutcome(eq, _readonly(true_u), nsw(true_u, instance.budgets),
                        tuple(int(i) for i in np.nonzero(~live)[0]))
 
 
@@ -244,16 +229,19 @@ def fisher_ne_falsify(instance: Instance, reports, trials: int = 100,
     spend-shift deviations of the lower-bound analysis expressed in report
     space), and seeded random deviations (log-uniform coordinate rescalings
     in [1e-3, 1e3] and sparsified reports), drawn agent by agent.  A max
-    gain at or below tolerance is evidence of equilibrium, not proof.  Every
-    agent's deviation markets are solved in one ``_fisher_outcomes`` call
-    (one ``solve_eg_many``).  Scaling one agent's whole report by c > 0
-    shifts the Eisenberg-Gale objective by B_i log c and leaves its
-    allocations alone, so deviation profiles are keyed by their rows divided
-    by their max, and each key's first profile, as drawn, is solved for all
-    of them (every structured rescaling by an agent with one positive report
-    is the profile it already plays).  A deviation whose solve did not converge, or raised
-    (then every deviation), or whose rescaled report overflowed, is counted
-    in ``failures`` and its gain left out.
+    gain at or below tolerance is evidence of equilibrium, not proof.
+    Scaling one agent's whole report by c > 0 shifts the Eisenberg-Gale
+    objective by B_i log c and leaves its allocations alone, so a deviation
+    is keyed by its agent and its row divided by the row's max, and only
+    that row is kept; a row that rescales the agent's base report keys the
+    base profile, whichever agent draws it (every structured rescaling by
+    an agent with one positive report is the profile it already plays).
+    Each key's first deviation, as drawn, is solved for all of them, and
+    every key's market in one ``_solve_profiles`` call, built from the base
+    profile and the deviating row; the base outcome is its own
+    ``fisher_outcome`` solve.  A deviation whose solve did not converge, or
+    raised (then every deviation), or whose rescaled report overflowed, is
+    counted in ``failures`` and its gain left out.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -269,14 +257,17 @@ def fisher_ne_falsify(instance: Instance, reports, trials: int = 100,
             if not np.isfinite(d).all():
                 solved[i, t] = -1
                 continue
-            key = base_key.copy()
-            key[i] = _row_scaled(d)
-            profile = base_reports.copy()
-            profile[i] = d
-            solved[i, t] = batch.setdefault(key.tobytes(), (len(batch), profile))[0]
+            key = _row_scaled(d).tobytes()
+            key = None if key == base_key[i].tobytes() else (i, key)
+            solved[i, t] = batch.setdefault(key, (len(batch), i, d))[0]
+    _, agents, rows = zip(*batch.values())
+    profiles = np.repeat(base_reports[None], len(batch), axis=0)
+    profiles[np.arange(len(batch)), agents] = rows
     try:
-        eqs, _, _, true_u = _fisher_outcomes(instance, [p for _, p in batch.values()], tol)
-        converged = np.array([eq.converged for eq in eqs] + [False])
+        out = _solve_profiles(instance.kind, profiles, instance.budgets,
+                              (profiles > 0).any(axis=2), tol, rho=instance.valuations.rho)
+        true_u = instance.utilities(out.allocations)
+        converged = np.append(out.converged, False)
     except (ValueError, FloatingPointError):
         true_u, converged = np.zeros((len(batch), instance.n)), np.zeros(len(batch) + 1, bool)
     ok = converged[solved]  # solved == -1 reads the appended False

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import marketgames as mg
-from marketgames import cli, fisher_game, instance_lab
+from marketgames import cli, eq_solvers, fisher_game, instance_lab
 from marketgames.cli import main
 
 NAN = float("nan")
@@ -146,11 +146,11 @@ def test_tp_dynamics_exits_1_when_unconverged(tmp_path, capsys):
 
 def test_fisher_outcome_exits_1_when_unconverged(ex31_file, tmp_path, monkeypatch,
                                                  capsys):
-    def unconverged(instances, tol, **kwargs):
-        return [dataclasses.replace(eq, converged=False)
-                for eq in mg.solve_eg_many(instances, tol)]
+    def unconverged(*args, **kwargs):
+        solved = eq_solvers._solve_profiles(*args, **kwargs)
+        return solved._replace(converged=solved.converged & False)
 
-    monkeypatch.setattr(fisher_game, "solve_eg_many", unconverged)
+    monkeypatch.setattr(fisher_game, "_solve_profiles", unconverged)
     reports = tmp_path / "reports.json"
     reports.write_text(json.dumps({"reports": [[1.0, 0.0], [0.5, 0.5]]}))
     assert main(["fisher-outcome", ex31_file, "--reports", str(reports)]) == 1

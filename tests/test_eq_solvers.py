@@ -827,6 +827,34 @@ def test_stacked_solves_match_single_solves(markets):
             assert np.abs(eq.prices - alone.prices).max() <= 1e-12
 
 
+@given(same_shape_stacks(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_profile_solve_depends_on_neither_its_stack_nor_its_layout(markets, data):
+    # the markets, shuffled, with agents outside them (valuing everything)
+    # among their rows, handed to the array entry as a strided view: each
+    # member is solve_eg of its market, byte for byte
+    (n, m), size = markets[0].matrix.shape, len(markets)
+    total = n + data.draw(st.integers(0, 2))
+    rows = sorted(data.draw(st.lists(st.integers(0, total - 1), min_size=n, max_size=n,
+                                     unique=True)))
+    v, budgets = np.ones((size, total, m)), np.ones((size, total))
+    v[:, rows] = [inst.matrix for inst in markets]
+    budgets[:, rows] = [inst.budgets for inst in markets]
+    order = np.array(data.draw(st.permutations(range(size))))
+    live = np.zeros((size, total), dtype=bool)
+    live[:, rows] = True
+    everyone = np.arange(total)
+    solved = eq_solvers._solve_profiles(markets[0].kind, v[order][:, everyone],
+                                        budgets[order][:, everyone], live)
+    for k, inst in enumerate(markets[i] for i in order):
+        alone = mg.solve_eg(inst)
+        assert solved.allocations[k][rows].tobytes() == alone.allocation.tobytes()
+        assert not np.delete(solved.allocations[k], rows, axis=0).any()
+        assert solved.prices[k].tobytes() == alone.prices.tobytes()
+        assert (solved.iterations[k], solved.converged[k]) == (alone.iterations,
+                                                               alone.converged)
+
+
 @pytest.mark.parametrize("kind, failure", [
     pytest.param("linear", "factor", id="linear"),
     pytest.param("leontief", "factor", id="leontief"),

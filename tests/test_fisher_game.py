@@ -175,34 +175,47 @@ def test_a_rescaled_report_is_the_same_market(kind, rho, c):
     assert np.abs(out.equilibrium.allocation - base.equilibrium.allocation).max() <= 1e-9
 
 
-def test_falsifier_solves_each_rescaled_market_once(monkeypatch):
-    # every deviation solved alone by fisher_outcome against the falsifier,
-    # which solves one market per rescaling class
-    inst, reports, spends = mg.lb_construction(14)
+@pytest.mark.parametrize("case", ["lb-n14", "identity-leontief-n5", "ces-rho0.5"])
+def test_falsifier_solves_each_rescaled_market_once(case, monkeypatch):
+    # every deviation's rescaling class solved alone by fisher_outcome
+    # against the falsifier, which solves each class's market once in one
+    # stack: the same failures and, bit for bit, the same gains
+    if case == "lb-n14":
+        inst, reports, spends = mg.lb_construction(14)
+    elif case == "identity-leontief-n5":
+        inst, spends = mg.gen_identity_leontief(5), None
+        reports, _ = mg.uniform_leontief_ne(inst)
+    else:
+        inst, spends = mg.gen_random(5, 4, "ces", rho=0.5, seed=0), None
+        reports = inst.matrix
     trials, seed = 16, 0
     base = mg.fisher_outcome(inst, reports, init_spending=spends)
-    gains, failures = np.zeros(inst.n), 0
+    gains, failures, classes = np.zeros(inst.n), 0, {}
     devs = fisher_game._deviations(inst, reports, trials, seed)
     for i, rows in enumerate(devs):
         for d in rows:
             profile = reports.copy()
             profile[i] = d
-            out = mg.fisher_outcome(inst, profile)
+            # a rescaling class is solved from its first profile, as drawn
+            key = fisher_game._row_scaled(profile).tobytes()
+            if key not in classes:
+                classes[key] = mg.fisher_outcome(inst, profile)
+            out = classes[key]
             if out.equilibrium.converged:
                 gains[i] = max(gains[i], out.true_utilities[i] - base.true_utilities[i])
             else:
                 failures += 1
-    real, solved = fisher_game.solve_eg_many, []
+    real, solved = fisher_game._solve_profiles, []
 
-    def counting(instances, *args, **kwargs):
-        solved.extend(instances)
-        return real(instances, *args, **kwargs)
+    def counting(kind, profiles, *args, **kwargs):
+        solved.extend(profiles)
+        return real(kind, profiles, *args, **kwargs)
 
-    monkeypatch.setattr(fisher_game, "solve_eg_many", counting)
+    monkeypatch.setattr(fisher_game, "_solve_profiles", counting)
     rep = mg.fisher_ne_falsify(inst, reports, trials=trials, seed=seed, init_spending=spends)
-    assert len(solved) < inst.n * trials
+    assert len(solved) == 1 + len(classes)  # the base, then one market per class
     assert rep.failures == failures
-    assert np.abs(rep.gains - gains).max() <= 1e-12
+    assert rep.gains.tobytes() == gains.tobytes()
 
 
 def test_falsifier_structured_on_lb_profile():
@@ -257,19 +270,19 @@ def test_falsifier_counts_unconverged_deviation(monkeypatch):
     # the fifth solve (a deviation of agent 0) comes back unconverged and
     # handing that agent everything: a failure, not a gain, in the falsifier
     # and in the PoA row it certifies
-    real = fisher_game.solve_eg_many
+    real = fisher_game._solve_profiles
     calls = []
 
-    def flaky(instances, *args, **kwargs):
-        eqs = real(instances, *args, **kwargs)
-        for k, (instance, eq) in enumerate(zip(instances, eqs)):
-            calls.append(instance)
+    def flaky(kind, profiles, *args, **kwargs):
+        solved = real(kind, profiles, *args, **kwargs)
+        for k, profile in enumerate(profiles):
+            calls.append(profile)
             if len(calls) == 5:
-                eqs[k] = dataclasses.replace(eq, allocation=np.ones_like(eq.allocation),
-                                             converged=False)
-        return eqs
+                solved.allocations[k] = 1.0
+                solved.converged[k] = False
+        return solved
 
-    monkeypatch.setattr(fisher_game, "solve_eg_many", flaky)
+    monkeypatch.setattr(fisher_game, "_solve_profiles", flaky)
     inst = mg.gen_identity_leontief(3)
     reports, _ = mg.uniform_leontief_ne(inst)  # the first solve
     rep = mg.fisher_ne_falsify(inst, reports, trials=10, seed=0)
@@ -296,18 +309,41 @@ def test_falsifier_counts_an_overflowed_rescaling():
 def test_falsifier_counts_a_batch_whose_solve_raised(monkeypatch):
     # the base outcome is solved alone (init_spending); every deviation batch
     # raises, so each of the n x trials deviations is a failure
-    real = fisher_game.solve_eg_many
+    real = fisher_game._solve_profiles
 
-    def broken(instances, *args, inits=None, **kwargs):
+    def broken(*args, inits=None, **kwargs):
         if inits is not None:  # the base outcome, selected by init_spending
-            return real(instances, *args, inits=inits, **kwargs)
+            return real(*args, inits=inits, **kwargs)
         raise ValueError("degenerate reported market")
 
     inst, reports, spends = mg.lb_construction(8)
-    monkeypatch.setattr(fisher_game, "solve_eg_many", broken)
+    monkeypatch.setattr(fisher_game, "_solve_profiles", broken)
     rep = mg.fisher_ne_falsify(inst, reports, trials=5, init_spending=spends)
     assert rep.failures == inst.n * 5
     assert rep.max_gain == 0.0
+
+
+@pytest.mark.parametrize("case", ["lb-n8", "identity-leontief-n5"])
+def test_falsifier_builds_no_result_object_per_deviation(case, monkeypatch):
+    # the deviation markets come back as stacked arrays: a falsifier call
+    # makes as many MarketEquilibrium objects as its base outcome alone
+    if case == "lb-n8":
+        inst, reports, spends = mg.lb_construction(8)
+    else:
+        inst, spends = mg.gen_identity_leontief(5), None
+        reports, _ = mg.uniform_leontief_ne(inst)
+    made = []
+
+    def counting(self, *args, real=eq_solvers.MarketEquilibrium.__init__, **kwargs):
+        made.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(eq_solvers.MarketEquilibrium, "__init__", counting)
+    mg.fisher_outcome(inst, reports, init_spending=spends)
+    alone = len(made)
+    rep = mg.fisher_ne_falsify(inst, reports, trials=4, init_spending=spends)
+    assert rep.failures == 0
+    assert alone >= 1 and len(made) == 2 * alone
 
 
 def test_reported_markets_are_not_checked_again(monkeypatch):
