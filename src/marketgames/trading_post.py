@@ -19,12 +19,13 @@ bookkeeping, the verifier and the reference oracles stay in numpy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
-from .core import (LEONTIEF, LINEAR, DEFAULT_TOL, Instance,
+from .core import (CES, LEONTIEF, LINEAR, DEFAULT_TOL, Instance,
                    ValuationProfile, eval_valuation_matrix, _ces_eval, _readonly)
 from ._simplex import project_simplex_lb
 
@@ -32,6 +33,8 @@ from ._simplex import project_simplex_lb
 #: collapsing toward the boundary (no-equilibrium escape) in br_dynamics.
 COLLAPSE_STREAK = 8
 COLLAPSE_FLOOR_FRACTION = 1e-7
+
+_UNATTAINED = "supremum not attained: demanded good has no opposing spend"
 
 
 @dataclass(frozen=True)
@@ -129,12 +132,12 @@ def _fractions(bids_row, opp):
 
 
 def _br_inputs(values, budget, opp_spend, delta):
-    """Input checks shared by the best-response oracles.  Values and opposing
+    """Input checks of the public best-response oracles.  Values and opposing
     spends must be finite and non-negative, the budget positive and finite,
-    and delta finite and non-negative.  Returns the values and opposing spend
-    as lists of floats, the demanded goods, and their split into uncontested
-    (monop) and contested (comp) goods, each as an ascending index list.  With
-    an entrance fee delta > 0 the budget must cover delta on every demanded
+    and delta finite and non-negative.  Returns the values as a list of
+    floats, the demanded goods as an ascending index list, and the opposing
+    spend as a list of floats, as _best_response takes them.  With an
+    entrance fee delta > 0 the budget must cover delta on every demanded
     good."""
     v = np.asarray(values, dtype=float)
     d = np.asarray(opp_spend, dtype=float)
@@ -153,11 +156,34 @@ def _br_inputs(values, budget, opp_spend, delta):
         raise ValueError("agent demands no goods")
     if delta > 0 and budget < delta * float(len(demanded)):
         raise ValueError("infeasible floors: budget below delta times demanded goods")
+    return v, demanded, d
+
+
+def _best_response(kind, rho, v, demanded, budget, d, delta):
+    """The one best-response dispatcher, on rows already checked: ``v`` and
+    ``d`` are lists of the agent's values and opposing spends, ``demanded``
+    the ascending goods with v_j > 0, and the budget covers delta on each
+    of them.  The public oracles check their input with _br_inputs first;
+    br_dynamics and verify_tp_ne check the instance and the profile once.
+    Returns (bids as a list, utility, iterations, converged).  At delta = 0
+    a demanded good without opposing spend raises ValueError."""
     monop = [j for j in demanded if d[j] == 0]
     comp = [j for j in demanded if d[j] > 0]
     if delta == 0 and monop:
-        raise ValueError("supremum not attained: demanded good has no opposing spend")
-    return v, d, demanded, monop, comp
+        raise ValueError(_UNATTAINED)
+    if kind == LEONTIEF:
+        return _leontief_response(v, d, monop, comp, budget, delta)
+    if kind == LINEAR or rho == 1.0:
+        return _linear_response(v, d, demanded, monop, comp, budget, delta)
+    return _ces_response(v, d, demanded, monop, comp, budget, delta, rho)
+
+
+def _checked_response(kind, rho, values, budget, opp_spend, delta) -> BRResult:
+    """A public oracle: _br_inputs' checks, then the dispatcher."""
+    v, demanded, d = _br_inputs(values, budget, opp_spend, delta)
+    bids, utility, iters, converged = _best_response(kind, rho, v, demanded, budget, d,
+                                                     delta)
+    return BRResult(_readonly(bids), utility, iters, converged)
 
 
 def _settle(bids, total, floor):
@@ -218,7 +244,11 @@ def br_linear(values, budget: float, opp_spend, delta: float = 0.0) -> BRResult:
     optimum.
     ``iterations`` counts the water-fill solves (1 at delta = 0).
     """
-    v, d, _, monop, comp = _br_inputs(values, budget, opp_spend, delta)
+    return _checked_response(LINEAR, None, values, budget, opp_spend, delta)
+
+
+def _linear_response(v, d, demanded, monop, comp, budget, delta):
+    """br_linear on checked rows, for _best_response."""
     iters = 0
 
     def fill(goods, rest, floor=delta):
@@ -227,18 +257,19 @@ def br_linear(values, budget: float, opp_spend, delta: float = 0.0) -> BRResult:
         return _waterfill([v[j] for j in goods], [d[j] for j in goods], rest, floor)
 
     def payoff(bids):
-        return sum([vj * (bj / (bj + dj)) for vj, dj, bj in zip(v, d, bids) if bj > 0])
+        # positive bids lie on demanded goods only
+        return sum([v[j] * (bids[j] / (bids[j] + d[j])) for j in demanded if bids[j] > 0])
 
     if delta == 0:
         bids = _fee_config(budget, 0.0, len(v), [], comp, fill)
-        return BRResult(_readonly(bids), payoff(bids), iters)
+        return bids, payoff(bids), iters, True
 
     support = comp
     if comp:
         wb = fill(comp, max(budget - delta * float(len(monop)), budget * 1e-12), 0.0)
         support = [j for j, bj in zip(comp, wb) if bj > delta * 0.5]
     bids, utility = _fee_search(budget, delta, len(v), monop, comp, support, fill, payoff)
-    return BRResult(_readonly(bids), utility, iters)
+    return bids, utility, iters, True
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +357,11 @@ def br_leontief(values, budget: float, opp_spend, delta: float = 0.0) -> BRResul
     100 of them did not stop.  Goods the agent does not demand get bid
     zero, never the floor.
     """
-    v, d, _, monop, comp = _br_inputs(values, budget, opp_spend, delta)
+    return _checked_response(LEONTIEF, None, values, budget, opp_spend, delta)
+
+
+def _leontief_response(v, d, monop, comp, budget, delta):
+    """br_leontief on checked rows, for _best_response."""
     # a monopolized good is won whole at any bid: it gets the fee, or an
     # equal share of the budget when no good is contested
     bids = [0.0] * len(v)
@@ -372,7 +407,7 @@ def br_leontief(values, budget: float, opp_spend, delta: float = 0.0) -> BRResul
     # a monopolized good is won whole: its ratio is 1 / v_j
     utility = min([bids[j] / (bids[j] + d[j]) / v[j] for j in comp]
                   + [1.0 / v[j] for j in monop])
-    return BRResult(_readonly(bids), utility, iters, converged)
+    return bids, utility, iters, converged
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +512,11 @@ def br_ces(values, budget: float, opp_spend, rho: float,
     """
     if not (rho <= 1.0 and rho != 0.0):
         raise ValueError("rho must be nonzero and at most 1")
-    if rho == 1.0:
-        return br_linear(values, budget, opp_spend, delta)
-    v, d, demanded, monop, comp = _br_inputs(values, budget, opp_spend, delta)
+    return _checked_response(CES, rho, values, budget, opp_spend, delta)
+
+
+def _ces_response(v, d, demanded, monop, comp, budget, delta, rho):
+    """br_ces on checked rows for rho < 1, for _best_response."""
     log_v = {j: math.log(v[j]) for j in demanded}
     steps, converged = 0, True
 
@@ -523,7 +560,7 @@ def br_ces(values, budget: float, opp_spend, rho: float,
     else:
         bids = _fee_config(budget, delta, len(v), monop, comp, fill)
         utility = payoff(bids)
-    return BRResult(_readonly(bids), utility, steps, converged)
+    return bids, utility, steps, converged
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +642,9 @@ def br_concave_numeric(profile: ValuationProfile, agent: int, budget: float,
     reference for the tests, sharing no search with br_linear, br_leontief
     and br_ces, which the dynamics and the verifier use.
     """
-    _br_inputs(profile.matrix[agent], budget, opp_spend, delta)
+    _, demanded, d = _br_inputs(profile.matrix[agent], budget, opp_spend, delta)
+    if delta == 0 and any([d[j] == 0 for j in demanded]):
+        raise ValueError(_UNATTAINED)
     v, d = profile.matrix[agent], np.asarray(opp_spend, dtype=float)
     demanded = v > 0
     lb = np.where(demanded, delta, 0.0)
@@ -759,35 +798,26 @@ def br_grid_oracle(profile: ValuationProfile, agent: int, budget: float,
 # Dynamics and equilibrium verification
 
 
-def _best_response(instance: Instance, agent: int, opp, delta, values=None) -> BRResult:
-    if values is None:
-        values = instance.matrix[agent]
-    budget = float(instance.budgets[agent])
-    if instance.kind == LINEAR:
-        return br_linear(values, budget, opp, delta)
-    if instance.kind == LEONTIEF:
-        return br_leontief(values, budget, opp, delta)
-    return br_ces(values, budget, opp, instance.valuations.rho, delta)
-
-
-def _monopoly_supremum(instance: Instance, agent: int, opp) -> BRResult:
+def _monopoly_supremum(instance: Instance, agent: int, opp):
     """The delta -> 0 supremum of a best response at delta = 0 when the agent
     alone demands some goods (no opposing spend).  A vanishing bid wins each
     of them whole, so the supremum is the utility of those goods plus the
     attained best response on the contested goods alone with the whole
     budget: linear utility adds over goods, Leontief takes their minimum and
-    CES is monotone in the separable sum of v_j f_j^rho.  The bids are the
-    supremizing bids' limit, zero on the monopolized goods."""
+    CES is monotone in the separable sum of v_j f_j^rho.  Returns that
+    utility and whether the contested goods' best response converged."""
     v = instance.matrix[agent]
     monop = (v > 0) & (opp <= 0)
     fractions = monop.astype(float)
-    if ((v > 0) & ~monop).any():
-        br = _best_response(instance, agent, opp, 0.0, np.where(monop, 0.0, v))
-        fractions += _fractions(br.bids, opp)
-    else:
-        br = BRResult(_readonly(np.zeros_like(v)), 0.0, 0)
+    comp = np.flatnonzero((v > 0) & ~monop).tolist()
+    converged = True
+    if comp:
+        bids, _, _, converged = _best_response(
+            instance.kind, instance.valuations.rho, v.tolist(), comp,
+            float(instance.budgets[agent]), opp.tolist(), 0.0)
+        fractions += _fractions(np.array(bids), opp)
     own = ValuationProfile(instance.kind, v[None, :], instance.valuations.rho)
-    return replace(br, utility=float(eval_valuation_matrix(own, fractions[None, :])[0]))
+    return float(eval_valuation_matrix(own, fractions[None, :])[0]), converged
 
 
 def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
@@ -808,9 +838,14 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
     outcome, not an error.  ``trace``, if given, is called after every
     completed round as ``trace(round, max_change, bids)`` with a read-only
     copy of the bids.
+    The input is checked once; the rounds then run on lists of floats, each
+    agent's opposing spend being the column totals added row by row, as
+    numpy's column sums add them, less its own row.
     """
-    n, m = instance.n, instance.m
+    n = instance.n
     support = instance.matrix > 0
+    if not 0.0 <= delta < math.inf:
+        raise ValueError("delta must be finite and non-negative")
     if delta == 0 and instance.kind == LINEAR and not instance.perfect_competition():
         raise ValueError("delta=0 linear dynamics require perfect competition")
     if delta > 0:
@@ -821,37 +856,51 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
     if init is None:
         b = instance.budgets[:, None] * support / support.sum(axis=1)[:, None]
     else:
-        b = check_bid_profile(init, instance.budgets).copy()
-
-    streak = np.zeros((n, m), dtype=int)
-    collapse_floor = COLLAPSE_FLOOR_FRACTION * instance.budgets[:, None]
+        b = check_bid_profile(init, instance.budgets)
+    kind, rho = instance.kind, instance.valuations.rho
+    values = instance.matrix.tolist()
+    demanded = [np.flatnonzero(row).tolist() for row in support]
+    budgets = instance.budgets.tolist()
+    floors = [COLLAPSE_FLOOR_FRACTION * bi for bi in budgets]
+    # rows are replaced, never written in place, so a shallow copy keeps a round
+    rows, eff = b.tolist(), effective_bids(b, delta).tolist()
+    streak = [[0] * instance.m for _ in range(n)]
     best_change = math.inf
     stall = 0
     note = ""
     max_change = math.inf
     rounds = 0
-    eff = effective_bids(b, delta)
     for rounds in range(1, max_rounds + 1):
-        prev = b.copy()
+        prev = rows.copy()
         for i in range(n):
-            opp = eff.sum(axis=0) - eff[i]
+            total = eff[0]
+            for row in eff[1:]:
+                total = list(map(operator.add, total, row))
+            opp = list(map(operator.sub, total, eff[i]))
             try:
-                br = _best_response(instance, i, opp, delta)
+                bids, _, _, converged = _best_response(kind, rho, values[i], demanded[i],
+                                                       budgets[i], opp, delta)
             except ValueError as exc:
                 note = f"best response broke down for agent {i}: {exc}"
                 break
-            if not br.converged:
+            if not converged:
                 note = f"best response did not converge for agent {i}"
                 break
-            b[i] = eff[i] = br.bids
+            rows[i] = eff[i] = bids
         if note:
             break
-        max_change = float(np.abs(b - prev).max())
-        dec = support & (b < prev) & (b > 0)
-        streak = np.where(dec, streak + 1, 0)
-        collapsing = bool(((streak >= COLLAPSE_STREAK) & (b < collapse_floor)).any())
+        max_change = max([abs(x - y) for row, old in zip(rows, prev)
+                          for x, y in zip(row, old)])
+        # a best response bids on demanded goods only, so every strict
+        # decrease of a positive bid is on one
+        collapsing = False
+        for i, (row, old, floor) in enumerate(zip(rows, prev, floors)):
+            streak[i] = s = [k + 1 if 0.0 < x < y else 0
+                             for k, x, y in zip(streak[i], row, old)]
+            collapsing = collapsing or any([k >= COLLAPSE_STREAK and x < floor
+                                            for k, x in zip(s, row)])
         if trace is not None:
-            trace(rounds, max_change, _readonly(b))
+            trace(rounds, max_change, _readonly(rows))
         if max_change < best_change:
             best_change = max_change
             stall = 0
@@ -859,12 +908,13 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
             stall += 1
         if max_change < tol and not collapsing:
             # at tol = inf, converged means that every best response converged
-            return replace(verify_tp_ne(instance, b, delta, math.inf),
+            return replace(verify_tp_ne(instance, rows, delta, math.inf),
                            rounds=rounds, max_change=max_change)
         if stall >= 50:
             note = "oscillation detected: no new best profile in 50 rounds"
             break
 
+    b = np.array(rows)
     prices, allocation = ne_to_market(b, delta)
     return NEReport(_readonly(b), _readonly(np.full(n, np.nan)), math.nan, False,
                     _readonly(prices), _readonly(allocation),
@@ -882,24 +932,34 @@ def verify_tp_ne(instance: Instance, bids, delta: float = 0.0,
     delta = 0 and an agent monopolizes a demanded good, its best response is
     the unattained supremum, computed exactly by _monopoly_supremum, and
     noted.  With delta > 0 a budget below delta times the agent's demanded
-    goods raises ValueError, as br_dynamics does.
+    goods raises ValueError, as br_dynamics does.  After check_bid_profile,
+    each agent's row goes to the best-response dispatcher as it stands.
     """
     b = check_bid_profile(bids, instance.budgets)
     eff = effective_bids(b, delta)
     prices, allocation = ne_to_market(b, delta)
+    if not delta < math.inf:  # ne_to_market refused a negative fee, not NaN
+        raise ValueError("delta must be finite and non-negative")
+    demands = instance.matrix > 0
+    if delta > 0 and (instance.budgets < delta * demands.sum(axis=1)).any():
+        raise ValueError("infeasible floors: budget below delta times demanded goods")
     utilities = instance.utilities(allocation)
+    kind, rho = instance.kind, instance.valuations.rho
+    budgets = instance.budgets.tolist()
     gains = np.zeros(instance.n)
     suprema, inexact = False, []
     for i in range(instance.n):
         opp = prices - eff[i]
-        if delta == 0 and ((instance.matrix[i] > 0) & (opp <= 0)).any():
-            br = _monopoly_supremum(instance, i, opp)
+        if delta == 0 and (demands[i] & (opp <= 0)).any():
+            utility, converged = _monopoly_supremum(instance, i, opp)
             suprema = True
         else:
-            br = _best_response(instance, i, opp, delta)
-        if not br.converged:
+            _, utility, _, converged = _best_response(
+                kind, rho, instance.matrix[i].tolist(), np.flatnonzero(demands[i]).tolist(),
+                budgets[i], opp.tolist(), delta)
+        if not converged:
             inexact.append(str(i))
-        gains[i] = br.utility - utilities[i]
+        gains[i] = utility - utilities[i]
     notes = []
     if suprema:
         notes.append("some best responses are unattained suprema (delta=0 monopoly)")

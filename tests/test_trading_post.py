@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -600,11 +599,12 @@ def test_br_dynamics_refuses_fees_a_budget_cannot_cover():
 def test_br_dynamics_stops_an_oscillation(monkeypatch):
     # agent 0 flips between two bids on every call: after the first round the
     # largest change never improves, so the dynamics stop 50 rounds later
-    flips = iter(np.tile([[0.7, 0.3], [0.3, 0.7]], (100, 1)))
+    flips = iter(np.tile([[0.7, 0.3], [0.3, 0.7]], (100, 1)).tolist())
+    agents = itertools.cycle(range(2))  # the dispatcher is asked in agent order
 
-    def flipping(instance, agent, opp, delta):
-        bids = next(flips) if agent == 0 else np.array([0.5, 0.5])
-        return mg.BRResult(bids, 0.0, 0)
+    def flipping(kind, rho, values, demanded, budget, opp, delta, *start):
+        bids = next(flips) if next(agents) == 0 else [0.5, 0.5]
+        return bids, 0.0, 0, True
 
     monkeypatch.setattr(trading_post, "_best_response", flipping)
     rep = mg.br_dynamics(mg.make_instance("linear", np.ones((2, 2))), 0.0)
@@ -643,12 +643,12 @@ def test_verify_tp_ne_monopolist_of_every_demanded_good(monkeypatch):
     # bundle, (1 + 2)^-1 against the profile's 0, and only agent 1 asks the oracle
     calls = []
 
-    def counted(values, budget, opp, rho, delta=0.0):
-        calls.append(values)
-        return real(values, budget, opp, rho, delta)
+    def counted(kind, rho, values, *args):
+        calls.append(np.array(values))
+        return real(kind, rho, values, *args)
 
-    real = trading_post.br_ces
-    monkeypatch.setattr(trading_post, "br_ces", counted)
+    real = trading_post._best_response
+    monkeypatch.setattr(trading_post, "_best_response", counted)
     inst = mg.make_instance("ces", [[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 1.0],
                             rho=-1.0)
     rep = mg.verify_tp_ne(inst, [[0.5, 0.0, 0.5], [0.0, 0.0, 1.0]], 0.0)
@@ -722,21 +722,22 @@ def test_verify_tp_ne_uniform_bids_not_equilibrium():
 
 
 def _inexact_after(oracle, exact_calls):
-    """The oracle, reporting converged=False from call exact_calls + 1 on."""
+    """The best-response dispatcher ``oracle``, reporting converged=False
+    from call exact_calls + 1 on."""
     calls = []
 
     def wrapped(*args, **kwargs):
         calls.append(None)
         res = oracle(*args, **kwargs)
-        return res if len(calls) <= exact_calls else replace(res, converged=False)
+        return res if len(calls) <= exact_calls else (*res[:3], False)
 
     return wrapped
 
 
 def test_unconverged_best_response_fails_verification(monkeypatch):
     inst, bids = mg.gen_example_leo_family(0.3)
-    monkeypatch.setattr(trading_post, "br_leontief",
-                        _inexact_after(trading_post.br_leontief, 1))
+    monkeypatch.setattr(trading_post, "_best_response",
+                        _inexact_after(trading_post._best_response, 1))
     rep = mg.verify_tp_ne(inst, bids, 0.0, 1e-8)
     assert abs(rep.max_gain) <= 1e-9
     assert not rep.converged
@@ -748,14 +749,14 @@ def test_unconverged_best_response_stops_dynamics(monkeypatch):
     inst = mg.gen_random(3, 3, "leontief", seed=33)
     exact = mg.br_dynamics(inst, 1e-4, max_rounds=2000, tol=1e-10)
     assert exact.converged and exact.rounds > 2
-    real = trading_post.br_leontief
-    monkeypatch.setattr(trading_post, "br_leontief", _inexact_after(real, inst.n + 1))
+    real = trading_post._best_response
+    monkeypatch.setattr(trading_post, "_best_response", _inexact_after(real, inst.n + 1))
     rep = mg.br_dynamics(inst, 1e-4, max_rounds=2000, tol=1e-10)
     assert not rep.converged
     assert rep.rounds == 2
     assert rep.note == "best response did not converge for agent 1"
     # the dynamics converge, then the certificate's best responses do not
-    monkeypatch.setattr(trading_post, "br_leontief",
+    monkeypatch.setattr(trading_post, "_best_response",
                         _inexact_after(real, inst.n * exact.rounds))
     rep = mg.br_dynamics(inst, 1e-4, max_rounds=2000, tol=1e-10)
     assert rep.rounds == exact.rounds and rep.max_gain == exact.max_gain
