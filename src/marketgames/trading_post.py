@@ -7,13 +7,13 @@ best-response oracles, a brute-force grid oracle, round-robin best-response
 dynamics, Nash-equilibrium verification, and the bid-profile <-> market
 outcome mapping.
 
-The analytic oracles (br_linear, br_leontief, br_ces) run on Python floats
-from input to result: each sees one agent's row, a handful of goods in the
-dynamics, where numpy's per-call cost would dominate.  They check their
-input, take it as lists of floats and index lists of goods, and return the
-bids as a read-only array, settled once by _settle: they sum to the budget
-within one ulp and no positive bid is below delta.  Profiles, the dynamics'
-bookkeeping, the verifier and the reference oracles stay in numpy.
+The analytic best responses run on Python floats, since an agent's row in
+the dynamics holds a handful of goods.  One dispatcher, _best_response,
+takes checked rows as float and index lists and settles its bids once
+(_settle): they sum to the budget within one ulp, none positive below
+delta.  br_linear, br_leontief and br_ces check their input first;
+br_dynamics checks its instance once, keeps its rounds in float lists and
+warm-starts each Leontief and CES answer from the agent's previous one.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from ._simplex import project_simplex_lb
 #: collapsing toward the boundary (no-equilibrium escape) in br_dynamics.
 COLLAPSE_STREAK = 8
 COLLAPSE_FLOOR_FRACTION = 1e-7
-
-_UNATTAINED = "supremum not attained: demanded good has no opposing spend"
 
 
 @dataclass(frozen=True)
@@ -93,8 +91,8 @@ def ne_to_market(bids, delta: float = 0.0):
     b = np.asarray(bids, dtype=float)
     if (b < 0).any():
         raise ValueError("bids must be non-negative")
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError("delta must be finite and non-negative")
     eff = effective_bids(b, delta)
     prices = eff.sum(axis=0)
     x = np.zeros_like(eff)
@@ -159,31 +157,28 @@ def _br_inputs(values, budget, opp_spend, delta):
     return v, demanded, d
 
 
-def _best_response(kind, rho, v, demanded, budget, d, delta):
-    """The one best-response dispatcher, on rows already checked: ``v`` and
-    ``d`` are lists of the agent's values and opposing spends, ``demanded``
-    the ascending goods with v_j > 0, and the budget covers delta on each
-    of them.  The public oracles check their input with _br_inputs first;
-    br_dynamics and verify_tp_ne check the instance and the profile once.
-    Returns (bids as a list, utility, iterations, converged).  At delta = 0
-    a demanded good without opposing spend raises ValueError."""
+def _best_response(kind, rho, v, demanded, budget, d, delta, start=None):
+    """The best response on checked rows (lists of the agent's values ``v``
+    and opposing spends ``d``, its ascending ``demanded`` goods, a budget
+    that covers their fees) as (bids list, utility, iterations, converged).
+    ``start``, the agent's previous answer in the dynamics, warm-starts the
+    Leontief ratio (its utility) or the CES Newton steps (its bids).  At
+    delta = 0 a demanded good without opposing spend raises ValueError."""
     monop = [j for j in demanded if d[j] == 0]
     comp = [j for j in demanded if d[j] > 0]
     if delta == 0 and monop:
-        raise ValueError(_UNATTAINED)
+        raise ValueError("supremum not attained: demanded good has no opposing spend")
     if kind == LEONTIEF:
-        return _leontief_response(v, d, monop, comp, budget, delta)
+        return _leontief_response(v, d, monop, comp, budget, delta, start)
     if kind == LINEAR or rho == 1.0:
         return _linear_response(v, d, demanded, monop, comp, budget, delta)
-    return _ces_response(v, d, demanded, monop, comp, budget, delta, rho)
+    return _ces_response(v, d, demanded, monop, comp, budget, delta, rho, start)
 
 
 def _checked_response(kind, rho, values, budget, opp_spend, delta) -> BRResult:
-    """A public oracle: _br_inputs' checks, then the dispatcher."""
     v, demanded, d = _br_inputs(values, budget, opp_spend, delta)
-    bids, utility, iters, converged = _best_response(kind, rho, v, demanded, budget, d,
-                                                     delta)
-    return BRResult(_readonly(bids), utility, iters, converged)
+    bids, *answer = _best_response(kind, rho, v, demanded, budget, d, delta)
+    return BRResult(_readonly(bids), *answer)
 
 
 def _settle(bids, total, floor):
@@ -248,7 +243,6 @@ def br_linear(values, budget: float, opp_spend, delta: float = 0.0) -> BRResult:
 
 
 def _linear_response(v, d, demanded, monop, comp, budget, delta):
-    """br_linear on checked rows, for _best_response."""
     iters = 0
 
     def fill(goods, rest, floor=delta):
@@ -360,8 +354,7 @@ def br_leontief(values, budget: float, opp_spend, delta: float = 0.0) -> BRResul
     return _checked_response(LEONTIEF, None, values, budget, opp_spend, delta)
 
 
-def _leontief_response(v, d, monop, comp, budget, delta):
-    """br_leontief on checked rows, for _best_response."""
+def _leontief_response(v, d, monop, comp, budget, delta, start=None):
     # a monopolized good is won whole at any bid: it gets the fee, or an
     # equal share of the budget when no good is contested
     bids = [0.0] * len(v)
@@ -386,7 +379,8 @@ def _leontief_response(v, d, monop, comp, budget, delta):
     cb = [delta] * len(vc)
     if comp and delta * len(vc) < rest:
         lo, hi = 0.0, min(1.0 / vj for vj in vc) * (1.0 - 1e-14)
-        t = min(rest / (sum(vj * dj for vj, dj in zip(vc, dc)) + rest * max(vc)), hi)
+        t = min(start if start else
+                rest / (sum(vj * dj for vj, dj in zip(vc, dc)) + rest * max(vc)), hi)
         converged = False
         for iters in range(1, 101):
             cb, slope = comp_bids(t)
@@ -417,7 +411,7 @@ def _leontief_response(v, d, monop, comp, budget, delta):
 CES_MAX_STEPS = 100
 
 
-def _ces_newton(v, d, rho, total):
+def _ces_newton(v, d, rho, total, start=None):
     """Maximize sum_j v_j f_j^rho / rho, f_j = b_j / (b_j + d_j), over
     {b > 0, sum b = total}; requires v > 0 and d > 0.
 
@@ -431,7 +425,8 @@ def _ces_newton(v, d, rho, total):
     good's share of S, and a step's gain from the exact change of log f_j,
     so neither extreme rho nor d overflows and tiny gains are not rounded
     away.  The start b_j ~ (v_j d_j^-rho)^(1/(1-rho)) is the optimum when
-    every f_j is small, and exact at rho = -1.  Takes v and d as lists of
+    every f_j is small, and exact at rho = -1; elsewhere a ``start`` row of
+    positive bids replaces it, floored like it.  Takes v and d as lists of
     floats and returns (bids as a list, steps, converged), the bids summing
     to total up to rounding; it stops when no bid moves by more than 1e-9 of
     itself.  The marginals stay clipped to e^(+-700), and a trial step whose
@@ -441,11 +436,15 @@ def _ces_newton(v, d, rho, total):
         return [total], 0, True
     log_v = [math.log(vj) for vj in v]
     log_d = [math.log(dj) for dj in d]
-    w = [(lv - rho * ld) / (1.0 - rho) for lv, ld in zip(log_v, log_d)]
-    # a step grows a small bid by a bounded factor but may shrink it 100-fold,
-    # so no bid starts far below the largest
-    w_max = max(w)
-    b = [math.exp(max(wj - w_max, -30.0)) for wj in w]
+    if start is None or rho == -1.0 or not max(start) > 0.0:
+        w = [(lv - rho * ld) / (1.0 - rho) for lv, ld in zip(log_v, log_d)]
+        # a step grows a small bid by a bounded factor but may shrink it
+        # 100-fold, so no bid starts far below the largest
+        w_max = max(w)
+        b = [math.exp(max(wj - w_max, -30.0)) for wj in w]
+    else:
+        floor = max(start) * math.exp(-30.0)
+        b = [max(bj, floor) for bj in start]
     scale = total / sum(b)
     b = [bj * scale for bj in b]
 
@@ -515,8 +514,7 @@ def br_ces(values, budget: float, opp_spend, rho: float,
     return _checked_response(CES, rho, values, budget, opp_spend, delta)
 
 
-def _ces_response(v, d, demanded, monop, comp, budget, delta, rho):
-    """br_ces on checked rows for rho < 1, for _best_response."""
+def _ces_response(v, d, demanded, monop, comp, budget, delta, rho, start=None):
     log_v = {j: math.log(v[j]) for j in demanded}
     steps, converged = 0, True
 
@@ -527,7 +525,8 @@ def _ces_response(v, d, demanded, monop, comp, budget, delta, rho):
             # the goods floored so far stay floored at the optimum: freeing
             # budget from them only raises the common marginal
             b, k, ok = _ces_newton([v[j] for j in free], [d[j] for j in free], rho,
-                                   rest - delta * float(len(goods) - len(free)))
+                                   rest - delta * float(len(goods) - len(free)),
+                                   None if start is None else [start[j] for j in free])
             steps += k
             converged &= ok
             kept = [j for j, bj in zip(free, b) if bj >= delta]
@@ -644,7 +643,7 @@ def br_concave_numeric(profile: ValuationProfile, agent: int, budget: float,
     """
     _, demanded, d = _br_inputs(profile.matrix[agent], budget, opp_spend, delta)
     if delta == 0 and any([d[j] == 0 for j in demanded]):
-        raise ValueError(_UNATTAINED)
+        raise ValueError("supremum not attained: demanded good has no opposing spend")
     v, d = profile.matrix[agent], np.asarray(opp_spend, dtype=float)
     demanded = v > 0
     lb = np.where(demanded, delta, 0.0)
@@ -838,9 +837,6 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
     outcome, not an error.  ``trace``, if given, is called after every
     completed round as ``trace(round, max_change, bids)`` with a read-only
     copy of the bids.
-    The input is checked once; the rounds then run on lists of floats, each
-    agent's opposing spend being the column totals added row by row, as
-    numpy's column sums add them, less its own row.
     """
     n = instance.n
     support = instance.matrix > 0
@@ -858,13 +854,11 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
     else:
         b = check_bid_profile(init, instance.budgets)
     kind, rho = instance.kind, instance.valuations.rho
-    values = instance.matrix.tolist()
+    values, budgets = instance.matrix.tolist(), instance.budgets.tolist()
     demanded = [np.flatnonzero(row).tolist() for row in support]
-    budgets = instance.budgets.tolist()
-    floors = [COLLAPSE_FLOOR_FRACTION * bi for bi in budgets]
     # rows are replaced, never written in place, so a shallow copy keeps a round
     rows, eff = b.tolist(), effective_bids(b, delta).tolist()
-    streak = [[0] * instance.m for _ in range(n)]
+    streak, starts = [[0] * instance.m for _ in range(n)], [None] * n
     best_change = math.inf
     stall = 0
     note = ""
@@ -873,13 +867,14 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
     for rounds in range(1, max_rounds + 1):
         prev = rows.copy()
         for i in range(n):
+            # the column totals, added row by row as numpy adds them
             total = eff[0]
             for row in eff[1:]:
                 total = list(map(operator.add, total, row))
             opp = list(map(operator.sub, total, eff[i]))
             try:
-                bids, _, _, converged = _best_response(kind, rho, values[i], demanded[i],
-                                                       budgets[i], opp, delta)
+                bids, utility, _, converged = _best_response(
+                    kind, rho, values[i], demanded[i], budgets[i], opp, delta, starts[i])
             except ValueError as exc:
                 note = f"best response broke down for agent {i}: {exc}"
                 break
@@ -887,18 +882,15 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
                 note = f"best response did not converge for agent {i}"
                 break
             rows[i] = eff[i] = bids
+            starts[i] = utility if kind == LEONTIEF else bids
         if note:
             break
         max_change = max([abs(x - y) for row, old in zip(rows, prev)
                           for x, y in zip(row, old)])
         # a best response bids on demanded goods only, so every strict
         # decrease of a positive bid is on one
-        collapsing = False
-        for i, (row, old, floor) in enumerate(zip(rows, prev, floors)):
-            streak[i] = s = [k + 1 if 0.0 < x < y else 0
-                             for k, x, y in zip(streak[i], row, old)]
-            collapsing = collapsing or any([k >= COLLAPSE_STREAK and x < floor
-                                            for k, x in zip(s, row)])
+        streak = [[k + 1 if 0.0 < x < y else 0 for k, x, y in zip(*row)]
+                  for row in zip(streak, rows, prev)]
         if trace is not None:
             trace(rounds, max_change, _readonly(rows))
         if max_change < best_change:
@@ -906,7 +898,9 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
             stall = 0
         else:
             stall += 1
-        if max_change < tol and not collapsing:
+        if max_change < tol and not any(  # no bid is collapsing
+                [k >= COLLAPSE_STREAK and x < COLLAPSE_FLOOR_FRACTION * bi
+                 for s, row, bi in zip(streak, rows, budgets) for k, x in zip(s, row)]):
             # at tol = inf, converged means that every best response converged
             return replace(verify_tp_ne(instance, rows, delta, math.inf),
                            rounds=rounds, max_change=max_change)
@@ -914,9 +908,8 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
             note = "oscillation detected: no new best profile in 50 rounds"
             break
 
-    b = np.array(rows)
-    prices, allocation = ne_to_market(b, delta)
-    return NEReport(_readonly(b), _readonly(np.full(n, np.nan)), math.nan, False,
+    prices, allocation = ne_to_market(rows, delta)
+    return NEReport(_readonly(rows), _readonly(np.full(n, np.nan)), math.nan, False,
                     _readonly(prices), _readonly(allocation),
                     _readonly(instance.utilities(allocation)), rounds, max_change,
                     note or "did not converge")
@@ -932,20 +925,15 @@ def verify_tp_ne(instance: Instance, bids, delta: float = 0.0,
     delta = 0 and an agent monopolizes a demanded good, its best response is
     the unattained supremum, computed exactly by _monopoly_supremum, and
     noted.  With delta > 0 a budget below delta times the agent's demanded
-    goods raises ValueError, as br_dynamics does.  After check_bid_profile,
-    each agent's row goes to the best-response dispatcher as it stands.
+    goods raises ValueError, as br_dynamics does.
     """
     b = check_bid_profile(bids, instance.budgets)
     eff = effective_bids(b, delta)
     prices, allocation = ne_to_market(b, delta)
-    if not delta < math.inf:  # ne_to_market refused a negative fee, not NaN
-        raise ValueError("delta must be finite and non-negative")
     demands = instance.matrix > 0
     if delta > 0 and (instance.budgets < delta * demands.sum(axis=1)).any():
         raise ValueError("infeasible floors: budget below delta times demanded goods")
     utilities = instance.utilities(allocation)
-    kind, rho = instance.kind, instance.valuations.rho
-    budgets = instance.budgets.tolist()
     gains = np.zeros(instance.n)
     suprema, inexact = False, []
     for i in range(instance.n):
@@ -955,8 +943,9 @@ def verify_tp_ne(instance: Instance, bids, delta: float = 0.0,
             suprema = True
         else:
             _, utility, _, converged = _best_response(
-                kind, rho, instance.matrix[i].tolist(), np.flatnonzero(demands[i]).tolist(),
-                budgets[i], opp.tolist(), delta)
+                instance.kind, instance.valuations.rho, instance.matrix[i].tolist(),
+                np.flatnonzero(demands[i]).tolist(), float(instance.budgets[i]),
+                opp.tolist(), delta)
         if not converged:
             inexact.append(str(i))
         gains[i] = utility - utilities[i]

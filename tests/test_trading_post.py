@@ -596,6 +596,16 @@ def test_br_dynamics_refuses_fees_a_budget_cannot_cover():
             mg.br_dynamics(inst, delta)
 
 
+@pytest.mark.parametrize("delta", [-1e-3, math.nan, math.inf])
+def test_dynamics_and_certificate_refuse_a_bad_fee(delta):
+    # the dispatcher takes the fee as checked, so each entry checks it once
+    inst = mg.make_instance("linear", np.ones((2, 2)))
+    for call in (lambda: mg.br_dynamics(inst, delta),
+                 lambda: mg.verify_tp_ne(inst, np.full((2, 2), 0.5), delta)):
+        with pytest.raises(ValueError, match="delta must be finite and non-negative"):
+            call()
+
+
 def test_br_dynamics_stops_an_oscillation(monkeypatch):
     # agent 0 flips between two bids on every call: after the first round the
     # largest change never improves, so the dynamics stop 50 rounds later
@@ -762,6 +772,132 @@ def test_unconverged_best_response_stops_dynamics(monkeypatch):
     assert rep.rounds == exact.rounds and rep.max_gain == exact.max_gain
     assert not rep.converged
     assert rep.note == "best response did not converge for agent 0, 1, 2"
+
+
+def _public_oracle(inst, i, values, opp, delta):
+    budget = float(inst.budgets[i])
+    if inst.kind == "linear":
+        return mg.br_linear(values, budget, opp, delta)
+    if inst.kind == "leontief":
+        return mg.br_leontief(values, budget, opp, delta)
+    return mg.br_ces(values, budget, opp, inst.valuations.rho, delta)
+
+
+def _reference_dynamics(inst, delta, max_rounds, tol):
+    """br_dynamics as a numpy loop over the public oracles, which start every
+    answer cold.  Returns (bids, rounds, converged, note)."""
+    n, m = inst.n, inst.m
+    support = inst.matrix > 0
+    b = inst.budgets[:, None] * support / support.sum(axis=1)[:, None]
+    eff = effective_bids(b, delta)
+    streak = np.zeros((n, m), dtype=int)
+    floor = trading_post.COLLAPSE_FLOOR_FRACTION * inst.budgets[:, None]
+    best_change, stall = math.inf, 0
+    for rounds in range(1, max_rounds + 1):
+        prev = b.copy()
+        for i in range(n):
+            try:
+                br = _public_oracle(inst, i, inst.matrix[i], eff.sum(axis=0) - eff[i], delta)
+            except ValueError as exc:
+                return b, rounds, False, f"best response broke down for agent {i}: {exc}"
+            if not br.converged:
+                return b, rounds, False, f"best response did not converge for agent {i}"
+            b[i] = eff[i] = br.bids
+        max_change = float(np.abs(b - prev).max())
+        streak = np.where(support & (b < prev) & (b > 0), streak + 1, 0)
+        collapsing = ((streak >= trading_post.COLLAPSE_STREAK) & (b < floor)).any()
+        if max_change < best_change:
+            best_change, stall = max_change, 0
+        else:
+            stall += 1
+        if max_change < tol and not collapsing:
+            rep = mg.verify_tp_ne(inst, b, delta, math.inf)
+            return b, rounds, rep.converged, rep.note
+        if stall >= 50:
+            return b, rounds, False, "oscillation detected: no new best profile in 50 rounds"
+    return b, max_rounds, False, "did not converge"
+
+
+@given(st.sampled_from([("linear", None, 0.0), ("leontief", None, 1e-4),
+                        ("leontief", None, 1e-2), ("ces", 0.5, 0.0), ("ces", -1.0, 0.0),
+                        ("ces", -3.0, 0.0), ("ces", 0.5, 1e-3)]),
+       st.integers(2, 6), st.integers(2, 6), st.sampled_from([0.0, 0.3]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_br_dynamics_matches_a_numpy_reference_loop(case, n, m, sparsity, seed):
+    # the float rounds add the column totals in numpy's order and start the
+    # Leontief and CES oracles warm, which moves their bids by rounding only
+    kind, rho, delta = case
+    inst = mg.gen_random(n, m, kind, rho, seed=seed, sparsity=sparsity)
+    rep = mg.br_dynamics(inst, delta, max_rounds=300, tol=1e-10)
+    bids, rounds, converged, note = _reference_dynamics(inst, delta, 300, 1e-10)
+    assert (rep.rounds, rep.converged, rep.note) == (rounds, converged, note)
+    if kind == "linear":
+        assert rep.bids.tobytes() == bids.tobytes()
+    else:
+        assert np.abs(rep.bids - bids).max() <= 1e-12
+
+
+def _reference_gains(inst, bids, delta):
+    """verify_tp_ne's gains and note from the public oracles: each agent's
+    best-response utility less its utility at the profile.  At delta = 0 an
+    agent alone on demanded goods gets the supremum: those goods won whole,
+    plus the oracle's answer on the contested goods."""
+    eff = effective_bids(bids, delta)
+    prices, allocation = mg.ne_to_market(bids, delta)
+    utilities = inst.utilities(allocation)
+    gains, suprema, inexact = np.zeros(inst.n), False, []
+    for i in range(inst.n):
+        v, opp = inst.matrix[i], prices - eff[i]
+        monop = (v > 0) & (opp <= 0) & (delta == 0)
+        x = monop.astype(float)
+        br = None
+        if ((v > 0) & ~monop).any():
+            br = _public_oracle(inst, i, np.where(monop, 0.0, v), opp, delta)
+            b = np.asarray(br.bids)
+            np.divide(b, b + opp, out=x, where=b > 0)
+            x[monop] = 1.0
+        if not (br is None or br.converged):
+            inexact.append(str(i))
+        if monop.any():
+            suprema = True
+            own = mg.ValuationProfile(inst.kind, v[None, :], inst.valuations.rho)
+            utility = float(mg.eval_valuation_matrix(own, x[None, :])[0])
+        else:
+            utility = br.utility
+        gains[i] = utility - utilities[i]
+    notes = ["some best responses are unattained suprema (delta=0 monopoly)"] * suprema
+    if inexact:
+        notes.append(f"best response did not converge for agent {', '.join(inexact)}")
+    return gains, "; ".join(notes)
+
+
+@given(st.sampled_from([("linear", None), ("leontief", None), ("ces", 0.5), ("ces", -1.0),
+                        ("ces", -3.0)]),
+       st.integers(2, 5), st.integers(1, 5), st.sampled_from([0.0, 1e-3]),
+       st.integers(0, 2 ** 32 - 1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_verify_tp_ne_gains_are_the_public_oracles(kind_rho, n, m, delta, seed, data):
+    # zeroed bids leave some goods monopolized, or voided by the fee
+    kind, rho = kind_rho
+    inst = mg.gen_random(n, m, kind, rho, seed=seed, sparsity=0.3)
+    keep = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=m, max_size=m).filter(any),
+        min_size=n, max_size=n)))
+    bids = np.random.default_rng(seed).uniform(0.0, 1.0, (n, m)) * keep
+    bids *= (inst.budgets / bids.sum(axis=1))[:, None]
+    rep = mg.verify_tp_ne(inst, bids, delta)
+    gains, note = _reference_gains(inst, bids, delta)
+    assert rep.gains.tobytes() == gains.tobytes()
+    assert rep.note == note
+
+
+def test_verify_tp_ne_gains_on_the_lower_bound_profile():
+    inst, _, spends = mg.lb_construction(8)
+    rep = mg.verify_tp_ne(inst, spends, 0.0)
+    gains, note = _reference_gains(inst, spends, 0.0)
+    assert rep.gains.tobytes() == gains.tobytes()
+    assert rep.note == note == "some best responses are unattained suprema (delta=0 monopoly)"
 
 
 def test_ne_to_market_basics():
