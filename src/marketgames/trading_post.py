@@ -354,7 +354,7 @@ def br_leontief(values, budget: float, opp_spend, delta: float = 0.0) -> BRResul
     return _checked_response(LEONTIEF, None, values, budget, opp_spend, delta)
 
 
-def _leontief_response(v, d, monop, comp, budget, delta, start=None):
+def _leontief_response(v, d, monop, comp, budget, delta, start):
     # a monopolized good is won whole at any bid: it gets the fee, or an
     # equal share of the budget when no good is contested
     bids = [0.0] * len(v)
@@ -411,7 +411,7 @@ def _leontief_response(v, d, monop, comp, budget, delta, start=None):
 CES_MAX_STEPS = 100
 
 
-def _ces_newton(v, d, rho, total, start=None):
+def _ces_newton(v, d, rho, total, start):
     """Maximize sum_j v_j f_j^rho / rho, f_j = b_j / (b_j + d_j), over
     {b > 0, sum b = total}; requires v > 0 and d > 0.
 
@@ -426,7 +426,7 @@ def _ces_newton(v, d, rho, total, start=None):
     so neither extreme rho nor d overflows and tiny gains are not rounded
     away.  The start b_j ~ (v_j d_j^-rho)^(1/(1-rho)) is the optimum when
     every f_j is small, and exact at rho = -1; elsewhere a ``start`` row of
-    positive bids replaces it, floored like it.  Takes v and d as lists of
+    bids, if any is positive, replaces it, floored like it.  Takes v and d as lists of
     floats and returns (bids as a list, steps, converged), the bids summing
     to total up to rounding; it stops when no bid moves by more than 1e-9 of
     itself.  The marginals stay clipped to e^(+-700), and a trial step whose
@@ -514,7 +514,7 @@ def br_ces(values, budget: float, opp_spend, rho: float,
     return _checked_response(CES, rho, values, budget, opp_spend, delta)
 
 
-def _ces_response(v, d, demanded, monop, comp, budget, delta, rho, start=None):
+def _ces_response(v, d, demanded, monop, comp, budget, delta, rho, start):
     log_v = {j: math.log(v[j]) for j in demanded}
     steps, converged = 0, True
 
@@ -641,8 +641,8 @@ def br_concave_numeric(profile: ValuationProfile, agent: int, budget: float,
     reference for the tests, sharing no search with br_linear, br_leontief
     and br_ces, which the dynamics and the verifier use.
     """
-    _, demanded, d = _br_inputs(profile.matrix[agent], budget, opp_spend, delta)
-    if delta == 0 and any([d[j] == 0 for j in demanded]):
+    _, wanted, spend = _br_inputs(profile.matrix[agent], budget, opp_spend, delta)
+    if delta == 0 and any([spend[j] == 0 for j in wanted]):
         raise ValueError("supremum not attained: demanded good has no opposing spend")
     v, d = profile.matrix[agent], np.asarray(opp_spend, dtype=float)
     demanded = v > 0
