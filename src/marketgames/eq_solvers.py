@@ -175,9 +175,11 @@ def _kkt_leontief_many(v, budgets, x, p, tol):
     phi = _matvec(v, p)
     nonpos = phi <= 0
     # a member with phi_i <= 0 fails at infinite stationarity, so its
-    # ratios are taken at phi_i = 1 only to keep the division quiet
-    u_star = (budgets / np.where(nonpos, 1.0, phi))[:, :, None]
-    dev = np.abs(x / np.where(v > 0, v, 1.0) - u_star) / np.maximum(u_star, 1e-300)
+    # ratios are taken at phi_i = 1 only to keep the division quiet; a
+    # subnormal phi_i overflows B_i / phi_i, and its ratios fail as NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_star = (budgets / np.where(nonpos, 1.0, phi))[:, :, None]
+        dev = np.abs(x / np.where(v > 0, v, 1.0) - u_star) / np.maximum(u_star, 1e-300)
     stationarity = np.where(nonpos.any(axis=1), math.inf,
                             np.where(v > 0, dev, 0.0).max(axis=(1, 2)))
     return _kkt_reports(stationarity, *_market_residuals(budgets, x, p, tol), tol)
@@ -878,11 +880,12 @@ def _solve_leontief_stack(v_full, budgets, tol, max_iter):
     """``solve_leontief_dual`` of a stack of markets with the same demanded
     goods, shaped as for ``_solve_linear_stack``, their interior points
     advanced in one loop.  A member leaves the stack only at the top of an
-    iteration: once verified, after ``max_iter`` steps, or after an
-    iteration without a step (no descent, or a Newton matrix Cholesky
-    rejects).  The members worth checking at an iteration, and all of them
-    at the end, are verified by one ``_kkt_leontief_many`` call.  Returns
-    ``_Solved``."""
+    iteration: once verified, after ``max_iter`` steps, after an iteration
+    without a step (no descent, or a Newton matrix Cholesky rejects), or,
+    broken down with a NaN utility, when an agent's phi_i is at or below
+    its floor even at the uncut prices.  The members worth checking at an
+    iteration, and all of them at the end, are verified by one
+    ``_kkt_leontief_many`` call.  Returns ``_Solved``."""
     kept = _drop_undemanded(v_full[0])[0]
     v_all = _kept_columns(v_full, kept)
     K, n, m = v_all.shape
@@ -892,6 +895,10 @@ def _solve_leontief_stack(v_full, budgets, tol, max_iter):
                                         64 * np.finfo(float).eps * total))
     steps, last_u, last_cut = np.zeros(K, dtype=int), np.zeros((K, n)), np.zeros((K, m))
     ids, moved, v = np.arange(K), np.ones(K, dtype=bool), v_all
+    # above this floor (zero only for a share under 2^-52), B_i / phi_i and
+    # the Newton matrix's B_i / phi_i^2 are finite; at or below it, at the
+    # uncut prices, the member breaks down
+    floor = np.sqrt(b) * 2.0 ** -511
 
     def merit(p, z):
         return (np.abs(1.0 - _rmatvec(v, b / _matvec(v, p)) - z).sum(axis=1)
@@ -902,10 +909,16 @@ def _solve_leontief_stack(v_full, budgets, tol, max_iter):
     for it in range(max_iter + 1):
         cut = np.where(p <= ZERO_PRICE_FRACTION, 0.0, p)
         phi = _matvec(v, cut)
-        if not (phi > 0).all():
-            uncut = ~(phi > 0).all(axis=1)
+        broke = False
+        if not (phi > floor).all():
+            uncut = ~(phi > floor).all(axis=1)
             cut = np.where(uncut[:, None], p, cut)
             phi = np.where(uncut[:, None], _matvec(v, p), phi)
+            # still that small at the uncut prices (a row that underflows
+            # against them, phi_i = 0 among them): the member breaks down
+            # here, with u_i NaN
+            broke = ~(phi > floor).all(axis=1)
+            phi = np.where(phi > floor, phi, math.nan)
         u = b / phi
         # goods' excess supply; small enough, the verifier is worth running
         excess = 1.0 - (u[:, None, :] @ v)[:, 0]
@@ -913,7 +926,7 @@ def _solve_leontief_stack(v_full, budgets, tol, max_iter):
                            -excess.min(axis=1))
         # the one exit: a member leaves here, whatever the reason; at the
         # cap a check could change nothing
-        gone = ~moved | (it == max_iter)
+        gone = ~moved | broke | (it == max_iter)
         check = np.nonzero(~gone & (cheap <= margin))[0]
         if check.size:
             k = ids[check]
@@ -926,7 +939,8 @@ def _solve_leontief_stack(v_full, budgets, tol, max_iter):
             steps[k], last_u[k], last_cut[k] = it - ~moved[gone], u[gone], cut[gone]
             if gone.all():
                 break
-            ids, moved, v, b, margin, p, z = _take(~gone, ids, moved, v, b, margin, p, z)
+            ids, moved, v, b, floor, margin, p, z = _take(~gone, ids, moved, v, b, floor, margin,
+                                                          p, z)
         phi = _matvec(v, p)
         r_d, pz = 1.0 - _rmatvec(v, b / phi) - z, p * z
         gap = pz.sum(axis=1)
@@ -1112,37 +1126,46 @@ def _solve_profiles(kind, v, budgets, live, tol: float = DEFAULT_TOL,
     market alone.  So a member's result is the one ``solve_eg`` gives,
     whatever its stack.  CES markets are solved one at a time.
     """
-    if not live.any(axis=1).all():
-        raise ValueError("need at least one agent and one good")
     if kind == CES and rho == 1.0:  # as solve_ces_eg, without init_bids
         kind, inits = LINEAR, None
     P, n, m = v.shape
     budgets = np.broadcast_to(budgets, (P, n))
-    demanded = ((v > 0) & live[:, :, None]).any(axis=1)
+    out = _Solved(np.zeros((P, n, m)), np.zeros((P, m)), np.zeros((P, n)), np.zeros((P, 4)),
+                  np.zeros(P, dtype=int), np.zeros(P, dtype=bool))
+    for chunk, rows in _stacks(live, ((v > 0) & live[:, :, None]).any(axis=1)):
+        at = chunk[:, None], rows
+        stack = np.ascontiguousarray(v[at]), np.ascontiguousarray(budgets[at])
+        if kind == LINEAR:
+            solved = _solve_linear_stack(*stack, tol, max_iter, [
+                None if inits is None or inits[k] is None else inits[k][rows]
+                for k in chunk])
+        elif kind == LEONTIEF:
+            solved = _solve_leontief_stack(*stack, tol, max_iter)
+        else:
+            solved = _solve_ces_stack(*stack, rho, tol, max_iter)
+        # per agent for allocations and utilities, per member for the rest
+        for whole, part, where in zip(out, solved, (at, chunk, at, chunk, chunk, chunk)):
+            whole[where] = part
+    return out
+
+
+def _stacks(live, demanded):
+    """The stacks ``_solve_profiles`` solves P markets in, from their P x n
+    live-agent and P x m demanded-good masks: the markets with the same
+    live agents and demanded goods, in order, cut into runs of at most
+    STACK_ENTRIES entries per K x n x m array.  Yields each stack's member
+    indices and its live agents; a market without a live agent raises
+    ValueError before anything is yielded."""
+    if not live.any(axis=1).all():
+        raise ValueError("need at least one agent and one good")
     groups: dict = {}
     for k, key in enumerate(np.concatenate((live, demanded), axis=1)):
         groups.setdefault(key.tobytes(), []).append(k)
-    out = _Solved(np.zeros((P, n, m)), np.zeros((P, m)), np.zeros((P, n)), np.zeros((P, 4)),
-                  np.zeros(P, dtype=int), np.zeros(P, dtype=bool))
     for members in groups.values():
         rows = np.nonzero(live[members[0]])[0]
         size = max(1, STACK_ENTRIES // (rows.size * int(demanded[members[0]].sum())))
         for start in range(0, len(members), size):
-            chunk = np.array(members[start:start + size])
-            at = chunk[:, None], rows
-            stack = np.ascontiguousarray(v[at]), np.ascontiguousarray(budgets[at])
-            if kind == LINEAR:
-                solved = _solve_linear_stack(*stack, tol, max_iter, [
-                    None if inits is None or inits[k] is None else inits[k][rows]
-                    for k in chunk])
-            elif kind == LEONTIEF:
-                solved = _solve_leontief_stack(*stack, tol, max_iter)
-            else:
-                solved = _solve_ces_stack(*stack, rho, tol, max_iter)
-            # per agent for allocations and utilities, per member for the rest
-            for whole, part, where in zip(out, solved, (at, chunk, at, chunk, chunk, chunk)):
-                whole[where] = part
-    return out
+            yield np.array(members[start:start + size]), rows
 
 
 def solve_eg_many(instances, tol: float = DEFAULT_TOL,

@@ -8,10 +8,11 @@ sampling-based equilibrium falsifier (evidence, not proof).
 
 Reports are checked once, where they enter.  The reported markets are then
 solved straight from the report arrays, without an ``Instance`` or a result
-object per market: ``fisher_outcome`` solves its one market as a stack of
-one, and ``fisher_ne_falsify`` all its distinct deviation markets in one
-call of ``eq_solvers._solve_profiles``, the array entry ``solve_eg_many``
-wraps.
+object per market, through ``eq_solvers._solve_profiles``, the array entry
+``solve_eg_many`` wraps: ``fisher_outcome`` solves its one market as a stack
+of one, and ``fisher_ne_falsify`` its distinct deviation markets one stack
+per call, in the stacks ``eq_solvers._stacks`` forms, so that no array holds
+every market's profile.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LEONTIEF, LINEAR, DEFAULT_TOL, Instance, make_instance, nsw, _readonly
-from .eq_solvers import MarketEquilibrium, _checked_init_bids, _member, _solve_profiles
+from .eq_solvers import (MarketEquilibrium, _checked_init_bids, _member, _solve_profiles,
+                         _stacks)
 
 
 @dataclass(frozen=True)
@@ -37,12 +39,15 @@ class GameOutcome:
 
 @dataclass(frozen=True)
 class FalsifierReport:
-    """Best unilateral report-deviation gains found by sampling."""
+    """Best unilateral report-deviation gains found by sampling;
+    ``markets`` counts the distinct deviation markets solved, the base
+    outcome not among them."""
 
     gains: np.ndarray
     max_gain: float
     trials_per_agent: int
     failures: int
+    markets: int
 
 
 def _check_reports(instance: Instance, reports) -> np.ndarray:
@@ -219,6 +224,33 @@ def _row_scaled(reports) -> np.ndarray:
     return np.divide(reports, top, out=np.zeros_like(reports), where=top > 0)
 
 
+def _markets(instance: Instance, base_reports, trials: int, seed: int):
+    """The distinct deviation markets of ``fisher_ne_falsify``: the n x
+    trials index of each deviation's market (-1 where the rescaling
+    overflowed), each market's deviating agent and row, in the order first
+    drawn, and the index of the base profile's market (-1 if none)."""
+    n, m = instance.n, instance.m
+    devs = np.array(_deviations(instance, base_reports, trials, seed)).reshape(n * trials, m)
+    finite = np.isfinite(devs).all(axis=1).tolist()
+    # a key is the bytes of a row divided by its max; an overflowed row's
+    # is NaN, and unread
+    with np.errstate(invalid="ignore"):
+        keys = _row_scaled(devs).tobytes()
+    base_keys, width = _row_scaled(base_reports).tobytes(), devs.itemsize * m
+    solved, batch = np.empty(n * trials, dtype=int), {}
+    for k in range(n * trials):
+        if not finite[k]:
+            solved[k] = -1
+            continue
+        i = k // trials
+        key = keys[k * width:(k + 1) * width]
+        key = None if key == base_keys[i * width:(i + 1) * width] else (i, key)
+        solved[k] = batch.setdefault(key, (len(batch), i, k))[0]
+    _, agents, drawn = zip(*batch.values())
+    return (solved.reshape(n, trials), np.array(agents), devs[list(drawn)],
+            batch[None][0] if None in batch else -1)
+
+
 def fisher_ne_falsify(instance: Instance, reports, trials: int = 100,
                       seed: int = 0, tol: float = DEFAULT_TOL,
                       init_spending=None) -> FalsifierReport:
@@ -236,9 +268,13 @@ def fisher_ne_falsify(instance: Instance, reports, trials: int = 100,
     that row is kept; a row that rescales the agent's base report keys the
     base profile, whichever agent draws it (every structured rescaling by
     an agent with one positive report is the profile it already plays).
-    Each key's first deviation, as drawn, is solved for all of them, and
-    every key's market in one ``_solve_profiles`` call, built from the base
-    profile and the deviating row; the base outcome is its own
+    Each key's first deviation, as drawn, is solved for all of them; its
+    market is built from the base profile and the deviating row.  The
+    markets are solved a stack at a time, in the stacks one
+    ``_solve_profiles`` call of them all would form, and each stack is
+    reduced at once to its converged flags and the true utilities the gains
+    read: past one stack, memory grows with the ``markets`` deviating rows,
+    not with an n x m profile per market.  The base outcome is its own
     ``fisher_outcome`` solve.  A deviation whose solve did not converge, or
     raised (then every deviation), or whose rescaled report overflowed, is
     counted in ``failures`` and its gain left out.
@@ -247,32 +283,37 @@ def fisher_ne_falsify(instance: Instance, reports, trials: int = 100,
         raise ValueError("trials must be at least 1")
     base_reports = _check_reports(instance, reports)
     base = fisher_outcome(instance, reports, tol, init_spending=init_spending)
-    # solved[i, t] indexes agent i's t-th deviation market in ``batch``, or
-    # is -1 where the rescaling overflowed; the base outcome is not reused,
-    # since it may have been selected by init_spending
-    solved, batch = np.empty((instance.n, trials), dtype=int), {}
-    base_key = _row_scaled(base_reports)
-    for i, devs in enumerate(_deviations(instance, base_reports, trials, seed)):
-        for t, d in enumerate(devs):
-            if not np.isfinite(d).all():
-                solved[i, t] = -1
-                continue
-            key = _row_scaled(d).tobytes()
-            key = None if key == base_key[i].tobytes() else (i, key)
-            solved[i, t] = batch.setdefault(key, (len(batch), i, d))[0]
-    _, agents, rows = zip(*batch.values())
-    profiles = np.repeat(base_reports[None], len(batch), axis=0)
-    profiles[np.arange(len(batch)), agents] = rows
+    solved, agents, rows, shared_at = _markets(instance, base_reports, trials, seed)
+    P = len(agents)
+    # each market's live agents and demanded goods, in one pass over the
+    # deviating rows: the base profile's, with its agent's row swapped in
+    positive = base_reports > 0
+    live = np.repeat(positive.any(axis=1)[None], P, axis=0)
+    live[np.arange(P), agents] = (rows > 0).any(axis=1)
+    demanded = (positive.sum(axis=0) > positive[agents]) | (rows > 0)
+    # per market, whether it converged and its agent's true utility; the
+    # base profile's market keeps every agent's (the base outcome is not
+    # reused, since init_spending may have selected it); index -1, an
+    # overflow, reads False
+    converged, own, shared = np.zeros(P + 1, bool), np.zeros(P + 1), None
     try:
-        out = _solve_profiles(instance.kind, profiles, instance.budgets,
-                              (profiles > 0).any(axis=2), tol, rho=instance.valuations.rho)
-        true_u = instance.utilities(out.allocations)
-        converged = np.append(out.converged, False)
+        for chunk, _ in _stacks(live, demanded):
+            profiles = np.repeat(base_reports[None], chunk.size, axis=0)
+            profiles[np.arange(chunk.size), agents[chunk]] = rows[chunk]
+            out = _solve_profiles(instance.kind, profiles, instance.budgets, live[chunk], tol,
+                                  rho=instance.valuations.rho)
+            true_u = instance.utilities(out.allocations)
+            converged[chunk] = out.converged
+            own[chunk] = true_u[np.arange(chunk.size), agents[chunk]]
+            if shared_at in chunk:
+                shared = true_u[chunk == shared_at][0]
     except (ValueError, FloatingPointError):
-        true_u, converged = np.zeros((len(batch), instance.n)), np.zeros(len(batch) + 1, bool)
-    ok = converged[solved]  # solved == -1 reads the appended False
-    gain = true_u[solved, np.arange(instance.n)[:, None]] - base.true_utilities[:, None]
+        converged[:] = False
+    ok, u = converged[solved], own[solved]
+    if shared is not None:
+        u = np.where(solved == shared_at, shared[:, None], u)
+    gain = u - base.true_utilities[:, None]
     # fmax skips a NaN gain, and a gain that is not positive counts as 0
     gains = np.fmax.reduce(np.where(ok, gain, 0.0), axis=1)
     gains = np.where(gains > 0, gains, 0.0)
-    return FalsifierReport(_readonly(gains), float(gains.max()), trials, int((~ok).sum()))
+    return FalsifierReport(_readonly(gains), float(gains.max()), trials, int((~ok).sum()), P)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +379,25 @@ def test_linear_solve_of_subnormal_valuations():
                mg.fisher_outcome(inst, inst.valuations.matrix).equilibrium):
         assert eq.converged and eq.iterations == 3
         assert eq.prices.tolist() == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("row", [[5e-324, 5e-324], [5e-324, 0.0], [1e-160, 1e-160]])
+def test_leontief_row_that_underflows_breaks_down_quietly(row):
+    # phi_0 = v_0 . p is 0 (or B_0 / phi_0^2 overflows) even at the uncut
+    # prices: that member leaves the stack at once, unconverged, without a
+    # division by zero; a market stacked beside it is solved as alone
+    inst = mg.make_instance("leontief", [row, [1.0, 1.0]])
+    other = mg.make_instance("leontief", [[1.0, 2.0], [2.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone, (stacked, beside) = mg.solve_eg(inst), mg.solve_eg_many([inst, other])
+        fisher = mg.fisher_outcome(inst, inst.matrix).equilibrium
+        assert mg.fisher_ne_falsify(inst, inst.matrix, trials=8).max_gain == 0.0
+    for eq in (alone, stacked, fisher):
+        assert not eq.converged and eq.iterations == 0
+        assert math.isnan(eq.utilities[0])
+    assert beside.converged
+    assert beside.allocation.tobytes() == mg.solve_eg(other).allocation.tobytes()
 
 
 def test_no_solve_converges_to_a_non_finite_utility():

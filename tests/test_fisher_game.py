@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,22 +176,32 @@ def test_a_rescaled_report_is_the_same_market(kind, rho, c):
     assert np.abs(out.equilibrium.allocation - base.equilibrium.allocation).max() <= 1e-9
 
 
-@pytest.mark.parametrize("case", ["lb-n14", "identity-leontief-n5", "ces-rho0.5"])
+@pytest.mark.parametrize("case", ["lb-n14", "lb-n27", "identity-leontief-n5", "ces-rho0.5",
+                                  "linear-groups"])
 def test_falsifier_solves_each_rescaled_market_once(case, monkeypatch):
     # every deviation's rescaling class solved alone by fisher_outcome
-    # against the falsifier, which solves each class's market once in one
-    # stack: the same failures and, bit for bit, the same gains
+    # against the falsifier, which solves each class's market once, stack
+    # by stack: the same failures and, bit for bit, the same gains.  At
+    # n = 27 the markets fill several stacks; in the linear market good 2
+    # is valued by agent 0 alone, so a sparsified report of agent 0 can
+    # leave it undemanded, a second group of demanded goods; the CES case
+    # draws the base profile's key from several agents
+    trials, seed = 16, 0
     if case == "lb-n14":
         inst, reports, spends = mg.lb_construction(14)
+    elif case == "lb-n27":
+        (inst, reports, spends), trials = mg.lb_construction(27), 40
     elif case == "identity-leontief-n5":
         inst, spends = mg.gen_identity_leontief(5), None
         reports, _ = mg.uniform_leontief_ne(inst)
-    else:
+    elif case == "ces-rho0.5":
         inst, spends = mg.gen_random(5, 4, "ces", rho=0.5, seed=0), None
         reports = inst.matrix
-    trials, seed = 16, 0
+    else:
+        inst = mg.make_instance("linear", [[1.0, 0.6, 0.3], [0.5, 1.0, 0.0], [0.8, 0.2, 0.0]])
+        reports, spends, trials = inst.matrix, None, 24
     base = mg.fisher_outcome(inst, reports, init_spending=spends)
-    gains, failures, classes = np.zeros(inst.n), 0, {}
+    gains, failures, classes, groups = np.zeros(inst.n), 0, {}, set()
     devs = fisher_game._deviations(inst, reports, trials, seed)
     for i, rows in enumerate(devs):
         for d in rows:
@@ -200,6 +211,7 @@ def test_falsifier_solves_each_rescaled_market_once(case, monkeypatch):
             key = fisher_game._row_scaled(profile).tobytes()
             if key not in classes:
                 classes[key] = mg.fisher_outcome(inst, profile)
+                groups.add((profile > 0).any(axis=0).tobytes())
             out = classes[key]
             if out.equilibrium.converged:
                 gains[i] = max(gains[i], out.true_utilities[i] - base.true_utilities[i])
@@ -214,8 +226,28 @@ def test_falsifier_solves_each_rescaled_market_once(case, monkeypatch):
     monkeypatch.setattr(fisher_game, "_solve_profiles", counting)
     rep = mg.fisher_ne_falsify(inst, reports, trials=trials, seed=seed, init_spending=spends)
     assert len(solved) == 1 + len(classes)  # the base, then one market per class
+    assert rep.markets == len(classes)
     assert rep.failures == failures
     assert rep.gains.tobytes() == gains.tobytes()
+    if case == "lb-n27":  # more markets than one stack of 29 x 28 holds
+        assert rep.markets > eq_solvers.STACK_ENTRIES // (inst.n * inst.m)
+    if case == "linear-groups":
+        assert len(groups) > 1
+
+
+def test_falsifier_memory_is_bounded_by_a_stack():
+    # the 2,147 deviation markets of 29 x 28 are solved stack by stack: one
+    # P x n x m array of them all would take 14 MB
+    inst, reports, spends = mg.lb_construction(27)
+    mg.fisher_ne_falsify(inst, reports, trials=1, init_spending=spends)  # imports on first use
+    tracemalloc.start()
+    try:
+        rep = mg.fisher_ne_falsify(inst, reports, trials=100, seed=3, init_spending=spends)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.markets == 2147 and rep.failures == 0
+    assert peak <= 10e6
 
 
 def test_falsifier_structured_on_lb_profile():
