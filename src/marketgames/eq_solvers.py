@@ -10,7 +10,8 @@ Every kind is solved on the price-space Eisenberg-Gale dual
 min_p sum_j p_j - sum_i B_i log e_i(p), e_i the unit-expenditure function
 (v_i . p for Leontief), by Newton steps that each solve one m x m system by
 Cholesky: an interior point for linear and Leontief markets, damped Newton
-for CES.  The Cholesky routines are LAPACK's, bound from scipy.linalg at the
+for CES.  Each solver advances a stack of markets in one loop, every member
+by its own steps; a single market is a stack of one.  The Cholesky routines are LAPACK's, bound from scipy.linalg at the
 first factorization (``_lapack``), so importing the package loads numpy only.
 """
 
@@ -235,18 +236,13 @@ def verify_kkt_leontief(instance: Instance, allocation, prices,
 # Linear solver: interior point on the price-space dual, then an exact polish
 
 
-def _drop_undemanded(v: np.ndarray):
-    demanded = (v > 0).any(axis=0)
-    kept = np.nonzero(demanded)[0]
-    dropped = tuple(int(j) for j in np.nonzero(~demanded)[0])
-    return kept, dropped
-
-
-def _kept_columns(v, kept):
-    """The goods ``kept`` of a stack of valuations, each member laid out
-    column by column as ``matrix[:, kept]`` is: the solves' rounding depends
-    on the layout of their arrays, not only on their values."""
-    return np.ascontiguousarray(v.transpose(0, 2, 1)[:, kept]).transpose(0, 2, 1)
+def _kept_columns(v):
+    """The goods ``kept`` that some agent of a stack's first member values,
+    and the stack's valuations of them, each member laid out column by
+    column as ``matrix[:, kept]`` is: the solves' rounding depends on the
+    layout of their arrays, not only on their values."""
+    kept = np.nonzero((v[0] > 0).any(axis=0))[0]
+    return kept, np.ascontiguousarray(v.transpose(0, 2, 1)[:, kept]).transpose(0, 2, 1)
 
 
 def _embed(m: int, kept, x, p):
@@ -788,8 +784,7 @@ def _solve_linear_stack(v_full, budgets, tol, max_iter, inits):
     ``init_bids`` (a checked n x m matrix) or None.  Every check of a
     candidate is one ``_kkt_linear_many`` call over the members that have
     one.  Returns ``_Solved``."""
-    kept = _drop_undemanded(v_full[0])[0]
-    v = _kept_columns(v_full, kept)
+    kept, v = _kept_columns(v_full)
     K, n, m = v_full.shape
     tried = [set() for _ in range(K)]
     # each member's result so far: allocation, prices, residuals, passed
@@ -886,8 +881,7 @@ def _solve_leontief_stack(v_full, budgets, tol, max_iter):
     its floor even at the uncut prices.  The members worth checking at an
     iteration, and all of them at the end, are verified by one
     ``_kkt_leontief_many`` call.  Returns ``_Solved``."""
-    kept = _drop_undemanded(v_full[0])[0]
-    v_all = _kept_columns(v_full, kept)
+    kept, v_all = _kept_columns(v_full)
     K, n, m = v_all.shape
     total = budgets.sum(axis=1)
     b = budgets / total[:, None]
@@ -1007,80 +1001,88 @@ def solve_ces_eg(instance: Instance, tol: float = DEFAULT_TOL,
     diag(sigma s) + (1 - sigma) sum_i B_i q_i q_i^T (s_j the spending on
     good j) is at least diag(s), which stands in should Cholesky fail.
     Converged: goods clear to tol within ``max_iter`` Newton steps
-    (``iterations``).  At rho = 1 CES is linear: ``solve_linear_eg``.
+    (``iterations``).  At rho = 1 CES is linear: ``solve_linear_eg``
+    without ``init_bids``.  This is a stack of one in the loop
+    ``_solve_profiles`` runs.
     """
     if instance.kind != CES:
         raise ValueError("solve_ces_eg requires CES valuations")
-    rho = instance.valuations.rho
-    if rho == 1.0:
-        linear = Instance(instance.n, instance.m, instance.budgets,
-                          ValuationProfile(LINEAR, instance.matrix))
-        return solve_linear_eg(linear, tol, max_iter)
-    return _member(_solve_ces_stack(instance.matrix[None], instance.budgets[None], rho, tol,
-                                    max_iter), 0, instance.matrix)
+    return _member(_solve_ces_stack(instance.matrix[None], instance.budgets[None],
+                                    instance.valuations.rho, tol, max_iter), 0, instance.matrix)
 
 
 def _solve_ces_stack(v_full, budgets, rho, tol, max_iter):
-    """``solve_ces_eg`` of each market of a stack at rho < 1, shaped as for
-    ``_solve_linear_stack``, one at a time.  Returns ``_Solved``."""
-    K, n, m = v_full.shape
-    x_out, p_out, u_out = np.zeros((K, n, m)), np.zeros((K, m)), np.zeros((K, n))
-    res_out, steps, passed = np.zeros((K, 4)), np.zeros(K, dtype=int), np.zeros(K, dtype=bool)
-    for k in range(K):
-        x_out[k], p_out[k], res_out[k], steps[k], passed[k] = _ces_newton(
-            v_full[k], budgets[k], rho, tol, max_iter)
-        u_out[k] = _ces_eval(v_full[k], x_out[k], rho)
-    return _solved(x_out, p_out, u_out, res_out, steps, passed)
-
-
-def _ces_newton(v_full, budgets, rho, tol, max_iter):
-    """The damped Newton solve of one CES market at rho < 1: its allocation,
-    prices, residuals in ``Residuals`` field order, steps, and whether the
-    goods clear to tol."""
-    kept = _drop_undemanded(v_full)[0]
-    v = v_full[:, kept]
-    total = float(budgets.sum())
-    b = budgets / total
+    """``solve_ces_eg`` of a stack of markets with the same demanded goods,
+    shaped as for ``_solve_linear_stack``, their damped Newton solves
+    advanced in one loop; at rho = 1 they are ``_solve_linear_stack``'s,
+    without ``init_bids``.  A member leaves the stack only at the top of an
+    iteration: once its goods clear to tol, after ``max_iter`` steps, or
+    after an iteration without a step.  Returns ``_Solved``."""
+    if rho == 1.0:
+        return _solve_linear_stack(v_full, budgets, tol, max_iter, [None] * len(v_full))
+    kept, v = _kept_columns(v_full)
+    K, n, m = v.shape
+    total = budgets.sum(axis=1)
+    b = b_all = budgets / total[:, None]
     sigma = 1.0 / (1.0 - rho)
     with np.errstate(divide="ignore"):
         log_w = sigma * np.log(v)
+    steps, last_p, last_q = np.zeros(K, dtype=int), np.zeros((K, m)), np.zeros((K, n, m))
+    passed, ids, moved = np.zeros(K, dtype=bool), np.arange(K), np.ones(K, dtype=bool)
 
     def shares(p):
-        a = log_w + (1.0 - sigma) * np.log(p)
-        top = a.max(axis=1, keepdims=True)
+        # each agent's spending shares at prices p, and the dual's value
+        a = log_w + (1.0 - sigma) * np.log(p)[:, None, :]
+        top = a.max(axis=2, keepdims=True)
         e = np.exp(a - top)
-        z = e.sum(axis=1, keepdims=True)
-        log_e = (top[:, 0] + np.log(z[:, 0])) / (1.0 - sigma)
-        return e / z, float(p.sum() - b @ log_e)
+        z = e.sum(axis=2, keepdims=True)
+        log_e = (top[:, :, 0] + np.log(z[:, :, 0])) / (1.0 - sigma)
+        return e / z, p.sum(axis=1) - _rowdot(b, log_e)
 
-    p = b @ (v / v.sum(axis=1, keepdims=True))
+    p = (b[:, None, :] @ (v / v.sum(axis=2, keepdims=True)))[:, 0]
     q, f = shares(p)
     for it in range(max_iter + 1):
-        spend = b @ q
+        spend = (b[:, None, :] @ q)[:, 0]
         g = 1.0 - spend / p
-        if np.abs(g).max() <= tol or it == max_iter:
-            break
-        fac = _newton_factors((sigma * spend)[None], q[None], ((1.0 - sigma) * b)[None])
-        if fac[0] is not None:
-            dz = -_cho_solve(fac, (p * g)[None])[0]
-        else:
-            dz = -p * g / np.maximum(spend, 1e-300)
-        decrement = float(-g @ (p * dz))
-        t = min(1.0, 0.99 / max(float(-dz.min()), 1e-300))
-        while True:
-            cand = p * (1.0 + t * dz)
-            q_new, f_new = shares(cand)
-            # below 1e-12 the decrease is lost in the rounding of f
-            if f_new <= f - 0.25 * t * decrement or decrement <= 1e-12 or t < 1e-12:
+        clear = np.abs(g).max(axis=1) <= tol
+        # the one exit: a member leaves here, whatever the reason
+        gone = clear | ~moved | (it == max_iter)
+        if gone.any():
+            k = ids[gone]
+            steps[k], last_p[k], last_q[k], passed[k] = it - ~moved[gone], p[gone], q[gone], \
+                clear[gone]
+            if gone.all():
                 break
-            t *= 0.5
-        if t < 1e-12:
-            break
-        p, q, f = cand, q_new, f_new
-    x_full, p_full = _embed(v_full.shape[1], kept, b[:, None] * q / p, p * total)
-    budget, clearing, comp = _market_residuals(budgets, x_full, p_full, tol)
+            ids, log_w, b, p, q, f, spend, g = _take(~gone, ids, log_w, b, p, q, f, spend, g)
+        factors = _newton_factors(sigma * spend, q, (1.0 - sigma) * b)
+        dz = -_cho_solve(factors, p * g)
+        diag = [fac is None for fac in factors]
+        if any(diag):
+            dz[diag] = -p[diag] * g[diag] / np.maximum(spend[diag], 1e-300)
+        decrement = _rowdot(-g, p * dz)
+        t = np.minimum(1.0, 0.99 / np.maximum(-dz.min(axis=1), 1e-300))
+        # halve each member's step until it passes Armijo; below 1e-12 the
+        # decrease is lost in the rounding of f
+        new, moved, live = (p, q, f), np.zeros(ids.size, dtype=bool), t >= 1e-12
+        while live.any():
+            trial = p * (1.0 + t[:, None] * dz)
+            trial = (trial, *shares(trial))
+            good = live & ((trial[2] <= f - 0.25 * t * decrement) | (decrement <= 1e-12))
+            if good.all():
+                new, moved = trial, good
+                break
+            new = _pick(good, trial, new)
+            moved |= good
+            live &= ~good
+            t[live] *= 0.5
+            live &= t >= 1e-12
+        p, q, f = new
+
+    x, p = _embed(v_full.shape[2], kept, b_all[:, :, None] * last_q / last_p[:, None, :],
+                  last_p * total[:, None])
     # stationarity is exact: each bundle is the agent's CES demand at p
-    return x_full, p_full, (0.0, comp, budget, clearing), it, np.abs(g).max() <= tol
+    res = _kkt_reports(np.zeros(K), *_market_residuals(budgets, x, p, tol), tol)[0]
+    return _solved(x, p, _ces_eval(v_full, x, rho), res, steps, passed)
 
 
 def solve_eg(instance: Instance, tol: float = DEFAULT_TOL,
@@ -1112,22 +1114,19 @@ def _solve_profiles(kind, v, budgets, live, tol: float = DEFAULT_TOL,
     the members' results as one ``_Solved`` and builds no result object
     per market.
 
-    Linear and Leontief markets with the same live agents and demanded
-    goods share one interior-point loop, in stacks of at most STACK_ENTRIES
-    entries per K x n x m array.  Each stack is gathered C-contiguous and
-    its kept goods laid out by ``_kept_columns``, whatever the layout of
-    ``v``, since the rounding of a solve depends on the layout of its
-    arrays; each member takes its own Newton steps and leaves the stack
-    when it stops.  The linear members that reach the polish at the same
+    Markets with the same live agents and demanded goods share one Newton
+    loop, in stacks of at most STACK_ENTRIES entries per K x n x m array.
+    Each stack is gathered C-contiguous and its kept goods laid out by
+    ``_kept_columns``, whatever the layout of ``v``, since the rounding of
+    a solve depends on the layout of its arrays; each member takes its own
+    Newton steps and leaves the stack when it stops.  The linear members that reach the polish at the same
     iteration are polished in one pass, and the candidates of a pass, like
     every stack's final points, are verified in one ``_kkt_linear_many`` or
     ``_kkt_leontief_many`` call, the code of ``verify_kkt_linear`` and
     ``verify_kkt_leontief``, which checks each member as it checks that
-    market alone.  So a member's result is the one ``solve_eg`` gives,
-    whatever its stack.  CES markets are solved one at a time.
+    market alone; a CES member is judged by its own clearing.  So a
+    member's result is the one ``solve_eg`` gives, whatever its stack.
     """
-    if kind == CES and rho == 1.0:  # as solve_ces_eg, without init_bids
-        kind, inits = LINEAR, None
     P, n, m = v.shape
     budgets = np.broadcast_to(budgets, (P, n))
     out = _Solved(np.zeros((P, n, m)), np.zeros((P, m)), np.zeros((P, n)), np.zeros((P, 4)),
@@ -1178,7 +1177,8 @@ def solve_eg_many(instances, tol: float = DEFAULT_TOL,
     ValueError before anything is solved, and selects among its tied
     equilibria; the other kinds ignore theirs.  The markets of one kind,
     shape (and rho) are stacked and solved by one ``_solve_profiles`` call,
-    the array entry the Fisher game solves its reported markets through.
+    the array entry the Fisher game solves its reported markets through,
+    whatever their kind.
     """
     if inits is None:
         inits = [None] * len(instances)
