@@ -1059,11 +1059,12 @@ def _solve_ces_stack(v_full, budgets, rho, tol, max_iter):
         diag = [fac is None for fac in factors]
         if any(diag):
             dz[diag] = -p[diag] * g[diag] / np.maximum(spend[diag], 1e-300)
-        decrement = _rowdot(-g, p * dz)
+        decrement, reach = _rowdot(-g, p * dz), np.abs(dz).max(axis=1)
         t = np.minimum(1.0, 0.99 / np.maximum(-dz.min(axis=1), 1e-300))
         # halve each member's step until it passes Armijo; below 1e-12 the
-        # decrease is lost in the rounding of f
-        new, moved, live = (p, q, f), np.zeros(ids.size, dtype=bool), t >= 1e-12
+        # decrease is lost in the rounding of f, and a step that moves no
+        # relative price by 1e-12 is no step
+        new, moved, live = (p, q, f), np.zeros(ids.size, dtype=bool), t * reach >= 1e-12
         while live.any():
             trial = p * (1.0 + t[:, None] * dz)
             trial = (trial, *shares(trial))
@@ -1075,7 +1076,7 @@ def _solve_ces_stack(v_full, budgets, rho, tol, max_iter):
             moved |= good
             live &= ~good
             t[live] *= 0.5
-            live &= t >= 1e-12
+            live &= t * reach >= 1e-12
         p, q, f = new
 
     x, p = _embed(v_full.shape[2], kept, b_all[:, :, None] * last_q / last_p[:, None, :],

@@ -421,6 +421,17 @@ def test_ces_rho_one_matches_linear_solver():
         assert np.abs(u_ces - u_lin).max() <= 1e-8
 
 
+@pytest.mark.parametrize("n, seed", [(3, 12), (2, 13), (2, 16), (2, 17)])
+def test_near_linear_ces_takes_steps_that_cut_a_price_by_99_percent(n, seed):
+    # sigma = 100: the first Newton step asks to cut a price by a factor of
+    # about 5e12, so its fraction to the boundary is below 1e-12, yet it
+    # moves that price by 99%; the solve once stopped there after 0 steps
+    inst = mg.gen_random(n, 3, "ces", rho=0.99, seed=seed)
+    eq = mg.solve_eg(inst)
+    assert eq.converged and eq.iterations > 0
+    assert mg.verify_eps_market_eq(inst, eq.allocation, eq.prices, eps=1e-6).passed
+
+
 @st.composite
 def eg_markets(draw, leontief=False):
     """Linear (rho = 1), CES and, if ``leontief``, Leontief markets with
