@@ -402,7 +402,7 @@ def _linear_ipm(v, budgets, max_iter, accept):
     iteration: when ``accept`` took them, after ``max_iter`` steps, or when
     they broke down: no step in the last iteration (no descent, or a Newton
     matrix Cholesky rejects), or, before the cap, a gap at rounding level
-    (or nan) or a slack rounded to zero.
+    (or nan) or a slack so small (or zero) that x_ij / s_ij would overflow.
     Returns per member its steps, last prices and allocation (zero before
     the first step) and, if it broke down after a step, that iterate's
     theta, taken whether or not the split was clean (else nan).
@@ -446,7 +446,7 @@ def _linear_ipm(v, budgets, max_iter, accept):
     u, s, xs, gap = state(p, beta, x)
     for it in range(max_iter + 1):
         # the one exit: a member leaves here, whatever the reason
-        ok = moved & (gap > 1e-15) & (s.min(axis=(1, 2)) > 0)
+        ok = moved & (gap > 1e-15) & (s > x * 2.0 ** -1020).all(axis=(1, 2))
         near = np.nonzero(moved & (gap <= POLISH_GAP))[0]
         if near.size or it == max_iter or not ok.all():
             done = np.zeros(ids.size, dtype=bool)

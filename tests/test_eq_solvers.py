@@ -381,6 +381,24 @@ def test_linear_solve_of_subnormal_valuations():
         assert eq.prices.tolist() == [1.0, 1.0, 1.0]
 
 
+def test_linear_slack_that_would_overflow_breaks_down_quietly():
+    # the lone agent's subnormal value leaves a slack of about 5e-324, on
+    # which x / s overflows: the member breaks down before its first step,
+    # without a warning, and a market stacked beside it is solved as alone
+    inst = mg.make_instance("linear", [[5e-324, 1.0]])
+    other = mg.make_instance("linear", [[2.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone, (stacked, beside) = mg.solve_eg(inst), mg.solve_eg_many([inst, other])
+        fisher = mg.fisher_outcome(inst, inst.matrix).equilibrium
+        single = mg.solve_eg(other)
+    for eq in (alone, stacked, fisher):
+        assert not eq.converged and eq.iterations == 0
+    assert beside.converged
+    assert beside.allocation.tobytes() == single.allocation.tobytes()
+    assert beside.prices.tobytes() == single.prices.tobytes()
+
+
 @pytest.mark.parametrize("row", [[5e-324, 5e-324], [5e-324, 0.0], [1e-160, 1e-160]])
 def test_leontief_row_that_underflows_breaks_down_quietly(row):
     # phi_0 = v_0 . p is 0 (or B_0 / phi_0^2 overflows) even at the uncut
