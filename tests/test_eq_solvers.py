@@ -437,6 +437,15 @@ def test_ces_rho_one_matches_linear_solver():
         u_ces = mg.solve_ces_eg(ces, tol=1e-7).utilities
         u_lin = mg.solve_linear_eg(lin, 1e-9).utilities
         assert np.abs(u_ces - u_lin).max() <= 1e-8
+        # both CES entries hand rho = 1 to the linear solve, byte for byte
+        linear = mg.solve_linear_eg(lin)
+        solved = eq_solvers._solve_profiles("ces", ces.matrix[None], ces.budgets,
+                                            np.ones((1, 3), dtype=bool), rho=1.0)
+        for eq in (mg.solve_ces_eg(ces), eq_solvers._member(solved, 0, ces.matrix)):
+            assert (eq.iterations, eq.converged) == (linear.iterations, linear.converged)
+            for got, want in ((eq.allocation, linear.allocation), (eq.prices, linear.prices),
+                              (eq.utilities, linear.utilities)):
+                assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n, seed", [(3, 12), (2, 13), (2, 16), (2, 17)])
@@ -847,9 +856,10 @@ def test_linear_stationarity_matches_the_per_agent_loop(n, m, data):
 
 @st.composite
 def same_shape_stacks(draw):
-    """One to six linear or Leontief markets of one shape, each good
-    demanded, as ``solve_eg_many`` stacks them."""
-    kind = draw(st.sampled_from(["linear", "leontief"]))
+    """One to six linear, Leontief or CES markets of one shape (and rho),
+    each good demanded, as ``solve_eg_many`` stacks them."""
+    kind, rho = draw(st.sampled_from([("linear", None), ("leontief", None), ("ces", 0.5),
+                                      ("ces", -1.0), ("ces", -3.0), ("ces", 0.99)]))
     n, m, size = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
     entry = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
     markets = []
@@ -861,7 +871,7 @@ def same_shape_stacks(draw):
         for j in np.nonzero(~(v > 0).any(axis=0))[0]:
             v[draw(st.integers(0, n - 1)), j] = 1.0
         budgets = draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
-        markets.append(mg.make_instance(kind, v, budgets))
+        markets.append(mg.make_instance(kind, v, budgets, rho))
     return markets
 
 
@@ -874,6 +884,9 @@ def test_stacked_solves_match_single_solves(markets):
         assert np.abs(eq.allocation - alone.allocation).max() <= 1e-12
         if inst.kind == "linear":  # Leontief prices need not be unique
             assert np.abs(eq.prices - alone.prices).max() <= 1e-12
+        if inst.kind == "ces":
+            assert eq.allocation.tobytes() == alone.allocation.tobytes()
+            assert eq.prices.tobytes() == alone.prices.tobytes()
 
 
 @given(same_shape_stacks(), st.data())
@@ -894,7 +907,8 @@ def test_a_profile_solve_depends_on_neither_its_stack_nor_its_layout(markets, da
     live[:, rows] = True
     everyone = np.arange(total)
     solved = eq_solvers._solve_profiles(markets[0].kind, v[order][:, everyone],
-                                        budgets[order][:, everyone], live)
+                                        budgets[order][:, everyone], live,
+                                        rho=markets[0].valuations.rho)
     for k, inst in enumerate(markets[i] for i in order):
         alone = mg.solve_eg(inst)
         assert solved.allocations[k][rows].tobytes() == alone.allocation.tobytes()
@@ -909,12 +923,15 @@ def test_a_profile_solve_depends_on_neither_its_stack_nor_its_layout(markets, da
     pytest.param("leontief", "factor", id="leontief"),
     pytest.param("linear", "step", id="linear-no-step"),
     pytest.param("leontief", "step", id="leontief-no-step"),
+    pytest.param("ces", "factor", id="ces"),
 ])
 def test_a_failing_member_leaves_the_stack_alone(kind, failure, monkeypatch):
     # at the second step the second member's Newton matrix is rejected, or
-    # its step is reported as not taken: it stops after one step, and the
-    # other members solve as they do alone
-    markets = [mg.gen_random(5, 4, kind, seed=seed) for seed in range(3)]
+    # its step is reported as not taken: it stops after one step (a CES
+    # member takes the diagonal step instead), and the other members solve
+    # as they do alone
+    rho = 0.5 if kind == "ces" else None
+    markets = [mg.gen_random(5, 4, kind, rho=rho, seed=seed) for seed in range(3)]
     alone = [mg.solve_eg(inst) for inst in markets]
     assert all(eq.converged and eq.iterations > 2 for eq in alone)
     calls = []
@@ -925,7 +942,7 @@ def test_a_failing_member_leaves_the_stack_alone(kind, failure, monkeypatch):
             factors = real(d, w, c)
             calls.append(len(factors))
             if len(calls) == 2:
-                factors[1] = None
+                factors[min(1, len(factors) - 1)] = None
             return factors
 
         monkeypatch.setattr(eq_solvers, "_newton_factors", fail_second)
@@ -944,7 +961,16 @@ def test_a_failing_member_leaves_the_stack_alone(kind, failure, monkeypatch):
         monkeypatch.setattr(eq_solvers, "_safeguarded_steps", fail_second)
     stacked = mg.solve_eg_many(markets)
     assert calls[:2] == [3, 3]
-    assert stacked[1].iterations == 1 and not stacked[1].converged
+    if kind == "ces":
+        # as alone with its second Newton matrix rejected, and not as alone
+        calls.clear()
+        diag = mg.solve_eg(markets[1])
+        assert calls[:2] == [1, 1] and diag.converged
+        assert (stacked[1].iterations, stacked[1].converged) == (diag.iterations, True)
+        assert stacked[1].prices.tobytes() == diag.prices.tobytes()
+        assert stacked[1].prices.tobytes() != alone[1].prices.tobytes()
+    else:
+        assert stacked[1].iterations == 1 and not stacked[1].converged
     for k in (0, 2):
         assert (stacked[k].iterations, stacked[k].converged) == (alone[k].iterations, True)
         assert np.array_equal(stacked[k].allocation, alone[k].allocation)
