@@ -10,9 +10,9 @@ Every kind is solved on the price-space Eisenberg-Gale dual
 min_p sum_j p_j - sum_i B_i log e_i(p), e_i the unit-expenditure function
 (v_i . p for Leontief), by Newton steps that each solve one m x m system by
 Cholesky: an interior point for linear and Leontief markets, damped Newton
-for CES.  Each solver advances a stack of markets in one loop, every member
-by its own steps; a single market is a stack of one.  The Cholesky routines are LAPACK's, bound from scipy.linalg at the
-first factorization (``_lapack``), so importing the package loads numpy only.
+for CES, each advancing a stack of markets in one loop.  The Cholesky
+routines are LAPACK's, bound from scipy.linalg at the first factorization
+(``_lapack``), so importing the package loads numpy only.
 """
 
 from __future__ import annotations
@@ -1013,11 +1013,10 @@ def solve_ces_eg(instance: Instance, tol: float = DEFAULT_TOL,
 
 def _solve_ces_stack(v_full, budgets, rho, tol, max_iter):
     """``solve_ces_eg`` of a stack of markets with the same demanded goods,
-    shaped as for ``_solve_linear_stack``, their damped Newton solves
-    advanced in one loop; at rho = 1 they are ``_solve_linear_stack``'s,
-    without ``init_bids``.  A member leaves the stack only at the top of an
-    iteration: once its goods clear to tol, after ``max_iter`` steps, or
-    after an iteration without a step.  Returns ``_Solved``."""
+    shaped as for ``_solve_linear_stack``, in one damped Newton loop (at
+    rho = 1, ``_solve_linear_stack`` without ``init_bids``).  A member
+    leaves only at the top of an iteration: once its goods clear to tol,
+    after ``max_iter`` steps, or after an iteration without a step."""
     if rho == 1.0:
         return _solve_linear_stack(v_full, budgets, tol, max_iter, [None] * len(v_full))
     kept, v = _kept_columns(v_full)
@@ -1049,8 +1048,8 @@ def _solve_ces_stack(v_full, budgets, rho, tol, max_iter):
         gone = clear | ~moved | (it == max_iter)
         if gone.any():
             k = ids[gone]
-            steps[k], last_p[k], last_q[k], passed[k] = it - ~moved[gone], p[gone], q[gone], \
-                clear[gone]
+            steps[k], passed[k] = it - ~moved[gone], clear[gone]
+            last_p[k], last_q[k] = p[gone], q[gone]
             if gone.all():
                 break
             ids, log_w, b, p, q, f, spend, g = _take(~gone, ids, log_w, b, p, q, f, spend, g)
@@ -1066,8 +1065,8 @@ def _solve_ces_stack(v_full, budgets, rho, tol, max_iter):
         # relative price by 1e-12 is no step
         new, moved, live = (p, q, f), np.zeros(ids.size, dtype=bool), t * reach >= 1e-12
         while live.any():
-            trial = p * (1.0 + t[:, None] * dz)
-            trial = (trial, *shares(trial))
+            cand = p * (1.0 + t[:, None] * dz)
+            trial = (cand, *shares(cand))
             good = live & ((trial[2] <= f - 0.25 * t * decrement) | (decrement <= 1e-12))
             if good.all():
                 new, moved = trial, good
