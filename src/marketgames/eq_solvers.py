@@ -39,9 +39,9 @@ POLISH_GAP = 1e-2
 #: Most entries in one K x n x m array of a stacked solve (``_solve_profiles``).
 STACK_ENTRIES = 2 ** 14
 
-#: An agent's budget or a good's price, relative to itself, that the tie flow
-#: (``linprog``) may leave unrouted and still carry the spending.
-FLOW_TOL = 1e-9
+#: A polished spending's entry or residual at most this fraction of the
+#: market's largest budget is rounding (``linprog``).
+ROUNDING = 1e-12
 
 
 @functools.cache
@@ -446,7 +446,9 @@ def _linear_ipm(v, budgets, max_iter, accept):
     u, s, xs, gap = state(p, beta, x)
     for it in range(max_iter + 1):
         # the one exit: a member leaves here, whatever the reason
-        ok = moved & (gap > 1e-15) & (s > x * 2.0 ** -1020).all(axis=(1, 2))
+        # x / s is finite while s 2^1020 > x, with s capped at 1 so that the
+        # product cannot overflow (x 2^-1020 would be subnormal, and slow)
+        ok = moved & (gap > 1e-15) & (np.minimum(s, 1.0) * 2.0 ** 1020 > x).all(axis=(1, 2))
         near = np.nonzero(moved & (gap <= POLISH_GAP))[0]
         if near.size or it == max_iter or not ok.all():
             done = np.zeros(ids.size, dtype=bool)
@@ -550,119 +552,39 @@ def _project_spending(kk, ii, jj, s0, budgets, p_hat, keep_good):
     return s0 + (res_a - np.bincount(a, z[g], K * n) / deg)[a] + z[g]
 
 
-@dataclass(frozen=True)
-class TieFlow:
-    """A spending ``x`` on the tie edges, one entry per edge, and whether it
-    carries every budget and price."""
-
-    x: np.ndarray
-    success: bool
+#: The fallback's result, with the fields of scipy's ``linprog`` the callers read.
+TieSpending = NamedTuple("TieSpending", [("x", np.ndarray), ("success", bool)])
 
 
-def linprog(ii, jj, budgets, prices) -> TieFlow:
-    """Whether the tie edges (ii, jj) carry the budgets to the prices: a
-    non-negative spending on them whose row sums are ``budgets`` and column
-    sums ``prices``, found as a max flow from the agents (supplying B_i) over
-    the edges (unbounded) to the goods (demanding p_j).
-
-    A node with one edge left fixes that edge's spending, all of the node's
-    remainder, so leaves are peeled first and a forest is settled with no
-    search.  What is left goes to Dinic's algorithm: a breadth-first search
-    levels the nodes from the agents with budget left to the nearest goods
-    with price left, and a depth-first search, on an explicit stack, moves
-    spending along level paths until none is left; then it levels again.  A
-    remainder at most FLOW_TOL of its budget or price counts as zero.  The
-    polish's fallback; its name is the one the benchmark's tracer times.
-    """
-    n = len(budgets)
-    left = budgets.tolist() + prices.tolist()  # agents are nodes 0..n-1, goods n..
-    floor = [FLOW_TOL * r for r in left]
-    ends = list(zip(ii.tolist(), (n + jj).tolist()))
-    adj = [[] for _ in left]
-    for e, (a, g) in enumerate(ends):
-        adj[a].append(e)
-        adj[g].append(e)
-    flow, live = [0.0] * len(ends), [True] * len(ends)
-    deg, done = [len(es) for es in adj], [False] * len(left)
-
-    # a node whose remainder is spent drops its edges; a leaf sends (agent)
-    # or takes (good) its whole remainder over its one edge first
-    queue = [u for u in range(len(left)) if deg[u] <= 1 or left[u] <= floor[u]]
-    while queue:
-        u = queue.pop()
-        if done[u] or (deg[u] > 1 and left[u] > floor[u]):
-            continue
-        if left[u] > floor[u]:
-            if not deg[u]:
-                return TieFlow(np.array(flow), False)
-            e = next(e for e in adj[u] if live[e])
-            w = sum(ends[e]) - u
-            flow[e] += left[u]
-            left[w] -= left[u]
-            left[u] = 0.0
-            if left[w] < -floor[w]:
-                return TieFlow(np.array(flow), False)
-        done[u] = True
-        for e in adj[u]:
-            if live[e]:
-                live[e] = False
-                w = sum(ends[e]) - u
-                deg[w] -= 1
-                queue.append(w)
-
-    while True:
-        # levels: agents with budget left first, then breadth first over the
-        # moves that can shift spending (from an agent along an edge, from a
-        # good back along an edge that carries spending), down to the first
-        # level with a good whose price is left
-        level = [-1] * len(left)
-        sources = frontier = [a for a in range(n) if not done[a] and left[a] > floor[a]]
-        for a in sources:
-            level[a] = 0
-        depth = 0
-        while frontier and not any(u >= n and left[u] > floor[u] for u in frontier):
-            depth += 1
-            reached = []
-            for u in frontier:
-                for e in adj[u]:
-                    w = sum(ends[e]) - u
-                    if live[e] and level[w] < 0 and (u < n or flow[e] > 0.0):
-                        level[w] = depth
-                        reached.append(w)
-            frontier = reached
-        if not frontier:
-            break
-        # a blocking flow: depth-first on an explicit stack, one level down
-        # per move; a node found to lead nowhere leaves the levels
-        nxt = [0] * len(left)
-        for src in sources:
-            path, via = [src], []
-            while path and left[src] > floor[src]:
-                u = path[-1]
-                if level[u] == depth and left[u] > floor[u]:
-                    # even moves go forward along an edge, odd ones back
-                    t = min([left[src], left[u]] + [flow[e] for e in via[1::2]])
-                    for k, e in enumerate(via):
-                        flow[e] += -t if k % 2 else t
-                    left[src] -= t
-                    left[u] -= t
-                    path, via = [src], []
-                    continue
-                while level[u] < depth and nxt[u] < len(adj[u]):
-                    e = adj[u][nxt[u]]
-                    w = sum(ends[e]) - u
-                    if live[e] and level[w] == level[u] + 1 and (u < n or flow[e] > 0.0):
-                        path.append(w)
-                        via.append(e)
-                        break
-                    nxt[u] += 1
-                else:
-                    level[u] = -1
-                    path.pop()
-                    if via:
-                        via.pop()
-                        nxt[path[-1]] += 1
-    return TieFlow(np.array(flow), all(r <= f for r, f in zip(left, floor)))
+def linprog(ii, jj, s, budgets, prices) -> TieSpending:
+    """The polish's fallback for a least-squares spending ``s`` on the tie
+    edges (ii, jj) with a negative entry: entries at most ROUNDING of the
+    largest budget below zero are clipped, the others' edges fixed at zero
+    and the rest of ``s`` projected again until none is negative (Lawson and
+    Hanson's active set without release steps).  ``success`` (``x`` carries
+    every budget and price to that rounding) is sound, not exact."""
+    n, m, tol = len(budgets), len(prices), ROUNDING * budgets.max()
+    x, free = s, np.ones(s.size, dtype=bool)
+    by_price = np.argsort(-prices, kind="stable")
+    while (x < -tol).any():
+        free &= x >= -tol
+        a, g = ii[free], jj[free]
+        label = np.array(_spanning_potentials(n + m, a.tolist(), (n + g).tolist(),
+                                              [0.0] * a.size)[0])
+        # no spending leaves an agent without an edge, or a component's
+        # budgets apart from its prices (a good without an edge is one)
+        apart = np.abs(np.bincount(label[:n], budgets, n + m)
+                       - np.bincount(label[n:], prices, n + m)).max() > tol
+        if apart or not np.bincount(a, minlength=n).all():
+            return TieSpending(x, False)
+        # each component is grounded at its dearest good
+        keep = np.ones(m, dtype=bool)
+        keep[by_price[np.unique(label[n:][by_price], return_index=True)[1]]] = False
+        x = np.zeros(s.size)
+        x[free] = _project_spending(0 * a, a, g, s[free], budgets[None], prices[None], keep[None])
+    x = np.maximum(x, 0.0)
+    return TieSpending(x, bool(np.abs(np.bincount(ii, x, n) - budgets).max() <= tol
+                              and np.abs(np.bincount(jj, x, m) - prices).max() <= tol))
 
 
 def _spans(kk, count):
@@ -702,11 +624,11 @@ def _linear_structure_polish(v, budgets, prices, starts, theta, tried):
     v_ij, exact in the valuation data.  So one pass gives the components and
     exact log-prices; edges that disagree with them by over 1e-8 are
     dropped.  The kept edges' spending is ``_project_spending`` of the
-    start, or a feasible flow (``linprog``) when that has a negative entry.
-    Only the union-find runs member by member.  Returns the members with a
-    candidate, in order, and their stacked allocations and prices; the
-    caller verifies them.  ``tried[k]`` holds the edge sets member k has
-    already solved.
+    start, or, when that has a negative entry, ``linprog``'s re-projection,
+    and a member that fails is no candidate.  Only the union-find runs
+    member by member.  Returns the members with a candidate, in order, and
+    their stacked allocations and prices; the caller verifies them.
+    ``tried[k]`` holds the edge sets member k has already solved.
     """
     K, n, m = v.shape
     none = (np.zeros(0, dtype=int), np.zeros((0, n, m)), np.zeros((0, m)))
@@ -735,7 +657,14 @@ def _linear_structure_polish(v, budgets, prices, starts, theta, tried):
     kk, ii, jj = kk[consistent], ii[consistent], jj[consistent]
 
     agent_comp, good_comp = comp[:, :n], comp[:, n:]
-    p_hat = np.exp(-q[:, n:])
+    # a component whose dearest p_hat lies beyond e^+-600 is priced relative
+    # to that good: its scaling then cannot overflow (for budgets to 1e47)
+    log_p = -q[:, n:]
+    if np.abs(log_p).max() > 600.0:
+        top = np.full(L * size, -math.inf)
+        np.maximum.at(top, good_comp.ravel(), log_p.ravel())
+        log_p = log_p - np.where(np.abs(top) > 600.0, top, 0.0)[good_comp]
+    p_hat = np.exp(log_p)
     # every component holds an agent and a good; an id that is no root's
     # counts nothing and is not read
     p_hat *= (np.bincount(agent_comp.ravel(), budgets.ravel(), L * size)[good_comp]
@@ -768,7 +697,7 @@ def _linear_structure_polish(v, budgets, prices, starts, theta, tried):
                           keep_good[ks])
     for k, span in enumerate(_spans(kk, ks.size)):
         if not (s[span] >= 0).all():
-            res = linprog(ii[span], jj[span], budgets[k], p_hat[k])
+            res = linprog(ii[span], jj[span], s[span], budgets[k], p_hat[k])
             ok[ks[k]] = res.success
             s[span] = res.x
     spend = np.zeros((ks.size, n, m))
@@ -842,12 +771,12 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
     last iterate is polished at its own split, clean or not, and returned
     if it passes.
     The polish fixes exact prices by a spanning forest of the bang-per-buck
-    ties; among tied equilibria it returns the spending closest in least
-    squares to ``init_bids`` (a spending matrix) or, without it, to the
-    iterate's spending x_ij p_j, found by one m x m Cholesky solve; where
-    that has a negative entry, a max flow over the ties that carries the
-    budgets to the prices instead, if one exists.  This is a stack of one
-    in the loop ``_solve_profiles`` runs.
+    ties.  One rule picks among tied allocations, and no order of agents or
+    goods enters it: the spending on the ties closest in least squares to
+    ``init_bids`` (a spending matrix) or else to the iterate's x_ij p_j, by
+    one m x m Cholesky solve, projected again without the ties it spends
+    below zero (``linprog``); where that fails, the interior point goes on.
+    This is a stack of one in the loop ``_solve_profiles`` runs.
     """
     if instance.kind != LINEAR:
         raise ValueError("solve_linear_eg requires linear valuations")

@@ -71,6 +71,14 @@ def fisher_outcome(instance: Instance, reports, tol: float = DEFAULT_TOL,
     linear market checks its rows for the live agents as ``init_bids``.
     Reports that are negative or not finite raise ValueError.  The market
     is solved from the report array as a stack of one.
+
+    The tie rule is part of the mechanism: a linear reported market can
+    have many equilibrium allocations at its unique prices, and the
+    outcome's spending is the least-squares projection of ``init_spending``
+    (or else of the solver's interior iterate) onto the spendings on the
+    ties, with any tie it would spend below zero fixed at zero and the rest
+    projected again (see ``solve_linear_eg``).  No order of agents or goods
+    enters the rule.
     """
     r = _check_reports(instance, reports)
     live = (r > 0).any(axis=1)

@@ -143,6 +143,18 @@ def test_linear_init_bids_selects_tied_equilibrium():
     eq = mg.solve_linear_eg(mg.make_instance("linear", reports), init_bids=spends)
     assert eq.converged
     assert np.abs(eq.allocation * eq.prices - spends).max() <= 1e-12
+    # an equilibrium spending is the projection's fixed point: the solver's
+    # own comes back, on seeded integer markets that tie often
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        v = rng.integers(0, 4, (int(rng.integers(2, 9)), int(rng.integers(2, 9))))
+        v[v.sum(axis=1) == 0, 0] = 1
+        inst = mg.make_instance("linear", v, rng.integers(1, 5, v.shape[0]))
+        eq = mg.solve_linear_eg(inst)
+        spend = eq.allocation * eq.prices
+        eq = mg.solve_linear_eg(inst, init_bids=spend)
+        assert eq.converged
+        assert np.abs(eq.allocation * eq.prices - spend).max() <= 1e-12 * inst.budgets.max()
 
 
 def test_linear_rejects_malformed_init_bids():
@@ -248,62 +260,60 @@ def test_spending_projection_is_the_minimum_norm_correction(graph):
 
 @st.composite
 def tie_flows(draw):
-    """A ``tie_graphs`` graph with budgets and the goods' demands: its drawn
-    prices, which the edges may or may not carry, or the row and column
-    sums of a positive spending on its edges, which they carry."""
+    """A ``tie_graphs`` graph with its start spending, budgets and the
+    goods' demands: its drawn prices, which the edges may or may not carry,
+    or the row and column sums of a positive spending on its edges, which
+    they carry."""
     ii, jj, s0, budgets, prices = draw(tie_graphs())
     if draw(st.booleans()):
         spend = s0 + 0.01 * budgets[ii]
         budgets = np.bincount(ii, spend, budgets.size)
         prices = np.bincount(jj, spend, prices.size)
-    return ii, jj, budgets, prices
-
-
-def _check_tie_flow(ii, jj, budgets, prices):
-    """The max flow is feasible exactly when HiGHS finds the LP feasible,
-    and then spends every budget and price."""
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
-
-    n, m, nnz = budgets.size, prices.size, ii.size
-    # the equations of a connected graph, each row divided by its right-hand
-    # side, less the dearest good's, which is redundant
-    keep = np.ones(m, dtype=bool)
-    keep[np.argmax(prices)] = False
-    a = csr_matrix((np.r_[1.0 / budgets[ii], 1.0 / prices[jj]],
-                    (np.r_[ii, n + jj], np.r_[np.arange(nnz), np.arange(nnz)])),
-                   shape=(n + m, nnz))[np.r_[np.ones(n, dtype=bool), keep]]
-    lp = linprog(np.zeros(nnz), A_eq=a, b_eq=np.ones(a.shape[0]), bounds=(0, None),
-                 method="highs")
-    flow = eq_solvers.linprog(ii, jj, budgets, prices)
-    assert flow.success == lp.success
-    if flow.success:
-        assert (flow.x >= 0).all()
-        assert (np.abs(np.bincount(ii, flow.x, n) - budgets) <= 1e-12 * budgets).all()
-        assert (np.abs(np.bincount(jj, flow.x, m) - prices) <= 1e-12 * prices).all()
+    return ii, jj, s0, budgets, prices
 
 
 @given(tie_flows())
 @settings(max_examples=300, deadline=None)
-def test_tie_flow_is_feasible_exactly_when_the_lp_is(graph):
-    _check_tie_flow(*graph)
+def test_tie_spending_fallback_is_sound(graph):
+    # given the projection, the fallback finds a spending only where HiGHS
+    # finds the LP feasible, and that spending carries every budget and
+    # price; it may miss one that exists
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    ii, jj, s0, budgets, prices = graph
+    n, m, nnz = budgets.size, prices.size, ii.size
+    keep = np.ones(m, dtype=bool)
+    keep[np.argmax(prices)] = False
+    s = eq_solvers._project_spending(0 * ii, ii, jj, s0, budgets[None], prices[None],
+                                     keep[None])
+    res = eq_solvers.linprog(ii, jj, s, budgets, prices)
+    if (s >= 0).all():
+        assert res.success
+    if res.success:
+        # the equations of a connected graph, each row divided by its
+        # right-hand side, less the dearest good's, which is redundant
+        a = csr_matrix((np.r_[1.0 / budgets[ii], 1.0 / prices[jj]],
+                        (np.r_[ii, n + jj], np.r_[np.arange(nnz), np.arange(nnz)])),
+                       shape=(n + m, nnz))[np.r_[np.ones(n, dtype=bool), keep]]
+        lp = linprog(np.zeros(nnz), A_eq=a, b_eq=np.ones(a.shape[0]), bounds=(0, None),
+                     method="highs")
+        assert lp.success
+        assert (res.x >= 0).all()
+        assert (np.abs(np.bincount(ii, res.x, n) - budgets) <= 1e-12 * budgets).all()
+        assert (np.abs(np.bincount(jj, res.x, m) - prices) <= 1e-12 * prices).all()
 
 
-def test_tie_flow_on_a_large_graph():
-    # each agent of a 2000 x 500 market tied to its two most valued goods:
-    # a connected graph whose augmenting paths run deep
-    v = mg.gen_random(2000, 500, "linear", seed=1).matrix
-    ii = np.repeat(np.arange(2000), 2)
-    jj = np.sort(np.argsort(-v, axis=1, kind="stable")[:, :2], axis=1).ravel()
-    spend = np.random.default_rng(0).uniform(0.01, 1.0, ii.size)
-    budgets, prices = np.bincount(ii, spend, 2000), np.bincount(jj, spend, 500)
-    _check_tie_flow(ii, jj, budgets, prices)
-    # a good demanding more than its agents' budgets: no spending carries it
-    short = prices.copy()
-    short[0] = 1.5 * budgets[ii[jj == 0]].sum()
-    short[1:] *= (prices.sum() - short[0]) / prices[1:].sum()
-    assert not eq_solvers.linprog(ii, jj, budgets, short).success
-    _check_tie_flow(ii, jj, budgets, short)
+def test_tied_linear_equilibrium_ignores_the_order_of_agents():
+    # no order of agents enters the tie rule: this tied market's allocation
+    # is the same under a relabelling that once moved it by 0.623
+    v = np.array([[2, 1, 0, 3, 3], [1, 3, 0, 2, 0], [1, 3, 3, 1, 0], [1, 3, 2, 0, 0]], float)
+    budgets = np.array([1.0, 2.0, 3.0, 1.0])
+    order = [0, 2, 3, 1]
+    eq = mg.solve_linear_eg(mg.make_instance("linear", v, budgets))
+    other = mg.solve_linear_eg(mg.make_instance("linear", v[order], budgets[order]))
+    assert eq.converged and other.converged
+    assert np.abs(other.allocation - eq.allocation[order]).max() <= 1e-12
 
 
 def test_importing_the_package_leaves_scipy_optimize_out():
@@ -397,6 +407,21 @@ def test_linear_slack_that_would_overflow_breaks_down_quietly():
     assert beside.converged
     assert beside.allocation.tobytes() == single.allocation.tobytes()
     assert beside.prices.tobytes() == single.prices.tobytes()
+
+
+def test_polish_prices_a_subnormal_component_without_overflow():
+    # the live agent's one good is valued 5e-324, so its price from the
+    # forest, exp(-q), is subnormal: scaling it to the budget must not
+    # overflow
+    inst = mg.make_instance("linear", [[1.0, 1.0], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = mg.fisher_outcome(inst, [[5e-324, 0.0], [0.0, 0.0]])
+    eq = out.equilibrium
+    assert eq.converged
+    assert eq.allocation.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    assert eq.prices.tolist() == [1.0, 0.0]
+    assert out.flagged_agents == (1,)
 
 
 @pytest.mark.parametrize("row", [[5e-324, 5e-324], [5e-324, 0.0], [1e-160, 1e-160]])
