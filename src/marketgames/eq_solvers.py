@@ -383,137 +383,6 @@ def _tie_split(p, x, s, edge):
     return np.sqrt(np.maximum(hi, 1e-300) * lo), clean
 
 
-def _linear_ipm(v, budgets, max_iter, accept):
-    """The interior point of the linear EG dual, on a stack of markets.
-
-    With e_i(p) = min_j p_j / v_ij the dual is min sum_j p_j - sum_i B_i log
-    beta_i subject to s_ij = p_j - beta_i v_ij >= 0 on the edges v_ij > 0,
-    whose multipliers x_ij are the allocation.  Mehrotra's predictor-
-    corrector drives x_ij s_ij to zero, each step cutting the duality gap
-    ``merit`` (else a backtracked plain Newton step is taken); the agents are
-    eliminated, so a direction is one m x m Cholesky factorization.
-
-    ``v`` is K x n x m and ``budgets`` K x n; one loop advances every member
-    k by its own Newton steps.  Once a step brings the gap sum x_ij s_ij /
-    sum B_i to at most POLISH_GAP with a clean ``_tie_split``, the member
-    goes to ``accept(ks, prices, allocations, thetas)`` with every other
-    member that did at the same iteration, and ``accept`` returns the mask
-    of those it takes.  Members leave the stack in one place, the top of an
-    iteration: when ``accept`` took them, after ``max_iter`` steps, or when
-    they broke down: no step in the last iteration (no descent, or a Newton
-    matrix Cholesky rejects), or, before the cap, a gap at rounding level
-    (or nan) or a slack so small (or zero) that x_ij / s_ij would overflow.
-    Returns per member its steps, last prices and allocation (zero before
-    the first step) and, if it broke down after a step, that iterate's
-    theta, taken whether or not the split was clean (else nan).
-    """
-    K, n, m = v.shape
-    total = budgets.sum(axis=1)
-    b = budgets / total[:, None]
-    v = v / v.max(axis=2, keepdims=True)
-    edge = v > 0
-    n_edges = edge.sum(axis=(1, 2))
-    p = (b[:, None, :] @ (v / v.sum(axis=2, keepdims=True)))[:, 0]
-    # a subnormal edge's ratio overflows to inf, but each row holds a 1
-    with np.errstate(over="ignore"):
-        beta = 0.5 * (p[:, None, :] / np.where(edge, v, 1e-300)).min(axis=2)
-    x = edge / edge.sum(axis=1, keepdims=True)
-    steps = np.zeros(K, dtype=int)
-    last_p, last_x, last_theta = np.zeros((K, m)), np.zeros((K, n, m)), np.full(K, math.nan)
-    ids, moved = np.arange(K), np.ones(K, dtype=bool)
-
-    def state(p, beta, x):
-        # u, the slacks s (off the edges x = 0 and s = p > 0, so the arrays
-        # stay dense), x * s and the gap sum x_ij s_ij at a point
-        u = (v * x).sum(axis=2)
-        s = p[:, None, :] - beta[:, :, None] * v
-        xs = x * s
-        return u, s, xs, xs.sum(axis=(1, 2))
-
-    def value(beta, u, gap):
-        # sum x_ij s_ij + sum_i B_i (t_i - 1 - log t_i), t_i = beta_i u_i / B_i:
-        # the EG duality gap while the goods clear, zero only at the optimum
-        t = beta * u / b
-        return gap + _rowdot(b, t - 1.0 - np.log(t))
-
-    tried = None  # the point merit saw last, and its state
-
-    def merit(p, beta, x):
-        nonlocal tried
-        tried = p, state(p, beta, x)
-        return value(beta, tried[1][0], tried[1][3])
-
-    u, s, xs, gap = state(p, beta, x)
-    for it in range(max_iter + 1):
-        # the one exit: a member leaves here, whatever the reason
-        # x / s is finite while s 2^1020 > x, with s capped at 1 so that the
-        # product cannot overflow (x 2^-1020 would be subnormal, and slow)
-        ok = moved & (gap > 1e-15) & (np.minimum(s, 1.0) * 2.0 ** 1020 > x).all(axis=(1, 2))
-        near = np.nonzero(moved & (gap <= POLISH_GAP))[0]
-        if near.size or it == max_iter or not ok.all():
-            done = np.zeros(ids.size, dtype=bool)
-            if near.size:
-                split = ((p, x, s, edge) if near.size == ids.size
-                         else _take(near, p, x, s, edge))
-                theta, clean = _tie_split(*split)
-                if clean.any():
-                    j = near[clean]
-                    done[j] = accept(ids[j], p[j] * total[j, None], x[j], theta[clean])
-            # at the cap only a member that took no step has broken down
-            broke = ~done & ~(moved if it == max_iter else ok)
-            gone = done | broke | (it == max_iter)
-            if gone.any():
-                steps[ids[gone]] = it - ~moved[gone]
-                # before its first step a member has no iterate
-                seen = gone & (steps[ids] > 0)
-                broke &= seen
-                last_p[ids[seen]] = p[seen] * total[seen, None]
-                last_x[ids[seen]] = x[seen]
-                if broke.any():
-                    last_theta[ids[broke]] = _tie_split(p[broke], x[broke], s[broke],
-                                                        edge[broke])[0]
-                if gone.all():
-                    break
-                v, b, edge, n_edges, total, ids, moved, p, beta, x, u, s, xs, gap = _take(
-                    ~gone, v, b, edge, n_edges, total, ids, moved, p, beta, x, u, s, xs, gap)
-        d = x / s
-        w = d * v
-        # beta_i u_i = B_i linearized in both factors, like x_ij s_ij = mu
-        h = u / beta + (w * v).sum(axis=2)
-        factors = _newton_factors(d.sum(axis=1), w, -1.0 / h)
-        r_p, r_d = 1.0 - x.sum(axis=1), u - b / beta
-        mu = gap / n_edges
-        x_edge = np.where(edge, x, 1.0)
-
-        def direction(r_c):
-            # the step in (p, beta, x), then the step ds in the slacks
-            t = r_c / s
-            a = -r_d - (v * t).sum(axis=2)
-            dp = _cho_solve(factors, _rmatvec(w, a / h) - r_p + t.sum(axis=1))
-            db = (a + _matvec(w, dp)) / h
-            ds = dp[:, None, :] - v * db[:, :, None]
-            return dp, db, t - d * ds, ds
-
-        def max_step(dp, db, dx, ds):
-            # largest step keeping beta, s (hence p) and x positive
-            return _longest_steps(np.maximum(np.maximum(
-                (-db / beta).max(axis=1), (-ds / s).max(axis=(1, 2))),
-                (-dx / x_edge).max(axis=(1, 2))))
-
-        dp, db, dx, ds = direction(-xs)
-        a_aff = np.minimum(1.0, max_step(dp, db, dx, ds))[:, None, None]
-        sigma = _cubes(((x + a_aff * dx) * (s + a_aff * ds)).sum(axis=(1, 2)) / gap)
-        centre = np.where(edge, (sigma * mu)[:, None, None] - xs, 0.0)
-        # the merit falls at this rate along the Newton direction to centre
-        slope = -(1.0 - sigma) * gap - ((beta * u - b) ** 2 / (beta * u)).sum(axis=1)
-        (p, beta, x), moved = _safeguarded_steps(
-            (p, beta, x), direction, max_step, merit, value(beta, u, gap), slope, centre,
-            centre - np.where(edge, dx * ds, 0.0))
-        # where every member took the corrector's step, merit saw that point last
-        u, s, xs, gap = tried[1] if tried[0] is p else state(p, beta, x)
-    return steps, last_p, last_x, last_theta
-
-
 def _project_spending(kk, ii, jj, s0, budgets, p_hat, keep_good):
     """Least-squares correction of the spending ``s0`` on the edges (kk, ii,
     jj), each a member, agent and good of a stack, onto each member's row
@@ -708,12 +577,34 @@ def _linear_structure_polish(v, budgets, prices, starts, theta, tried):
 
 def _solve_linear_stack(v_full, budgets, tol, max_iter, inits):
     """``solve_linear_eg`` of a stack of markets with the same demanded
-    goods, their interior points advanced in one loop: K x n x m valuations
-    and K x n budgets, both C-contiguous; ``inits`` holds each member's
-    ``init_bids`` (a checked n x m matrix) or None.  Every check of a
-    candidate is one ``_kkt_linear_many`` call over the members that have
-    one.  Returns ``_Solved``."""
-    kept, v = _kept_columns(v_full)
+    goods: K x n x m valuations and K x n budgets, both C-contiguous;
+    ``inits`` holds each member's ``init_bids`` (a checked n x m matrix) or
+    None.
+
+    The interior point works on the linear EG dual: with e_i(p) = min_j p_j
+    / v_ij it is min sum_j p_j - sum_i B_i log beta_i subject to s_ij = p_j
+    - beta_i v_ij >= 0 on the edges v_ij > 0, whose multipliers x_ij are
+    the allocation.  Mehrotra's predictor-corrector drives x_ij s_ij to
+    zero, each step cutting the duality gap ``merit`` (else a backtracked
+    plain Newton step is taken); the agents are eliminated, so a direction
+    is one m x m Cholesky factorization.  One loop advances every member by
+    its own Newton steps.
+
+    A member's result is settled where it leaves the stack, the top of an
+    iteration.  Once a step brings its gap sum x_ij s_ij / sum B_i to at
+    most POLISH_GAP with a clean ``_tie_split``, its iterate is polished,
+    together with every other member's that did at the same iteration, and
+    it leaves if a candidate verifies.  It also leaves after ``max_iter``
+    steps, or when it broke down: no step in the last iteration (no
+    descent, or a Newton matrix Cholesky rejects), or, before the cap, a gap
+    at rounding level (or nan) or a slack so small (or zero) that x_ij /
+    s_ij would overflow.  A member that leaves unpolished keeps its last
+    iterate (zero before its first step), checked at ``tol``; if that fails
+    and it broke down after a step, the iterate is polished once at its own
+    split, clean or not.  Every check is one ``_kkt_linear_many`` call over
+    the members checked at that iteration.  Returns ``_Solved``.
+    """
+    kept, v_kept = _kept_columns(v_full)
     K, n, m = v_full.shape
     tried = [set() for _ in range(K)]
     # each member's result so far: allocation, prices, residuals, passed
@@ -739,22 +630,120 @@ def _solve_linear_stack(v_full, budgets, tol, max_iter, inits):
         for j, k in enumerate(ks):
             if inits[k] is not None:
                 starts[j] = inits[k][:, kept]
-        hit, x, p = _linear_structure_polish(v[ks], budgets[ks], p, starts, theta,
+        hit, x, p = _linear_structure_polish(v_kept[ks], budgets[ks], p, starts, theta,
                                              [tried[k] for k in ks])
         done = np.zeros(len(ks), dtype=bool)
         if hit.size:
             done[hit] = check(ks[hit], x, p, False)
         return done
 
-    steps, last_p, last_x, last_theta = _linear_ipm(v, budgets, max_iter, polish)
-    rest = np.nonzero(~passed)[0]
-    if rest.size:
-        ok = check(rest, last_x[rest], last_p[rest], True)
-        # the interior point broke down: polish its last iterate once, split
-        # at its theta whether or not the split was clean
-        broke = rest[~ok & ~np.isnan(last_theta[rest])]
-        if broke.size:
-            polish(broke, last_p[broke], last_x[broke], last_theta[broke])
+    total = budgets.sum(axis=1)
+    b = budgets / total[:, None]
+    v = v_kept / v_kept.max(axis=2, keepdims=True)
+    edge = v > 0
+    n_edges = edge.sum(axis=(1, 2))
+    p = (b[:, None, :] @ (v / v.sum(axis=2, keepdims=True)))[:, 0]
+    # a subnormal edge's ratio overflows to inf, but each row holds a 1
+    with np.errstate(over="ignore"):
+        beta = 0.5 * (p[:, None, :] / np.where(edge, v, 1e-300)).min(axis=2)
+    x = edge / edge.sum(axis=1, keepdims=True)
+    steps = np.zeros(K, dtype=int)
+    ids, moved = np.arange(K), np.ones(K, dtype=bool)
+
+    def state(p, beta, x):
+        # u, the slacks s (off the edges x = 0 and s = p > 0, so the arrays
+        # stay dense), x * s and the gap sum x_ij s_ij at a point
+        u = (v * x).sum(axis=2)
+        s = p[:, None, :] - beta[:, :, None] * v
+        xs = x * s
+        return u, s, xs, xs.sum(axis=(1, 2))
+
+    def value(beta, u, gap):
+        # sum x_ij s_ij + sum_i B_i (t_i - 1 - log t_i), t_i = beta_i u_i / B_i:
+        # the EG duality gap while the goods clear, zero only at the optimum
+        t = beta * u / b
+        return gap + _rowdot(b, t - 1.0 - np.log(t))
+
+    evaluated = None  # the point merit saw last, and its state
+
+    def merit(p, beta, x):
+        nonlocal evaluated
+        evaluated = p, state(p, beta, x)
+        return value(beta, evaluated[1][0], evaluated[1][3])
+
+    u, s, xs, gap = state(p, beta, x)
+    for it in range(max_iter + 1):
+        # the one exit: a member leaves here, whatever the reason
+        # x / s is finite while s 2^1020 > x, with s capped at 1 so that the
+        # product cannot overflow (x 2^-1020 would be subnormal, and slow)
+        ok = moved & (gap > 1e-15) & (np.minimum(s, 1.0) * 2.0 ** 1020 > x).all(axis=(1, 2))
+        near = np.nonzero(moved & (gap <= POLISH_GAP))[0]
+        if near.size or it == max_iter or not ok.all():
+            done = np.zeros(ids.size, dtype=bool)
+            if near.size:
+                split = ((p, x, s, edge) if near.size == ids.size
+                         else _take(near, p, x, s, edge))
+                theta, clean = _tie_split(*split)
+                if clean.any():
+                    j = near[clean]
+                    done[j] = polish(ids[j], p[j] * total[j, None], x[j], theta[clean])
+            # at the cap only a member that took no step has broken down
+            broke = ~done & ~(moved if it == max_iter else ok)
+            gone = done | broke | (it == max_iter)
+            if gone.any():
+                steps[ids[gone]] = it - ~moved[gone]
+                j = np.nonzero(gone & ~done)[0]
+                if j.size:
+                    # a member leaving unpolished keeps its last iterate (zero
+                    # before its first step); failing, one that broke down
+                    # after a step is polished once at its own split
+                    first = steps[ids[j]] == 0
+                    last_p = np.where(first[:, None], 0.0, p[j] * total[j, None])
+                    last_x = np.where(first[:, None, None], 0.0, x[j])
+                    fail = ~check(ids[j], last_x, last_p, True) & broke[j] & ~first
+                    if fail.any():
+                        f = j[fail]
+                        polish(ids[f], last_p[fail], last_x[fail],
+                               _tie_split(p[f], x[f], s[f], edge[f])[0])
+                if gone.all():
+                    break
+                v, b, edge, n_edges, total, ids, moved, p, beta, x, u, s, xs, gap = _take(
+                    ~gone, v, b, edge, n_edges, total, ids, moved, p, beta, x, u, s, xs, gap)
+        d = x / s
+        w = d * v
+        # beta_i u_i = B_i linearized in both factors, like x_ij s_ij = mu
+        h = u / beta + (w * v).sum(axis=2)
+        factors = _newton_factors(d.sum(axis=1), w, -1.0 / h)
+        r_p, r_d = 1.0 - x.sum(axis=1), u - b / beta
+        mu = gap / n_edges
+        x_edge = np.where(edge, x, 1.0)
+
+        def direction(r_c):
+            # the step in (p, beta, x), then the step ds in the slacks
+            t = r_c / s
+            a = -r_d - (v * t).sum(axis=2)
+            dp = _cho_solve(factors, _rmatvec(w, a / h) - r_p + t.sum(axis=1))
+            db = (a + _matvec(w, dp)) / h
+            ds = dp[:, None, :] - v * db[:, :, None]
+            return dp, db, t - d * ds, ds
+
+        def max_step(dp, db, dx, ds):
+            # largest step keeping beta, s (hence p) and x positive
+            return _longest_steps(np.maximum(np.maximum(
+                (-db / beta).max(axis=1), (-ds / s).max(axis=(1, 2))),
+                (-dx / x_edge).max(axis=(1, 2))))
+
+        dp, db, dx, ds = direction(-xs)
+        a_aff = np.minimum(1.0, max_step(dp, db, dx, ds))[:, None, None]
+        sigma = _cubes(((x + a_aff * dx) * (s + a_aff * ds)).sum(axis=(1, 2)) / gap)
+        centre = np.where(edge, (sigma * mu)[:, None, None] - xs, 0.0)
+        # the merit falls at this rate along the Newton direction to centre
+        slope = -(1.0 - sigma) * gap - ((beta * u - b) ** 2 / (beta * u)).sum(axis=1)
+        (p, beta, x), moved = _safeguarded_steps(
+            (p, beta, x), direction, max_step, merit, value(beta, u, gap), slope, centre,
+            centre - np.where(edge, dx * ds, 0.0))
+        # where every member took the corrector's step, merit saw that point last
+        u, s, xs, gap = evaluated[1] if evaluated[0] is p else state(p, beta, x)
     return _solved(x_out, p_out, (v_full * x_out).sum(axis=2), res_out, steps, passed)
 
 
@@ -763,19 +752,19 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
                     init_bids=None) -> MarketEquilibrium:
     """Linear Eisenberg-Gale equilibrium by an interior point on the price dual.
 
-    The iterates of at most ``max_iter`` Newton steps (``iterations``) go to
-    ``_linear_structure_polish``; the first candidate that passes the
-    checks of ``verify_kkt_linear`` is returned, else the last iterate,
-    converged if that passes;
-    failing that, if the interior point broke down before ``max_iter``, the
-    last iterate is polished at its own split, clean or not, and returned
-    if it passes.
-    The polish fixes exact prices by a spanning forest of the bang-per-buck
-    ties.  One rule picks among tied allocations, and no order of agents or
-    goods enters it: the spending on the ties closest in least squares to
-    ``init_bids`` (a spending matrix) or else to the iterate's x_ij p_j, by
-    one m x m Cholesky solve, projected again without the ties it spends
-    below zero (``linprog``); where that fails, the interior point goes on.
+    The result is settled where the interior point stops, after at most
+    ``max_iter`` Newton steps (``iterations``).  Near iterates go to
+    ``_linear_structure_polish``, and the first candidate that passes the
+    checks of ``verify_kkt_linear`` is returned; else the last iterate,
+    converged if that passes; failing that, if the interior point broke down
+    after a step, that iterate is polished once at its own split, clean or
+    not, and the candidate returned if it passes.  The polish fixes exact
+    prices by a spanning forest of the bang-per-buck ties.  One rule picks
+    among tied allocations, and no order of agents or goods enters it: the
+    spending on the ties closest in least squares to ``init_bids`` (a
+    spending matrix) or else to the iterate's x_ij p_j, by one m x m
+    Cholesky solve, projected again without the ties it spends below zero
+    (``linprog``); where that fails, the interior point goes on.
     This is a stack of one in the loop ``_solve_profiles`` runs.
     """
     if instance.kind != LINEAR:
@@ -984,8 +973,10 @@ def _solve_ces_stack(v_full, budgets, rho, tol, max_iter):
             ids, log_w, b, p, q, f, spend, g = _take(~gone, ids, log_w, b, p, q, f, spend, g)
         factors = _newton_factors(sigma * spend, q, (1.0 - sigma) * b)
         dz = -_cho_solve(factors, p * g)
-        diag = [fac is None for fac in factors]
-        if any(diag):
+        # a rejected factorization, or a solve that is not finite, steps by
+        # the Hessian's diagonal bound instead
+        diag = ~np.isfinite(dz).all(axis=1)
+        if diag.any():
             dz[diag] = -p[diag] * g[diag] / np.maximum(spend[diag], 1e-300)
         decrement, reach = _rowdot(-g, p * dz), np.abs(dz).max(axis=1)
         t = np.minimum(1.0, 0.99 / np.maximum(-dz.min(axis=1), 1e-300))

@@ -409,6 +409,28 @@ def test_linear_slack_that_would_overflow_breaks_down_quietly():
     assert beside.prices.tobytes() == single.prices.tobytes()
 
 
+
+@pytest.mark.parametrize("v, budgets, steps, polished", [
+    # budgets 13 orders apart: the interior point breaks down unpolished,
+    # and its last iterate passes as it is
+    pytest.param([[0.49, 0.83], [2.41, 2.48]], [3.5e-8, 3.4e5], 9, [], id="raw-iterate"),
+    # the last iterate fails, so it is polished once at its own split
+    pytest.param([[1.92, 1.18], [0.29, 0.95]], [4.5e7, 1.5e-4], 8, [1], id="broken-down"),
+])
+def test_linear_member_is_settled_at_its_exit(v, budgets, steps, polished, monkeypatch):
+    calls, real = [], eq_solvers._linear_structure_polish
+
+    def counting(*args):
+        hit = real(*args)
+        calls.append(hit[0].size)
+        return hit
+
+    monkeypatch.setattr(eq_solvers, "_linear_structure_polish", counting)
+    inst = mg.make_instance("linear", v, budgets)
+    eq = mg.solve_eg(inst)
+    assert (eq.converged, eq.iterations, calls) == (True, steps, polished)
+    assert mg.verify_kkt_linear(inst, eq.allocation, eq.prices).passed
+
 def test_polish_prices_a_subnormal_component_without_overflow():
     # the live agent's one good is valued 5e-324, so its price from the
     # forest, exp(-q), is subnormal: scaling it to the budget must not
@@ -483,6 +505,17 @@ def test_near_linear_ces_takes_steps_that_cut_a_price_by_99_percent(n, seed):
     assert eq.converged and eq.iterations > 0
     assert mg.verify_eps_market_eq(inst, eq.allocation, eq.prices, eps=1e-6).passed
 
+
+
+def test_near_linear_ces_steps_along_the_diagonal_where_a_solve_is_not_finite():
+    # at rho = 0.9999 Cholesky accepts a Newton matrix that is singular to
+    # rounding, and its solve reaches inf: that step is 0 * inf, and the
+    # solve once stopped unconverged after 7 steps
+    inst = mg.make_instance("ces", [[0.7, 3.6, 0.0], [0.0, 3.4, 0.7]], [0.18, 0.28],
+                            rho=0.9999)
+    eq = mg.solve_eg(inst)
+    assert eq.converged and eq.iterations == 15
+    assert mg.verify_eps_market_eq(inst, eq.allocation, eq.prices, eps=1e-6).passed
 
 @st.composite
 def eg_markets(draw, leontief=False):
