@@ -767,9 +767,6 @@ def br_grid_oracle(profile: ValuationProfile, agent: int, budget: float,
 
     if m == 1:
         counts = np.array([[k]])
-    elif m == 2:
-        a = np.arange(k + 1)
-        counts = np.stack([a, k - a], axis=1)
     else:
         axes = np.meshgrid(*[np.arange(k + 1)] * (m - 1), indexing="ij")
         flat = np.stack([ax.ravel() for ax in axes], axis=1)

@@ -838,6 +838,11 @@ def test_duality_gap_cases():
     assert -1e-10 <= gap <= 1e-6
 
 
+def test_duality_gap_is_infinite_at_a_zero_utility():
+    two = mg.gen_identity_leontief(2)
+    assert mg.duality_gap_leontief(two, [[1.0, 0.0], [0.0, 0.0]], np.ones(2)) == math.inf
+
+
 def test_eps_pass_implies_nsw_factor():
     # consistency with the approximate-equilibrium welfare bound on
     # perturbed equilibria

@@ -170,6 +170,18 @@ def test_run_experiment_leontief_tp_needs_delta():
     assert math.isnan(rec.ratio)
 
 
+def test_run_experiment_records_failed_dynamics(tmp_path):
+    # a delta = 0 best response breaks down on a monopolized good
+    rec = run_experiment(mg.gen_random(3, 3, "linear", seed=1621709875), "x",
+                         "trading_post", 0.0)
+    failure = ("dynamics did not converge: best response broke down for agent 0: "
+               "supremum not attained: demanded good has no opposing spend")
+    assert math.isnan(rec.ratio)
+    assert rec.failure == failure
+    records_to_csv([rec], tmp_path / "records.csv")
+    assert (tmp_path / "records.csv").read_text().splitlines()[1].endswith("," + failure)
+
+
 def test_run_experiment_failure_tag_keeps_batch_alive():
     recs = [run_experiment(mg.gen_random(3, 2, "ces", rho=0.5, seed=seed),
                            f"random-ces-n3-m2-seed{seed}", "fisher")

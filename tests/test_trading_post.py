@@ -527,6 +527,12 @@ def test_br_grid_oracle_symmetry_and_zeros():
     assert r0.bids[1] == 0.0
 
 
+def test_br_grid_oracle_one_good():
+    r = mg.br_grid_oracle(mg.ValuationProfile("linear", [[2.0]]), 0, 1.0, np.array([1.0]))
+    assert r.bids.tolist() == [1.0]
+    assert r.utility == 1.0
+
+
 def test_br_dynamics_leontief_pair():
     inst = mg.make_instance("leontief", [[1.0, 1.0], [1.0, 1.0]])
     rep = mg.br_dynamics(inst, 1e-3, max_rounds=200, tol=1e-9)
