@@ -45,6 +45,8 @@ def gen_tp_nonexistence() -> Instance:
 def gen_example_lin_family(eps: float = 0.3):
     """Four linear buyers, two goods, and the documented bid family
     ((1,0), (0,1), (1-eps,eps), (eps,1-eps))."""
+    if not 0 <= eps <= 1:
+        raise ValueError("eps must lie in [0, 1]")
     instance = make_instance(LINEAR, [[1.0, 0.0], [0.0, 1.0],
                                       [0.5, 0.5], [0.5, 0.5]])
     bids = np.array([[1.0, 0.0], [0.0, 1.0],

@@ -16,6 +16,10 @@ lines of the parent and of the change in one environment.  The groups:
   breakdown.  The note counts the unconverged solves.
 - ces-falsifier: the falsifier's gains on a 30 x 20 CES market, whose 931
   deviation markets are solved in stacks.  Fails on any failure.
+- falsifier: the falsifier's gains and market counts at 16 trials and seeds
+  0-3 on the lower-bound profiles of n = 8 and 14, each with and without its
+  equilibrium spending as the start, and on the uniform reports of identity
+  Leontief markets of n = 2, 5 and 10.  Fails on any failure.
 - solve-eg: single solves of every kind at the default cap and at one step.
 - reproduce <id>: the report of every ``cli.REPRODUCE`` id at its defaults,
   and of ``lb-construction --n 27``; tp-dynamics leontief and ces: the
@@ -81,6 +85,25 @@ def ces_falsifier(h):
     return f"{rep.markets} markets, failures {rep.failures}", rep.failures == 0
 
 
+def falsifier(h):
+    profiles = []
+    for n in (8, 14):
+        inst, reports, spends = mg.lb_construction(n)
+        profiles += [(inst, reports, None), (inst, reports, spends)]
+    for n in (2, 5, 10):
+        inst = mg.gen_identity_leontief(n)
+        profiles.append((inst, mg.uniform_leontief_ne(inst)[0], None))
+    failures = 0
+    for inst, reports, spends in profiles:
+        for seed in range(4):
+            rep = mg.fisher_ne_falsify(inst, reports, trials=16, seed=seed,
+                                       init_spending=spends)
+            h.update(rep.gains.tobytes())
+            h.update(np.int64(rep.markets).tobytes())
+            failures += rep.failures
+    return f"{4 * len(profiles)} runs, failures {failures}", failures == 0
+
+
 def single_solves(h):
     unconverged = 0
     for kind, rho in (("linear", None), ("leontief", None), ("ces", 0.9), ("ces", 0.5),
@@ -117,6 +140,7 @@ GROUPS = {
     "integer": integer,
     "wide": wide,
     "ces-falsifier": ces_falsifier,
+    "falsifier": falsifier,
     "solve-eg": single_solves,
     **{f"reproduce {id_}": cli_group("reproduce", id_, "--out", "{d}/report")
        for id_ in cli.REPRODUCE},

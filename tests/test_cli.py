@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -301,16 +305,52 @@ def test_reproduce_remaining_ids(tmp_path, capsys, monkeypatch):
     assert main(["reproduce", "lb-construction", "--n", "5", "--out", "lb5"]) == 2
 
 
-def test_reproduce_lb_construction_climbs_toward_e_to_the_1_over_e(tmp_path, capsys,
-                                                                   monkeypatch):
-    # at n = 300 the certificate stays exact at delta = 0, and the ratio lies
-    # above n = 109's 1.429093 and below the limit e^(1/e)
+@pytest.mark.parametrize("n, floor", [(300, 1.429093), (1000, 1.438930)],
+                         ids=["n300", "n1000"])
+def test_reproduce_lb_construction_climbs_toward_e_to_the_1_over_e(n, floor, tmp_path,
+                                                                   capsys, monkeypatch):
+    # the certificate stays exact at delta = 0, and the ratio lies above the
+    # floor, the ratio at the size before (n = 109, then n = 300), and below
+    # the limit e^(1/e)
     monkeypatch.chdir(tmp_path)
-    assert main(["reproduce", "lb-construction", "--n", "300", "--out", "lb300"]) == 0
+    assert main(["reproduce", "lb-construction", "--n", str(n), "--out", "lb"]) == 0
     report = dict(line.split(" = ", 1)
-                  for line in (tmp_path / "lb300.txt").read_text().splitlines())
+                  for line in (tmp_path / "lb.txt").read_text().splitlines())
     assert float(report["tp_max_gain"]) <= 1e-6
-    assert 1.429093 < float(report["ratio"]) < math.exp(1 / math.e)
+    assert floor < float(report["ratio"]) < math.exp(1 / math.e)
+
+
+_STARTS = {
+    "help": (["--help"], 0),
+    "tp-dynamics-linear": (["tp-dynamics", "{linear}"], 0),
+    "tp-dynamics-leontief": (["tp-dynamics", "--delta", "1e-4", "{leontief}"], 0),
+    "tp-dynamics-ces": (["tp-dynamics", "{ces}"], 0),
+    "verify-tp-ne": (["verify", "--kind", "tp-ne", "{bids}", "{linear}"], 1),
+    "missing-file": (["solve-eg", "{missing}"], 2),
+}
+
+
+@pytest.mark.parametrize("argv, code", _STARTS.values(), ids=_STARTS.keys())
+def test_cli_starts_without_scipy_where_nothing_is_solved(tmp_path, argv, code):
+    # scipy loads at the first Eisenberg-Gale solve, so a fresh CLI process
+    # that solves none, whatever its exit code, never imports it
+    markets = {"linear": mg.gen_random(4, 3, "linear", seed=3),
+               "leontief": mg.gen_random(4, 3, "leontief", seed=3),
+               "ces": mg.gen_random(3, 3, "ces", rho=0.5, seed=3)}
+    paths = {name: tmp_path / f"{name}.json" for name in (*markets, "bids", "missing")}
+    for name, inst in markets.items():
+        mg.save_instance(inst, paths[name])
+    linear = markets["linear"]
+    paths["bids"].write_text(json.dumps({"bids": [[b / linear.m] * linear.m
+                                                  for b in linear.budgets]}))
+    src = str(Path(mg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-X", "importtime", "-W", "error::RuntimeWarning",
+                          "-m", "marketgames.cli", *(a.format(**paths) for a in argv)],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == code, run.stderr
+    assert [line for line in run.stderr.splitlines() if " scipy" in line] == []
 
 
 def _csv_row(path):

@@ -1,7 +1,7 @@
 import numpy as np
 
 import digest
-from marketgames import eq_solvers
+from marketgames import eq_solvers, fisher_game
 
 
 def test_a_one_ulp_change_in_ces_prices_moves_its_group_only(monkeypatch):
@@ -16,6 +16,28 @@ def test_a_one_ulp_change_in_ces_prices_moves_its_group_only(monkeypatch):
         return solved._replace(prices=np.nextafter(solved.prices, np.inf))
 
     monkeypatch.setattr(eq_solvers, "_solve_ces_stack", nudged)
+    after = hashes()
+    assert after[0] != before[0]
+    assert after[1] == before[1]
+
+
+def test_a_one_ulp_change_in_report_game_allocations_moves_its_group_only(monkeypatch):
+    def hashes():
+        return [digest.run(digest.GROUPS[name])[0] for name in ("falsifier", "solve-eg")]
+
+    before = hashes()
+    solve = fisher_game._solve_profiles
+
+    # the base outcome is a stack of one, and moving it by the same ulp as its
+    # deviations leaves each gain, their difference, unchanged: so only the
+    # members after a stack's first move
+    def nudged(*args, **kwargs):
+        solved = solve(*args, **kwargs)
+        allocations = solved.allocations.copy()
+        allocations[1:] = np.nextafter(allocations[1:], np.inf)
+        return solved._replace(allocations=allocations)
+
+    monkeypatch.setattr(fisher_game, "_solve_profiles", nudged)
     after = hashes()
     assert after[0] != before[0]
     assert after[1] == before[1]

@@ -316,18 +316,6 @@ def test_tied_linear_equilibrium_ignores_the_order_of_agents():
     assert np.abs(other.allocation - eq.allocation[order]).max() <= 1e-12
 
 
-def test_importing_the_package_leaves_scipy_optimize_out():
-    # the solvers need only scipy.linalg, so a run does not pay for loading
-    # scipy.optimize
-    src = str(Path(mg.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run([sys.executable, "-c",
-                          "import sys, marketgames; print('scipy.optimize' in sys.modules)"],
-                         capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
-
-
 def _fresh_python(code, *args):
     """Run ``code`` in a new interpreter on this package; its stdout."""
     src = str(Path(mg.__file__).resolve().parents[1])

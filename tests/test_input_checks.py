@@ -52,6 +52,9 @@ _CASES = {
                           "uniform_leontief_ne requires a Leontief instance"),
     "leo-family-a": (lambda: mg.gen_example_leo_family(1.0),
                      "a must lie strictly between 0 and 1"),
+    **{f"lin-family-eps-{eps}": (lambda eps=eps: mg.gen_example_lin_family(eps),
+                                 "eps must lie in [0, 1]")
+       for eps in (1.5, -0.2, float("nan"), float("inf"))},
     "sparsity-one": (lambda: mg.gen_random(3, 3, "linear", sparsity=1.0),
                      "sparsity must lie in [0, 1)"),
     "one-agent": (lambda: mg.gen_random(1, 3, "linear"),
