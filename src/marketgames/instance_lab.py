@@ -231,14 +231,16 @@ def run_experiment(instance: Instance, instance_id: str, mechanism: str = "tradi
                                  "equilibrium; linear/CES Fisher equilibria are not "
                                  "constructed here")
             reports, outcome = uniform_leontief_ne(instance, tol)
+            eq = outcome.equilibrium
+            failures = [] if eq.converged else ["reported market did not converge"]
             eps_br = float("nan")
             if certify_trials > 0:
                 rep = fisher_ne_falsify(instance, reports, certify_trials, seed=seed,
                                         tol=tol)
                 eps_br = rep.max_gain
                 if rep.failures:
-                    failure = f"falsifier skipped {rep.failures} failed solves"
-            eq = outcome.equilibrium
+                    failures.append(f"falsifier skipped {rep.failures} failed solves")
+            failure = "; ".join(failures)
         else:
             if instance.kind == LEONTIEF and delta <= 0:
                 raise ValueError("Leontief trading post needs delta > 0: exact "

@@ -9,11 +9,14 @@ outcome mapping.
 
 The analytic best responses run on Python floats, since an agent's row in
 the dynamics holds a handful of goods.  One dispatcher, _best_response,
-takes checked rows as float and index lists and settles its bids once
-(_settle): they sum to the budget within one ulp, none positive below
-delta.  br_linear, br_leontief and br_ces check their input first;
-br_dynamics checks its instance once, keeps its rounds in float lists and
-warm-starts each Leontief and CES answer from the agent's previous one.
+takes checked rows as float and index lists.  Each oracle builds its row
+through one fee-claim path, _fee_config: monopolized goods claimed at the
+fee, the rest spent by the oracle's own fill, the bids settled once
+(_settle) to sum to the budget within one ulp, none positive below delta.
+One fee check, _check_fees, guards br_linear, br_leontief, br_ces,
+br_dynamics and verify_tp_ne.  br_dynamics checks its instance once, keeps
+its rounds in float lists and warm-starts each Leontief and CES answer from
+the agent's previous one.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import (CES, LEONTIEF, LINEAR, DEFAULT_TOL, Instance,
-                   ValuationProfile, eval_valuation_matrix, _ces_eval, _readonly)
-from ._simplex import project_simplex_lb
+                   ValuationProfile, eval_valuation_matrix, _readonly)
 
 #: Consecutive strict decreases below the per-agent floor that mark a bid as
 #: collapsing toward the boundary (no-equilibrium escape) in br_dynamics.
@@ -129,14 +131,22 @@ def _fractions(bids_row, opp):
     return f
 
 
+def _check_fees(budgets, counts, delta):
+    """The entrance-fee check of every entry point: delta is finite and
+    non-negative, and each budget covers delta on each of its ``counts``
+    demanded goods (scalars, or arrays with one entry per agent)."""
+    if not 0.0 <= delta < math.inf:
+        raise ValueError("delta must be finite and non-negative")
+    if delta > 0 and (np.asarray(budgets) < delta * np.asarray(counts, dtype=float)).any():
+        raise ValueError("infeasible floors: budget below delta times demanded goods")
+
+
 def _br_inputs(values, budget, opp_spend, delta):
     """Input checks of the public best-response oracles.  Values and opposing
     spends must be finite and non-negative, the budget positive and finite,
-    and delta finite and non-negative.  Returns the values as a list of
-    floats, the demanded goods as an ascending index list, and the opposing
-    spend as a list of floats, as _best_response takes them.  With an
-    entrance fee delta > 0 the budget must cover delta on every demanded
-    good."""
+    and the fee pass _check_fees.  Returns the values as a list of floats,
+    the demanded goods as an ascending index list, and the opposing spend as
+    a list of floats, as _best_response takes them."""
     v = np.asarray(values, dtype=float)
     d = np.asarray(opp_spend, dtype=float)
     if v.ndim != 1 or v.shape != d.shape:
@@ -147,13 +157,10 @@ def _br_inputs(values, budget, opp_spend, delta):
             raise ValueError(f"{name} must be finite and non-negative")
     if not 0.0 < budget < math.inf:
         raise ValueError("budget must be positive and finite")
-    if not 0.0 <= delta < math.inf:
-        raise ValueError("delta must be finite and non-negative")
     demanded = [j for j, vj in enumerate(v) if vj > 0]
     if not demanded:
         raise ValueError("agent demands no goods")
-    if delta > 0 and budget < delta * float(len(demanded)):
-        raise ValueError("infeasible floors: budget below delta times demanded goods")
+    _check_fees(budget, len(demanded), delta)
     return v, demanded, d
 
 
@@ -267,7 +274,7 @@ def _linear_response(v, d, demanded, monop, comp, budget, delta):
 
 
 # ---------------------------------------------------------------------------
-# Entrance-fee support search (shared by the linear and CES best responses)
+# Entrance-fee claims (every best response) and support search (linear, CES)
 
 
 def _fee_config(budget, delta, m, claims, support, fill):
@@ -348,57 +355,52 @@ def br_leontief(values, budget: float, opp_spend, delta: float = 0.0) -> BRResul
     when the log is at most 4e-16, when a step no longer moves t, or when
     the bracket is a few ulps wide.  ``iterations`` counts the spending
     evaluations (3 to 6 on most rows), and ``converged`` is False only if
-    100 of them did not stop.  Goods the agent does not demand get bid
-    zero, never the floor.
+    100 of them did not stop.  Monopolized goods are claimed at the fee, or
+    share the budget when no good is contested.  Goods the agent does not
+    demand get bid zero, never the floor.
     """
     return _checked_response(LEONTIEF, None, values, budget, opp_spend, delta)
 
 
 def _leontief_response(v, d, monop, comp, budget, delta, start):
-    # a monopolized good is won whole at any bid: it gets the fee, or an
-    # equal share of the budget when no good is contested
-    bids = [0.0] * len(v)
-    for j in monop:
-        bids[j] = delta if comp else budget / len(monop)
-    vc, dc = [v[j] for j in comp], [d[j] for j in comp]
-    rest = budget - delta * float(len(monop))
-
-    def comp_bids(t):
-        """The contested goods' bids at ratio t and the slope of their sum."""
-        out, slope = [], 0.0
-        for vj, dj in zip(vc, dc):
-            room = 1.0 - t * vj
-            bj = t * vj * dj / room
-            if bj > delta:
-                slope += vj * dj / (room * room)
-            out.append(max(bj, delta))
-        return out, slope
-
-    # the contested goods stay at the fee when the fees exhaust the budget
     iters, converged = 0, True
-    cb = [delta] * len(vc)
-    if comp and delta * len(vc) < rest:
-        lo, hi = 0.0, min(1.0 / vj for vj in vc) * (1.0 - 1e-14)
-        t = min(start if start else
-                rest / (sum(vj * dj for vj, dj in zip(vc, dc)) + rest * max(vc)), hi)
-        converged = False
-        for iters in range(1, 101):
-            cb, slope = comp_bids(t)
-            spend = sum(cb)
-            gap = math.log(spend / rest)
-            if gap < 0:
-                lo = t
-            else:
-                hi = t
-            step = t - gap * spend / slope if slope > 0 else hi
-            if abs(gap) <= 4e-16 or step == t or hi - lo <= 4.0 * math.ulp(hi):
-                converged = True
-                break
-            t = step if lo < step < hi else 0.5 * (lo + hi)
-    for j, bj in zip(comp, cb):
-        bids[j] = bj
-    bids = _settle(bids, budget, delta)
-    # a monopolized good is won whole: its ratio is 1 / v_j
+
+    def fill(goods, rest):
+        """The contested goods' bids at the common ratio that spends rest."""
+        nonlocal iters, converged
+        vc, dc = [v[j] for j in goods], [d[j] for j in goods]
+        # the goods stay at the fee when the fees exhaust the budget
+        cb = [delta] * len(vc)
+        if delta * len(vc) < rest:
+            lo, hi = 0.0, min(1.0 / vj for vj in vc) * (1.0 - 1e-14)
+            t = min(start if start else
+                    rest / (sum(vj * dj for vj, dj in zip(vc, dc)) + rest * max(vc)), hi)
+            converged = False
+            for iters in range(1, 101):
+                # the bids at ratio t and the slope of their sum
+                cb, slope = [], 0.0
+                for vj, dj in zip(vc, dc):
+                    room = 1.0 - t * vj
+                    bj = t * vj * dj / room
+                    if bj > delta:
+                        slope += vj * dj / (room * room)
+                    cb.append(max(bj, delta))
+                spend = sum(cb)
+                gap = math.log(spend / rest)
+                if gap < 0:
+                    lo = t
+                else:
+                    hi = t
+                step = t - gap * spend / slope if slope > 0 else hi
+                if abs(gap) <= 4e-16 or step == t or hi - lo <= 4.0 * math.ulp(hi):
+                    converged = True
+                    break
+                t = step if lo < step < hi else 0.5 * (lo + hi)
+        return cb
+
+    # a monopolized good is won whole at any bid, so it is claimed at the fee
+    bids = _fee_config(budget, delta, len(v), monop, comp, fill)
+    # and its ratio is 1 / v_j
     utility = min([bids[j] / (bids[j] + d[j]) / v[j] for j in comp]
                   + [1.0 / v[j] for j in monop])
     return bids, utility, iters, converged
@@ -625,6 +627,27 @@ def _leveling_leontief(v, budget, d, lb, tol, init, max_iter):
     return b, util, steps
 
 
+def project_simplex(y: np.ndarray, total: float) -> np.ndarray:
+    """Project y onto {x >= 0, sum(x) = total} (total >= 0)."""
+    if total <= 0.0:
+        return np.zeros_like(y)
+    u = np.sort(y)[::-1]
+    css = np.cumsum(u) - total
+    idx = np.arange(1, y.size + 1)
+    cond = u - css / idx > 0
+    rho = idx[cond][-1]
+    theta = css[rho - 1] / rho
+    return np.maximum(y - theta, 0.0)
+
+
+def project_simplex_lb(y: np.ndarray, total: float, lb: np.ndarray) -> np.ndarray:
+    """Project y onto {x >= lb, sum(x) = total}; requires sum(lb) <= total."""
+    slack = total - float(lb.sum())
+    if slack < 0:
+        raise ValueError("lower bounds exceed the simplex total")
+    return lb + project_simplex(y - lb, slack)
+
+
 def br_concave_numeric(profile: ValuationProfile, agent: int, budget: float,
                        opp_spend, delta: float = 0.0, tol: float = 1e-8,
                        init=None, max_iter: int = 50000) -> BRResult:
@@ -778,14 +801,8 @@ def br_grid_oracle(profile: ValuationProfile, agent: int, budget: float,
     denom = eff + d[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.where(eff > 0, eff / np.where(denom > 0, denom, 1.0), 0.0)
-    if profile.kind == LINEAR:
-        utils = f @ v
-    elif profile.kind == LEONTIEF:
-        with np.errstate(divide="ignore"):
-            ratios = np.where(v > 0, f / np.where(v > 0, v, 1.0), np.inf)
-        utils = ratios.min(axis=1)
-    else:
-        utils = _ces_eval(np.broadcast_to(v, f.shape), f, profile.rho)
+    own = ValuationProfile(profile.kind, v[None, :], profile.rho)
+    utils = eval_valuation_matrix(own, f[:, None, :])[:, 0]
     best = int(np.argmax(utils))
     return BRResult(_readonly(bids[best]), float(utils[best]), len(bids))
 
@@ -837,14 +854,9 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
     """
     n = instance.n
     support = instance.matrix > 0
-    if not 0.0 <= delta < math.inf:
-        raise ValueError("delta must be finite and non-negative")
+    _check_fees(instance.budgets, support.sum(axis=1), delta)
     if delta == 0 and instance.kind == LINEAR and not instance.perfect_competition():
         raise ValueError("delta=0 linear dynamics require perfect competition")
-    if delta > 0:
-        need = delta * support.sum(axis=1)
-        if (instance.budgets < need).any():
-            raise ValueError("some budget cannot cover the entrance fees")
 
     if init is None:
         b = instance.budgets[:, None] * support / support.sum(axis=1)[:, None]
@@ -925,11 +937,10 @@ def verify_tp_ne(instance: Instance, bids, delta: float = 0.0,
     goods raises ValueError, as br_dynamics does.
     """
     b = check_bid_profile(bids, instance.budgets)
+    demands = instance.matrix > 0
+    _check_fees(instance.budgets, demands.sum(axis=1), delta)
     eff = effective_bids(b, delta)
     prices, allocation = ne_to_market(b, delta)
-    demands = instance.matrix > 0
-    if delta > 0 and (instance.budgets < delta * demands.sum(axis=1)).any():
-        raise ValueError("infeasible floors: budget below delta times demanded goods")
     utilities = instance.utilities(allocation)
     gains = np.zeros(instance.n)
     suprema, inexact = False, []

@@ -21,6 +21,12 @@ lines of the parent and of the change in one environment.  The groups:
   equilibrium spending as the start, and on the uniform reports of identity
   Leontief markets of n = 2, 5 and 10.  Fails on any failure.
 - solve-eg: single solves of every kind at the default cap and at one step.
+- tp-oracles: the bids, utility, iterations and converged flag of the Trading
+  Post best response (``trading_post._best_response``) on 20,000 seeded
+  rows: linear, Leontief and CES at rho 0.5 and -1, 1 to 7 goods, fees of
+  0, 1e-4, 0.05, 0.2 / k and 0.9 / k times the budget (k demanded goods),
+  and at a fee some goods without opposing spend.  Fails on an unconverged
+  answer.
 - reproduce <id>: the report of every ``cli.REPRODUCE`` id at its defaults,
   and of ``lb-construction --n 27``; tp-dynamics leontief and ces: the
   ``--stream`` CSVs of two markets whose dynamics warm-start the oracles.
@@ -38,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 import marketgames as mg
-from marketgames import cli
+from marketgames import cli, trading_post
 
 
 def integer(h):
@@ -121,6 +127,37 @@ def single_solves(h):
     return f"{unconverged} of 84 unconverged at the default cap", True
 
 
+def oracle_rows(count=20000):
+    """The tp-oracles corpus: ``_best_response``'s arguments, one tuple a
+    row, cycling through the four kinds and, every four rows, the five fees."""
+    rng = np.random.default_rng(13)
+    kinds = (("linear", None), ("leontief", None), ("ces", 0.5), ("ces", -1.0))
+    for r in range(count):
+        kind, rho = kinds[r % 4]
+        m = int(rng.integers(1, 8))
+        v = np.exp(rng.uniform(-2.5, 2.5, m))
+        v[rng.random(m) < 0.2] = 0.0
+        v[rng.integers(m)] = 1.0  # every row demands a good
+        d = np.exp(rng.uniform(-3.0, 1.0, m))
+        budget = float(np.exp(rng.uniform(-1.0, 1.0)))
+        demanded = np.flatnonzero(v).tolist()
+        k = len(demanded)
+        fee = (0.0, 1e-4, 0.05, 0.2 / k, 0.9 / k)[r // 4 % 5] * budget
+        if fee > 0:  # a monopolized good only has an attained best response at a fee
+            d[rng.random(m) < 0.25] = 0.0
+        yield kind, rho, v.tolist(), demanded, budget, d.tolist(), fee
+
+
+def tp_oracles(h):
+    unconverged = 0
+    for row in oracle_rows():
+        bids, utility, iterations, converged = trading_post._best_response(*row)
+        h.update(np.array(bids).tobytes())
+        h.update(np.array([utility, iterations, converged]).tobytes())
+        unconverged += not converged
+    return f"{unconverged} of 20000 unconverged", unconverged == 0
+
+
 def cli_group(*argv, out="report.txt", market=None):
     """A group: the file ``out`` that ``cli.main(argv)`` writes in a fresh
     directory ``{d}``, which holds ``market()`` as market.json if given."""
@@ -142,6 +179,7 @@ GROUPS = {
     "ces-falsifier": ces_falsifier,
     "falsifier": falsifier,
     "solve-eg": single_solves,
+    "tp-oracles": tp_oracles,
     **{f"reproduce {id_}": cli_group("reproduce", id_, "--out", "{d}/report")
        for id_ in cli.REPRODUCE},
     "reproduce lb-construction --n 27": cli_group("reproduce", "lb-construction",

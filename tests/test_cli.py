@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import marketgames as mg
-from marketgames import cli, eq_solvers, fisher_game, instance_lab
+from marketgames import cli, eq_solvers, fisher_game, instance_lab, trading_post
 from marketgames.cli import main
 
 NAN = float("nan")
@@ -410,6 +410,84 @@ def test_reproduce_tags_an_unconverged_optimum(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(instance_lab, "solve_eg", unconverged)
     assert main(["reproduce", "example-lin", "--out", "lin"]) == 1
     assert _csv_row(tmp_path / "lin.csv")["failure"].startswith("optimum did not converge")
+
+
+def _unconverged_markets(monkeypatch):
+    """Make every reported market of the Fisher game end unconverged."""
+    solve = fisher_game._solve_profiles
+
+    def unconverged(*args, **kwargs):
+        solved = solve(*args, **kwargs)
+        return solved._replace(converged=solved.converged & False)
+
+    monkeypatch.setattr(fisher_game, "_solve_profiles", unconverged)
+
+
+def test_reproduce_example_leo_fails_when_its_equilibrium_does(tmp_path, capsys,
+                                                                monkeypatch):
+    # every a in (0, 1) is an exact equilibrium of the Leontief family, so a
+    # failed certificate fails the row; the linear family claims none
+    verify = trading_post.verify_tp_ne
+
+    def failing(*args):
+        return dataclasses.replace(verify(*args), max_gain=0.5, converged=False)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(trading_post, "verify_tp_ne", failing)
+    assert main(["reproduce", "example-leo", "--out", "leo"]) == 1
+    assert _csv_row(tmp_path / "leo.csv")["failure"] == "equilibrium not certified: max_gain 0.5"
+    assert main(["reproduce", "example-lin", "--out", "lin"]) == 0
+    assert _csv_row(tmp_path / "lin.csv")["failure"] == ""
+
+
+def test_reproduce_tp_nonexistence_fails_when_the_fee_run_does(tmp_path, capsys,
+                                                                monkeypatch):
+    dynamics = trading_post.br_dynamics
+
+    def stalled(instance, delta, **kwargs):
+        rep = dynamics(instance, delta, **kwargs)
+        return dataclasses.replace(rep, converged=False, note="stalled") if delta else rep
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(trading_post, "br_dynamics", stalled)
+    assert main(["reproduce", "tp-nonexistence", "--out", "ne"]) == 1
+    assert "fee_converged = false" in (tmp_path / "ne.txt").read_text()
+    assert _csv_row(tmp_path / "ne.csv")["failure"] == "fee dynamics did not converge: stalled"
+
+
+def test_reproduce_example_31_fails_when_its_markets_do(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _unconverged_markets(monkeypatch)
+    assert main(["reproduce", "example-3.1", "--out", "ex"]) == 1
+    assert _csv_row(tmp_path / "ex.csv")["failure"] == (
+        "truthful reported market did not converge; "
+        "misreport reported market did not converge")
+
+
+def test_reproduce_lb_construction_fails_on_a_failed_falsifier_solve(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the profile's gains shrink with n and are not gated on; a falsifier
+    # that could not solve a deviation market fails the row
+    falsify = fisher_game.fisher_ne_falsify
+
+    def failing(*args, **kwargs):
+        return dataclasses.replace(falsify(*args, **kwargs), failures=3)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(fisher_game, "fisher_ne_falsify", failing)
+    assert main(["reproduce", "lb-construction", "--out", "lb"]) == 1
+    assert _csv_row(tmp_path / "lb.csv")["failure"] == "falsifier skipped 3 failed solves"
+
+
+def test_fisher_poa_row_fails_when_its_reported_market_does(tmp_path, capsys,
+                                                            monkeypatch):
+    inst = tmp_path / "id3.json"
+    mg.save_instance(mg.gen_identity_leontief(3), inst)
+    _unconverged_markets(monkeypatch)
+    rec = instance_lab.run_experiment(mg.gen_identity_leontief(3), "id3", "fisher")
+    assert rec.failure == "reported market did not converge"
+    assert main(["poa", str(inst), "--mechanism", "fisher", "--out", str(tmp_path / "p")]) == 1
+    assert _csv_row(tmp_path / "p.csv")["failure"] == "reported market did not converge"
 
 
 def test_exit_codes_for_bad_input(tmp_path, capsys):

@@ -598,8 +598,30 @@ def test_br_dynamics_refuses_fees_a_budget_cannot_cover():
     # would fall below the fee, and the dynamics would certify the voided bids
     for budget, delta in ((1.0, 0.5), (0.3, 0.1)):
         inst = mg.make_instance("linear", np.ones((2, 3)), [budget, budget])
-        with pytest.raises(ValueError, match="cannot cover the entrance fees"):
+        with pytest.raises(ValueError, match="infeasible floors"):
             mg.br_dynamics(inst, delta)
+
+
+def test_every_entry_point_refuses_unaffordable_fees_with_one_message():
+    # one unit budget, two demanded goods at fee 0.6: the oracle, the
+    # dynamics and the certificate share one check and one message
+    inst = mg.make_instance("leontief", np.ones((2, 2)))
+    message = "infeasible floors: budget below delta times demanded goods"
+    for call in (lambda: mg.br_leontief([1.0, 1.0], 1.0, [1.0, 1.0], 0.6),
+                 lambda: mg.br_dynamics(inst, 0.6),
+                 lambda: mg.verify_tp_ne(inst, np.full((2, 2), 0.5), 0.6)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+def test_br_leontief_claims_every_monopolized_good_at_the_fee():
+    # no good is contested: each is won whole at any bid of at least the fee,
+    # so the budget is spread over the claims and the utility is min 1 / v_j
+    r = mg.br_leontief([0.3, 0.7, 0.9], 1.0, [0.0, 0.0, 0.0], 0.1)
+    assert (r.bids >= 0.1).all()
+    assert abs(math.fsum(r.bids) - 1.0) <= math.ulp(1.0)
+    assert r.utility == 1 / 0.9 and r.converged
 
 
 @pytest.mark.parametrize("delta", [-1e-3, math.nan, math.inf])
