@@ -32,6 +32,18 @@ def _readonly(a, dtype=float) -> np.ndarray:
     return arr
 
 
+def _checked_array(name: str, values, shape) -> np.ndarray:
+    """``values`` as a float array of ``shape`` with finite, non-negative
+    entries, else ValueError naming ``name``: the one boundary check of the
+    reports, bids, ``init_bids``, oracle rows and valuations."""
+    a = np.asarray(values, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{name} must be an n x m matrix")
+    if not ((a >= 0) & np.isfinite(a)).all():
+        raise ValueError(f"{name} must be finite and non-negative")
+    return a
+
+
 @dataclass(frozen=True)
 class ValuationProfile:
     """An n-by-m valuation matrix plus the functional form it parameterizes.
@@ -52,8 +64,7 @@ class ValuationProfile:
         mat = _readonly(self.matrix)
         if mat.ndim != 2:
             raise ValueError("valuation matrix must be 2-dimensional")
-        if not ((mat >= 0) & np.isfinite(mat)).all():
-            raise ValueError("valuation entries must be finite and non-negative")
+        _checked_array("valuation entries", mat, mat.shape)
         if not (mat > 0).any(axis=1).all():
             raise ValueError("every agent needs at least one positively valued good")
         object.__setattr__(self, "matrix", mat)

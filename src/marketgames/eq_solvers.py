@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (CES, DEFAULT_TOL, LEONTIEF, LINEAR, Instance,
-                   ValuationProfile, _ces_eval, _readonly)
+                   ValuationProfile, _ces_eval, _checked_array, _readonly)
 
 #: Prices below this fraction of the total budget are reported as zero.
 ZERO_PRICE_FRACTION = 1e-9
@@ -146,6 +146,11 @@ def _market_residuals(budgets, allocation, prices, tol):
     clearing = np.where(priced, np.abs(colsum - 1.0),
                         np.maximum(colsum - 1.0, 0.0)).max(axis=-1)  # NaN propagates
     complementarity = (prices * np.maximum(1.0 - colsum, 0.0)).max(axis=-1)
+    # a negative holding counts against clearing, a negative price against
+    # complementarity; each is clamped at +0.0 first, so that a feasible
+    # point keeps its residuals' bits (a max of 0.0 and -0.0 may be either)
+    clearing = np.maximum(clearing, np.maximum(-allocation.min(axis=(-2, -1)), 0.0))
+    complementarity = np.maximum(complementarity, np.maximum(-prices.min(axis=-1), 0.0))
     return budget, clearing, complementarity
 
 
@@ -775,14 +780,8 @@ def solve_linear_eg(instance: Instance, tol: float = DEFAULT_TOL,
 
 
 def _checked_init_bids(init_bids, shape):
-    """``init_bids`` as a float matrix, or None; ValueError unless it is a
-    finite, non-negative matrix of ``shape`` (n x m)."""
-    if init_bids is None:
-        return None
-    init = np.asarray(init_bids, dtype=float)
-    if init.shape != shape or not (np.isfinite(init) & (init >= 0)).all():
-        raise ValueError("init_bids must be a finite, non-negative n x m matrix")
-    return init
+    """None, or ``init_bids`` checked by ``core._checked_array`` (n x m)."""
+    return None if init_bids is None else _checked_array("init_bids", init_bids, shape)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ allocation through their true valuations.  Includes the uniform-report
 Leontief equilibrium, the linear lower-bound construction, and a
 sampling-based equilibrium falsifier (evidence, not proof).
 
-Reports are checked once, where they enter.  The reported markets are then
-solved straight from the report arrays, without an ``Instance`` or a result
-object per market, through ``eq_solvers._solve_profiles``, the array entry
-``solve_eg_many`` wraps: ``fisher_outcome`` solves its one market as a stack
-of one, and ``fisher_ne_falsify`` its distinct deviation markets one stack
-per call, in the stacks ``eq_solvers._stacks`` forms, so that no array holds
-every market's profile.
+Reports are checked where they enter by ``core._checked_array``, the one
+boundary check of every market-shaped array.  The reported markets are
+then solved straight from the report arrays, without an ``Instance`` or a
+result object per market, through ``eq_solvers._solve_profiles``, the
+array entry ``solve_eg_many`` wraps: ``fisher_outcome`` solves its one
+market as a stack of one, and ``fisher_ne_falsify`` its distinct deviation
+markets one stack per call, in the stacks ``eq_solvers._stacks`` forms, so
+that no array holds every market's profile.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LEONTIEF, LINEAR, DEFAULT_TOL, Instance, make_instance, nsw, _readonly
+from .core import (LEONTIEF, LINEAR, DEFAULT_TOL, Instance, make_instance, nsw,
+                   _checked_array, _readonly)
 from .eq_solvers import (MarketEquilibrium, _checked_init_bids, _member, _solve_profiles,
                          _stacks)
 
@@ -50,15 +52,6 @@ class FalsifierReport:
     markets: int
 
 
-def _check_reports(instance: Instance, reports) -> np.ndarray:
-    r = np.asarray(reports, dtype=float)
-    if r.shape != (instance.n, instance.m):
-        raise ValueError("reports must be an n x m matrix")
-    if not ((r >= 0) & np.isfinite(r)).all():
-        raise ValueError("reports must be finite and non-negative")
-    return r
-
-
 def fisher_outcome(instance: Instance, reports, tol: float = DEFAULT_TOL,
                    init_spending=None) -> GameOutcome:
     """Run the mechanism: solve the reported market, evaluate true utilities.
@@ -80,7 +73,7 @@ def fisher_outcome(instance: Instance, reports, tol: float = DEFAULT_TOL,
     projected again (see ``solve_linear_eg``).  No order of agents or goods
     enters the rule.
     """
-    r = _check_reports(instance, reports)
+    r = _checked_array("reports", reports, (instance.n, instance.m))
     live = (r > 0).any(axis=1)
     inits = None
     if init_spending is not None:
@@ -289,7 +282,7 @@ def fisher_ne_falsify(instance: Instance, reports, trials: int = 100,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    base_reports = _check_reports(instance, reports)
+    base_reports = _checked_array("reports", reports, (instance.n, instance.m))
     base = fisher_outcome(instance, reports, tol, init_spending=init_spending)
     solved, agents, rows, shared_at = _markets(instance, base_reports, trials, seed)
     P = len(agents)

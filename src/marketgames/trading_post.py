@@ -29,7 +29,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import (CES, LEONTIEF, LINEAR, DEFAULT_TOL, Instance,
-                   ValuationProfile, eval_valuation_matrix, _readonly)
+                   ValuationProfile, eval_valuation_matrix, _checked_array, _readonly)
 
 #: Consecutive strict decreases below the per-agent floor that mark a bid as
 #: collapsing toward the boundary (no-equilibrium escape) in br_dynamics.
@@ -108,17 +108,13 @@ def tp_allocate(bids, delta: float = 0.0) -> np.ndarray:
     return ne_to_market(bids, delta)[1]
 
 
-def check_bid_profile(bids, budgets) -> np.ndarray:
-    """Validate a bid profile: finite, non-negative, and row sums equal to
-    the budgets within 1e-6 relative to the largest budget (at least 1)."""
-    b = np.asarray(bids, dtype=float)
-    budgets = np.asarray(budgets, dtype=float)
-    if b.ndim != 2 or b.shape[0] != budgets.size:
-        raise ValueError("bid matrix must have one row per agent")
-    if not ((b >= 0) & np.isfinite(b)).all():
-        raise ValueError("bids must be finite and non-negative")
-    err = np.abs(b.sum(axis=1) - budgets).max()
-    if err > 1e-6 * max(1.0, float(budgets.max())):
+def check_bid_profile(instance: Instance, bids) -> np.ndarray:
+    """Validate a bid profile of ``instance``: an n x m matrix of finite,
+    non-negative bids (``core._checked_array``) whose rows sum to the budgets
+    within 1e-6 relative to the largest budget (at least 1)."""
+    b = _checked_array("bids", bids, (instance.n, instance.m))
+    err = np.abs(b.sum(axis=1) - instance.budgets).max()
+    if err > 1e-6 * max(1.0, float(instance.budgets.max())):
         raise ValueError(f"bid rows must sum to budgets (max deviation {err:.3g})")
     return b
 
@@ -143,18 +139,14 @@ def _check_fees(budgets, counts, delta):
 
 def _br_inputs(values, budget, opp_spend, delta):
     """Input checks of the public best-response oracles.  Values and opposing
-    spends must be finite and non-negative, the budget positive and finite,
-    and the fee pass _check_fees.  Returns the values as a list of floats,
-    the demanded goods as an ascending index list, and the opposing spend as
-    a list of floats, as _best_response takes them."""
-    v = np.asarray(values, dtype=float)
-    d = np.asarray(opp_spend, dtype=float)
-    if v.ndim != 1 or v.shape != d.shape:
+    spends must be rows of one length that pass core._checked_array, the
+    budget positive and finite, and the fee pass _check_fees.  Returns the
+    values, the demanded goods (ascending) and the opposing spend as lists,
+    as _best_response takes them."""
+    if np.ndim(values) != 1 or np.shape(values) != np.shape(opp_spend):
         raise ValueError("values and opp_spend must be rows of the same length")
-    v, d = v.tolist(), d.tolist()
-    for name, row in (("values", v), ("opp_spend", d)):
-        if not all([0.0 <= x < math.inf for x in row]):
-            raise ValueError(f"{name} must be finite and non-negative")
+    v = _checked_array("values", values, np.shape(opp_spend)).tolist()
+    d = _checked_array("opp_spend", opp_spend, np.shape(values)).tolist()
     if not 0.0 < budget < math.inf:
         raise ValueError("budget must be positive and finite")
     demanded = [j for j, vj in enumerate(v) if vj > 0]
@@ -861,7 +853,7 @@ def br_dynamics(instance: Instance, delta: float = 0.0, init=None,
     if init is None:
         b = instance.budgets[:, None] * support / support.sum(axis=1)[:, None]
     else:
-        b = check_bid_profile(init, instance.budgets)
+        b = check_bid_profile(instance, init)
     kind, rho = instance.kind, instance.valuations.rho
     values, budgets = instance.matrix.tolist(), instance.budgets.tolist()
     demanded = [np.flatnonzero(row).tolist() for row in support]
@@ -936,7 +928,7 @@ def verify_tp_ne(instance: Instance, bids, delta: float = 0.0,
     noted.  With delta > 0 a budget below delta times the agent's demanded
     goods raises ValueError, as br_dynamics does.
     """
-    b = check_bid_profile(bids, instance.budgets)
+    b = check_bid_profile(instance, bids)
     demands = instance.matrix > 0
     _check_fees(instance.budgets, demands.sum(axis=1), delta)
     eff = effective_bids(b, delta)

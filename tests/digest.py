@@ -21,6 +21,10 @@ lines of the parent and of the change in one environment.  The groups:
   equilibrium spending as the start, and on the uniform reports of identity
   Leontief markets of n = 2, 5 and 10.  Fails on any failure.
 - solve-eg: single solves of every kind at the default cap and at one step.
+- stacked: ``solve_eg_many`` on ten seeded same-shape markets per kind and
+  shape: linear with small integer values, which tie often, Leontief, and
+  CES at rho 0.5 and -3, at 6 x 5 and 20 x 15.  Fails on an unconverged
+  solve.
 - tp-oracles: the bids, utility, iterations and converged flag of the Trading
   Post best response (``trading_post._best_response``) on 20,000 seeded
   rows: linear, Leontief and CES at rho 0.5 and -1, 1 to 7 goods, fees of
@@ -110,6 +114,14 @@ def falsifier(h):
     return f"{4 * len(profiles)} runs, failures {failures}", failures == 0
 
 
+def hash_equilibrium(h, eq):
+    """Update ``h`` with an equilibrium's arrays, residuals, steps and flag."""
+    for a in (eq.allocation, eq.prices, eq.utilities):
+        h.update(a.tobytes())
+    h.update(np.array([*dataclasses.astuple(eq.residuals), eq.iterations, eq.converged],
+                      dtype=float).tobytes())
+
+
 def single_solves(h):
     unconverged = 0
     for kind, rho in (("linear", None), ("leontief", None), ("ces", 0.9), ("ces", 0.5),
@@ -119,12 +131,26 @@ def single_solves(h):
                 inst = mg.gen_random(n, m, kind, rho=rho, seed=seed, sparsity=0.3 * (seed % 2))
                 eqs = mg.solve_eg(inst), mg.solve_eg(inst, max_iter=1)
                 for eq in eqs:
-                    for a in (eq.allocation, eq.prices, eq.utilities):
-                        h.update(a.tobytes())
-                    h.update(np.array([*dataclasses.astuple(eq.residuals), eq.iterations,
-                                       eq.converged], dtype=float).tobytes())
+                    hash_equilibrium(h, eq)
                 unconverged += not eqs[0].converged
     return f"{unconverged} of 84 unconverged at the default cap", True
+
+
+def stacked(h):
+    rng = np.random.default_rng(17)
+    markets = []
+    for n, m in ((6, 5), (20, 15)):
+        # values of 1 to 3 leave every good demanded, so the ten share a stack
+        markets += [mg.make_instance("linear", rng.integers(1, 4, (n, m)).astype(float),
+                                     rng.integers(1, 5, n).astype(float))
+                    for _ in range(10)]
+        for kind, rho in (("leontief", None), ("ces", 0.5), ("ces", -3.0)):
+            markets += [mg.gen_random(n, m, kind, rho=rho, seed=seed) for seed in range(10)]
+    unconverged = 0
+    for eq in mg.solve_eg_many(markets):
+        hash_equilibrium(h, eq)
+        unconverged += not eq.converged
+    return f"{unconverged} of {len(markets)} unconverged", unconverged == 0
 
 
 def oracle_rows(count=20000):
@@ -179,6 +205,7 @@ GROUPS = {
     "ces-falsifier": ces_falsifier,
     "falsifier": falsifier,
     "solve-eg": single_solves,
+    "stacked": stacked,
     "tp-oracles": tp_oracles,
     **{f"reproduce {id_}": cli_group("reproduce", id_, "--out", "{d}/report")
        for id_ in cli.REPRODUCE},

@@ -105,6 +105,34 @@ def test_verify_kkt_exits_2_on_a_misshapen_allocation(kind, tmp_path, capsys):
     assert "allocation must be an n x m" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["tp-dynamics", "verify"])
+@pytest.mark.parametrize("bids", [[[0.5, 0.5, 0.0]] * 3, [[1.0]] * 3], ids=["wide", "narrow"])
+def test_a_bid_profile_of_the_wrong_width_exits_2(verb, bids, tmp_path, capsys):
+    # a column too many once ran the dynamics, and one too few raised an
+    # IndexError; verify blamed the allocation the bids made
+    inst, path = tmp_path / "lin.json", tmp_path / "bids.json"
+    mg.save_instance(mg.make_instance("linear", [[1.0, 2.0], [2.0, 1.0], [1.0, 1.0]]), inst)
+    path.write_text(json.dumps({"bids": bids}))
+    argv = (["tp-dynamics", str(inst), "--init", str(path)] if verb == "tp-dynamics"
+            else ["verify", "--kind", "tp-ne", str(path), str(inst)])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: bids must be an n x m matrix\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind, allocation, prices", [
+    ("linear", [[1.2, -0.2], [-0.2, 1.2]], [1.0, 1.0]),
+    ("leontief", [[0.5, 0.5], [0.5, 0.5]], [3.0, -1.0])], ids=["linear", "leontief"])
+def test_verify_kkt_exits_1_on_a_negative_holding_or_price(kind, allocation, prices,
+                                                           tmp_path, capsys):
+    inst, payload = tmp_path / "inst.json", tmp_path / "eq.json"
+    mg.save_instance(mg.make_instance(kind, [[1.0, 1.0], [1.0, 1.0]]), inst)
+    payload.write_text(json.dumps({"prices": prices, "allocation": allocation}))
+    assert main(["verify", "--kind", "kkt", str(payload), str(inst)]) == 1
+    assert "passed = false" in capsys.readouterr().out
+
+
 def test_verify_tp_ne_exits_2_when_a_budget_cannot_cover_the_fees(tmp_path, capsys):
     inst, bids = tmp_path / "lin.json", tmp_path / "bids.json"
     mg.save_instance(mg.make_instance("linear", [[0.397, 0.949], [0.0, 1.0]],

@@ -62,3 +62,22 @@ def test_a_one_ulp_change_in_settled_bids_moves_the_oracle_group_only(monkeypatc
     after = hashes()
     assert after[0] != before[0]
     assert after[1] == before[1]
+
+
+def test_a_one_ulp_change_in_stacked_solves_moves_the_stacked_group_only(monkeypatch):
+    def hashes():
+        return [digest.run(digest.GROUPS[name])[0] for name in ("stacked", "solve-eg")]
+
+    before = hashes()
+    solve = eq_solvers._solve_profiles
+
+    # solve_eg_many calls _solve_profiles through this module; solve_eg and
+    # the Fisher game do not
+    def nudged(*args, **kwargs):
+        solved = solve(*args, **kwargs)
+        return solved._replace(prices=np.nextafter(solved.prices, np.inf))
+
+    monkeypatch.setattr(eq_solvers, "_solve_profiles", nudged)
+    after = hashes()
+    assert after[0] != before[0]
+    assert after[1] == before[1]

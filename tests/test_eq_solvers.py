@@ -122,6 +122,28 @@ def test_verifiers_fail_a_nan_allocation(kind):
     assert math.isnan(rep.residuals.worst)
 
 
+# points whose residuals all read 0 without a sign check: a negative holding
+# on a linear market of equal values, and a negative price on its Leontief
+# twin, whose equilibrium prices are (1, 1)
+INFEASIBLE_POINTS = {
+    "linear-negative-holding": ("linear", [[1.2, -0.2], [-0.2, 1.2]], [1.0, 1.0],
+                                "clearing", 0.2),
+    "leontief-negative-price": ("leontief", [[0.5, 0.5], [0.5, 0.5]], [3.0, -1.0],
+                                "complementarity", 1.0),
+}
+
+
+@pytest.mark.parametrize("kind, allocation, prices, field, residual",
+                         INFEASIBLE_POINTS.values(), ids=INFEASIBLE_POINTS.keys())
+def test_verifiers_fail_an_infeasible_point(kind, allocation, prices, field, residual):
+    inst = mg.make_instance(kind, [[1.0, 1.0], [1.0, 1.0]])
+    verify = mg.verify_kkt_linear if kind == "linear" else mg.verify_kkt_leontief
+    rep = verify(inst, allocation, prices)
+    assert not rep.passed
+    assert getattr(rep.residuals, field) == pytest.approx(residual)
+    assert rep.residuals.worst == getattr(rep.residuals, field)
+
+
 @pytest.mark.parametrize("scale", [1e6, 1e7])
 def test_leontief_stop_margin_covers_large_budgets(scale):
     # the budget residual is in money, so its rounding grows with the budgets

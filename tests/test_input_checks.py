@@ -37,8 +37,14 @@ _CASES = {
     "poa-negative-nsw": (lambda: mg.poa_ratio(1, -1), "equilibrium NSW must be non-negative"),
     "eps-no-goods": (lambda: mg.delta_for_eps(0.1, 0), "need at least one good"),
     "negative-bids": (lambda: mg.ne_to_market([[-1]]), "bids must be non-negative"),
-    "bid-rows": (lambda: check_bid_profile([[1.0]], [1.0, 1.0]),
-                 "bid matrix must have one row per agent"),
+    "bid-rows": (lambda: check_bid_profile(_LINEAR, [[1.0]]),
+                 "bids must be an n x m matrix"),
+    "dynamics-init-width": (lambda: mg.br_dynamics(_LINEAR, init=[[1.0], [1.0]]),
+                            "bids must be an n x m matrix"),
+    "tp-ne-bids-width": (lambda: mg.verify_tp_ne(_LINEAR, [[0.5, 0.5, 0.0]] * 2),
+                         "bids must be an n x m matrix"),
+    "tp-ne-bids-negative": (lambda: mg.verify_tp_ne(_LINEAR, [[-0.5, 1.5], [0.5, 0.5]]),
+                            "bids must be finite and non-negative"),
     "br-row-lengths": (lambda: mg.br_linear([1.0, 1.0], 1.0, [1.0]),
                        "values and opp_spend must be rows of the same length"),
     "br-nothing-demanded": (lambda: mg.br_linear([0.0], 1.0, [1.0]),

@@ -1008,13 +1008,14 @@ def test_delta_for_eps_certifies():
 
 
 def test_check_bid_profile():
+    inst = mg.make_instance("linear", [[1.0, 1.0]])
     with pytest.raises(ValueError):
-        check_bid_profile([[0.4, 0.4]], np.array([1.0]))
+        check_bid_profile(inst, [[0.4, 0.4]])
     with pytest.raises(ValueError):
-        check_bid_profile([[-0.1, 1.1]], np.array([1.0]))
+        check_bid_profile(inst, [[-0.1, 1.1]])
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
-            check_bid_profile([[bad, 1.0]], np.array([1.0]))
-    b = check_bid_profile([[0.4, 0.6]], np.array([1.0]))
+            check_bid_profile(inst, [[bad, 1.0]])
+    b = check_bid_profile(inst, [[0.4, 0.6]])
     assert b.shape == (1, 2)
     assert (effective_bids(b, 0.5) == [[0.0, 0.6]]).all()
